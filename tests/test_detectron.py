@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -65,6 +66,11 @@ class TestCalibrate:
         a = json.dumps(calibration_to_doc(task_env["calib"]), sort_keys=True)
         b = json.dumps(calibration_to_doc(again), sort_keys=True)
         assert a == b
+
+    def test_golden_digest(self, task_env):
+        doc = json.dumps(calibration_to_doc(task_env["calib"]), sort_keys=True)
+        assert hashlib.sha256(doc.encode()).hexdigest() == (
+            "91827df9e0bd370365a54c315b77bdc523def7ae9a8765a842160806fc593b2f")
 
     def test_parallel_jobs_match_sequential(self, task_env):
         data, f = task_env["data"], task_env["f"]

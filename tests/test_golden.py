@@ -1,0 +1,71 @@
+"""Golden values: stored digests that a refactor must reproduce byte for
+byte.  Run-against-run checks inside one process cannot see a change that
+moves every verdict the same way; these can."""
+
+import hashlib
+import json
+import os
+
+import numpy as np
+import pytest
+
+from conftest import small_gbt_config
+from shiftguard.cdc import CdcTrainSpec
+from shiftguard.cli import main
+from shiftguard.data import Dataset, partition
+from shiftguard.detectron import PartitionedData, calibrate, calibration_to_doc
+from shiftguard.learners import fit
+from shiftguard.numerics import rng_stream
+
+SMOKE_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                         "smoke.cfg")
+
+GBT = small_gbt_config(num_rounds=3, max_depth=3)
+GBT_SPEC = CdcTrainSpec(ensemble_max=3, max_opt_steps=3)
+GBT_N = 10
+GBT_K = 20
+GBT_CALIBRATION_SHA256 = (
+    "7d6085d05b2356092024364970f84dca2880e8cdd569697194e4bb9fd8c38f34")
+
+
+def calibration_sha256(record) -> str:
+    doc = json.dumps(calibration_to_doc(record), sort_keys=True)
+    return hashlib.sha256(doc.encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def gbt_env():
+    """Three overlapping Gaussian classes, so every CDC replicates each
+    target row into two labelled copies."""
+    rng = rng_stream(70, 0)
+    labels = np.arange(300) % 3
+    X = rng.normal((300, 2))
+    X[:, 0] += 2.0 * (labels == 1)
+    X[:, 1] += 2.0 * (labels == 2)
+    train, val, holdout = partition(Dataset(X, labels), rng=rng.split(1))
+    data = PartitionedData(train, val, holdout)
+    f = fit(GBT, train.features, train.labels, val.features, val.labels,
+            rng.split(2))
+    calib = calibrate(data, GBT, f, GBT_N, GBT_K, GBT_SPEC, 0.05,
+                      rng.split(3))
+    return {"data": data, "f": f, "calib": calib, "rng": rng}
+
+
+def test_gbt_calibration_digest(gbt_env):
+    assert calibration_sha256(gbt_env["calib"]) == GBT_CALIBRATION_SHA256
+
+
+def test_gbt_parallel_jobs_match_sequential(gbt_env):
+    par = calibrate(gbt_env["data"], GBT, gbt_env["f"], GBT_N, GBT_K,
+                    GBT_SPEC, 0.05, gbt_env["rng"].split(3), jobs=2)
+    assert par.phi_p == gbt_env["calib"].phi_p
+    assert par.entropy_runs == gbt_env["calib"].entropy_runs
+
+
+def test_smoke_profile_config_hash(tmp_path, capsys, monkeypatch):
+    """The calibration file name the README shows for configs/smoke.cfg."""
+    monkeypatch.setenv("SHIFTGUARD_CACHE", str(tmp_path))
+    assert main(["calibrate", SMOKE_CFG, "--seed", "5"]) == 0
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert summary["config_hash"][:16] == "fee371115b4db3d7"
+    assert (tmp_path / "calibration_fee371115b4db3d7_5.json").exists()
