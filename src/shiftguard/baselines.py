@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cdc import CdcEnsemble, cdc_entropy
 from .detectron import PartitionedData, TestVerdict
 from .learners import LearnerConfig, Model, fit
 from .numerics import RngStream
@@ -22,10 +23,6 @@ from .stats import binomial_pvalue, empirical_quantile, ks_two_sample
 __all__ = [
     "EnsembleSpec",
     "train_ensemble",
-    "ensemble_disagreement_test",
-    "ensemble_entropy_test",
-    "bbsd_test",
-    "ctst_test",
     "BaselineCalibration",
     "make_baseline_detector",
 ]
@@ -85,21 +82,12 @@ def ensemble_disagreement_stat(models, ref_X, Q_X) -> tuple[float, tuple]:
     return binomial_pvalue(x, Q_X.shape[0], p_hat, "greater"), flags
 
 
-def _mean_entropy(models, X) -> np.ndarray:
-    p_hat = models[0].predict_proba_matrix(X)
-    for m in models[1:]:
-        p_hat = p_hat + m.predict_proba_matrix(X)
-    p_hat /= len(models)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p_hat > 0.0, p_hat * np.log(p_hat), 0.0)
-    return -terms.sum(axis=1)
-
-
 def ensemble_entropy_stat(models, ref_X, Q_X) -> tuple[float, tuple]:
     """KS p-value between predictive-entropy distributions on Q and the
     reference sample."""
-    return ks_two_sample(_mean_entropy(models, Q_X),
-                         _mean_entropy(models, ref_X)).p_value, ()
+    ensemble = CdcEnsemble(base=models[0], members=list(models[1:]))
+    return ks_two_sample(cdc_entropy(ensemble, Q_X),
+                         cdc_entropy(ensemble, ref_X)).p_value, ()
 
 
 def bbsd_stat(f: Model, ref_X, Q_X) -> tuple[float, tuple]:
@@ -234,47 +222,3 @@ def make_baseline_detector(detector_id: str, config: LearnerConfig,
 
     verdict_fn.calibration = calib
     return verdict_fn
-
-
-# convenience single-shot wrappers around pre-calibrated statistics
-
-def ensemble_disagreement_test(models, ref_X, Q_X, alpha,
-                               tau: float) -> TestVerdict:
-    """Verdict from a pre-computed threshold (see make_baseline_detector
-    for the calibrated route)."""
-    start = time.perf_counter()
-    p_value, flags = ensemble_disagreement_stat(models, ref_X, Q_X)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    calib = BaselineCalibration("ensemble_disagreement", tau, alpha,
-                                Q_X.shape[0], ())
-    return _verdict("ensemble_disagreement", p_value, calib,
-                    Q_X.shape[0], RngStream(0, 0), flags, elapsed)
-
-
-def ensemble_entropy_test(models, ref_X, Q_X, alpha, tau) -> TestVerdict:
-    start = time.perf_counter()
-    p_value, flags = ensemble_entropy_stat(models, ref_X, Q_X)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    calib = BaselineCalibration("ensemble_entropy", tau, alpha,
-                                Q_X.shape[0], ())
-    return _verdict("ensemble_entropy", p_value, calib, Q_X.shape[0],
-                    RngStream(0, 0), flags, elapsed)
-
-
-def bbsd_test(f: Model, ref_X, Q_X, alpha, tau) -> TestVerdict:
-    start = time.perf_counter()
-    p_value, flags = bbsd_stat(f, ref_X, Q_X)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    calib = BaselineCalibration("bbsd", tau, alpha, Q_X.shape[0], ())
-    return _verdict("bbsd", p_value, calib, Q_X.shape[0],
-                    RngStream(0, 0), flags, elapsed)
-
-
-def ctst_test(config: LearnerConfig, source_X, Q_X, alpha, tau,
-              rng: RngStream) -> TestVerdict:
-    start = time.perf_counter()
-    p_value, flags = ctst_stat(config, source_X, Q_X, rng)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    calib = BaselineCalibration("ctst", tau, alpha, Q_X.shape[0], ())
-    return _verdict("ctst", p_value, calib, Q_X.shape[0], rng, flags,
-                    elapsed)

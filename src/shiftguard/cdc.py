@@ -137,7 +137,7 @@ def train_cdc(config: LearnerConfig, P_train, P_val, Q_pseudo, f: Model,
 
     budget = spec.max_opt_steps
     current = f
-    last_good = f
+    last_good, last_metric = f, m0
     for _ in range(spec.max_epochs_per_cdc):
         if budget is not None and budget <= 0:
             break
@@ -147,12 +147,11 @@ def train_cdc(config: LearnerConfig, P_train, P_val, Q_pseudo, f: Model,
         if budget is not None:
             budget -= min(steps_per_epoch, budget)
         metric = evaluate_metric(current, X_val, y_val, config.val_metric)
-        if metric >= m0 - eps:
-            last_good = current
-        else:
+        if metric < m0 - eps:
             break
-    assert evaluate_metric(last_good, X_val, y_val, config.val_metric) \
-        >= m0 - eps or last_good is f
+        last_good, last_metric = current, metric
+    if last_metric < m0 - eps:
+        raise RuntimeError("CDC violates its validation constraint")
     return last_good
 
 

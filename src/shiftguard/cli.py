@@ -31,10 +31,8 @@ from .detectron import (
     disagreement_statistic_psi,
     evaluate_power,
     load_calibration,
+    run_tests,
     save_calibration,
-    test_both,
-    test_disagreement,
-    test_entropy,
     DETECTOR_IDS,
 )
 from .learners import GbtConfig, LearnerConfig, MlpConfig, fit
@@ -196,7 +194,8 @@ def shift_spec_from_config(rc: RunConfig, seed: int) -> ShiftTaskSpec:
 
 
 def build_environment(rc: RunConfig, seed: int):
-    """Materialize (partitioned source, target features or None, base model)."""
+    """Materialize (partitioned source, target features or None, base
+    model, learner config)."""
     d = rc.sections["data"]
     root = RngStream(seed, 0)
     fractions = tuple(float(x) for x in d["fractions"].split(","))
@@ -224,9 +223,12 @@ def build_environment(rc: RunConfig, seed: int):
         raise CliError(f"cannot partition source data: {exc}")
     data = PartitionedData(train, val, holdout)
     config = learner_from_config(rc)
-    f = fit(config, train.features, train.labels, val.features, val.labels,
-            root.split(2))
-    return data, target_X, f
+    try:
+        f = fit(config, train.features, train.labels, val.features,
+                val.labels, root.split(2))
+    except ValueError as exc:
+        raise CliError(f"cannot fit base model: {exc}")
+    return data, target_X, f, config
 
 
 def resolve_seed(rc: RunConfig, cli_seed) -> int:
@@ -310,8 +312,7 @@ def cmd_calibrate(args) -> int:
     seed = resolve_seed(rc, args.seed)
     jobs = args.jobs or rc.getint("run", "jobs")
     start = time.perf_counter()
-    data, _, f = build_environment(rc, seed)
-    config = learner_from_config(rc)
+    data, _, f, config = build_environment(rc, seed)
     spec = cdc_spec_from_config(rc)
     N = rc.getint("test", "sample_size")
     K = rc.getint("test", "K")
@@ -348,8 +349,7 @@ def cmd_calibrate(args) -> int:
 def cmd_test(args) -> int:
     rc = load_run_config(args.config)
     seed = resolve_seed(rc, args.seed)
-    data, _, f = build_environment(rc, seed)
-    config = learner_from_config(rc)
+    data, _, f, config = build_environment(rc, seed)
     spec = cdc_spec_from_config(rc)
     try:
         record = load_calibration(args.calibration)
@@ -359,17 +359,9 @@ def cmd_test(args) -> int:
     q_digest = int(hashlib.sha256(q.fingerprint.encode()).hexdigest()[:12], 16)
     rng = RngStream(seed, 0).split(4).split(q_digest)
 
-    which = args.test
     try:
-        if which == "both":
-            verdicts = list(test_both(q.features, record, data, config, f,
-                                      spec, rng))
-        elif which == "disagreement":
-            verdicts = [test_disagreement(q.features, record, data, config,
-                                          f, spec, rng)]
-        else:
-            verdicts = [test_entropy(q.features, record, data, config, f,
-                                     spec, rng)]
+        verdicts = run_tests(q.features, record, data, config, f, spec, rng,
+                             args.test)
     except ValueError as exc:
         raise CliError(str(exc))
 
@@ -475,7 +467,7 @@ def _run_psi(rc, task, seed, budget, runs, out_dir, key):
     data, target_X, f = prepare_task(task, RngStream(seed, 0).split(6))
     n = min(rc.getint("test", "sample_size"), target_X.shape[0],
             len(data.holdout))
-    config = learner_from_config(rc)
+    config = task.learner
     curves_q, curves_p = [], []
     for r in range(runs):
         rng = RngStream(seed, 0).split(7).split(r)

@@ -42,6 +42,7 @@ __all__ = [
     "DatasetTask",
     "config_hash",
     "calibrate",
+    "run_tests",
     "test_disagreement",
     "test_entropy",
     "test_both",
@@ -243,25 +244,6 @@ def calibrate(data: PartitionedData, config: LearnerConfig, f: Model,
 # test-time verdicts
 # ---------------------------------------------------------------------------
 
-def _check_test_inputs(Q_X, calib, data, config, f, spec):
-    Q_X = np.asarray(Q_X, dtype=np.float64)
-    if Q_X.shape[0] != calib.sample_size:
-        raise ValueError("sample size must match calibration: "
-                         f"got {Q_X.shape[0]}, calibrated {calib.sample_size}")
-    live_hash = config_hash(data, config, f, spec, calib.sample_size,
-                            calib.K, calib.alpha)
-    if live_hash != calib.config_hash:
-        raise ValueError(
-            "calibration/config mismatch: refusing to test with a "
-            "configuration different from the calibrated one")
-    return Q_X
-
-
-def _build_q_ensemble(Q_X, data, config, f, spec, rng):
-    return build_ensemble(config, data.train_pair(), data.val_pair(),
-                          Q_X, f, spec, rng)
-
-
 def _disagreement_verdict(phi_q, calib, rng, elapsed_ms) -> TestVerdict:
     return TestVerdict(
         test="detectron_disagreement",
@@ -292,47 +274,58 @@ def _entropy_verdict(q_entropies, calib, rng, elapsed_ms) -> TestVerdict:
     )
 
 
-def test_disagreement(Q_X, calib: CalibrationRecord, data: PartitionedData,
-                      config: LearnerConfig, f: Model, spec: CdcTrainSpec,
-                      rng: RngStream) -> TestVerdict:
-    """Disagreement test: shift iff phi_Q exceeds the calibrated
-    (1 - alpha) quantile of the null rates."""
-    Q_X = _check_test_inputs(Q_X, calib, data, config, f, spec)
-    start = time.perf_counter()
-    ens = _build_q_ensemble(Q_X, data, config, f, spec, rng)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return _disagreement_verdict(ens.phi_final, calib, rng, elapsed)
-
-
-def test_entropy(Q_X, calib: CalibrationRecord, data: PartitionedData,
-                 config: LearnerConfig, f: Model, spec: CdcTrainSpec,
-                 rng: RngStream) -> TestVerdict:
-    """Entropy test: shift iff the KS p-value of Q's ensemble entropies
-    against pooled calibration entropies (one run dropped at random)
-    falls below the calibrated alpha quantile."""
-    Q_X = _check_test_inputs(Q_X, calib, data, config, f, spec)
-    start = time.perf_counter()
-    ens = _build_q_ensemble(Q_X, data, config, f, spec, rng)
-    q_entropies = cdc_entropy(ens, Q_X)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return _entropy_verdict(q_entropies, calib, rng, elapsed)
-
-
-def test_both(Q_X, calib: CalibrationRecord, data: PartitionedData,
+def run_tests(Q_X, calib: CalibrationRecord, data: PartitionedData,
               config: LearnerConfig, f: Model, spec: CdcTrainSpec,
-              rng: RngStream) -> tuple[TestVerdict, TestVerdict]:
-    """Both verdicts from one ensemble build.
+              rng: RngStream, which: str = "both") -> tuple:
+    """Verdicts of the tests ``which`` names ("disagreement", "entropy" or
+    "both"), in that order, from one ensemble build.
 
-    Each verdict is marginally identical to its dedicated operation; the
-    two simply share the trained ensemble (and therefore randomness).
+    Refuses a sample whose size or configuration differs from the
+    calibrated one.  Disagreement: shift iff phi_Q exceeds the calibrated
+    (1 - alpha) quantile of the null rates.  Entropy: shift iff the KS
+    p-value of Q's ensemble entropies against pooled calibration entropies
+    (one run dropped at random) falls below the calibrated alpha quantile.
+    Each verdict of "both" is marginally identical to its single-test run;
+    the two share the trained ensemble (and therefore randomness).
     """
-    Q_X = _check_test_inputs(Q_X, calib, data, config, f, spec)
+    if which not in ("disagreement", "entropy", "both"):
+        raise ValueError(f"unknown test {which!r}")
+    Q_X = np.asarray(Q_X, dtype=np.float64)
+    if Q_X.shape[0] != calib.sample_size:
+        raise ValueError("sample size must match calibration: "
+                         f"got {Q_X.shape[0]}, calibrated {calib.sample_size}")
+    if config_hash(data, config, f, spec, calib.sample_size, calib.K,
+                   calib.alpha) != calib.config_hash:
+        raise ValueError(
+            "calibration/config mismatch: refusing to test with a "
+            "configuration different from the calibrated one")
     start = time.perf_counter()
-    ens = _build_q_ensemble(Q_X, data, config, f, spec, rng)
-    q_entropies = cdc_entropy(ens, Q_X)
+    ens = build_ensemble(config, data.train_pair(), data.val_pair(), Q_X, f,
+                         spec, rng)
+    if which != "disagreement":
+        q_entropies = cdc_entropy(ens, Q_X)
     elapsed = (time.perf_counter() - start) * 1000.0
-    return (_disagreement_verdict(ens.phi_final, calib, rng, elapsed),
-            _entropy_verdict(q_entropies, calib, rng, elapsed))
+    verdicts = []
+    if which != "entropy":
+        verdicts.append(_disagreement_verdict(ens.phi_final, calib, rng,
+                                              elapsed))
+    if which != "disagreement":
+        verdicts.append(_entropy_verdict(q_entropies, calib, rng, elapsed))
+    return tuple(verdicts)
+
+
+# single-test and both-test aliases of run_tests, the library API
+
+def test_disagreement(Q_X, calib, data, config, f, spec, rng) -> TestVerdict:
+    return run_tests(Q_X, calib, data, config, f, spec, rng, "disagreement")[0]
+
+
+def test_entropy(Q_X, calib, data, config, f, spec, rng) -> TestVerdict:
+    return run_tests(Q_X, calib, data, config, f, spec, rng, "entropy")[0]
+
+
+def test_both(Q_X, calib, data, config, f, spec, rng) -> tuple:
+    return run_tests(Q_X, calib, data, config, f, spec, rng, "both")
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +454,9 @@ def make_detector(task: BenchmarkTask, detector_id: str,
     if detector_id in ("detectron_disagreement", "detectron_entropy"):
         calib = calibrate(data, task.learner, f, N, task.K, task.cdc,
                           alpha, rng, jobs=jobs)
-        if detector_id == "detectron_disagreement":
-            return lambda Q_X, r: test_disagreement(
-                Q_X, calib, data, task.learner, f, task.cdc, r)
-        return lambda Q_X, r: test_entropy(
-            Q_X, calib, data, task.learner, f, task.cdc, r)
+        which = detector_id.removeprefix("detectron_")
+        return lambda Q_X, r: run_tests(
+            Q_X, calib, data, task.learner, f, task.cdc, r, which)[0]
     from . import baselines
     return baselines.make_baseline_detector(
         detector_id, task.learner, data, f, N, task.K, alpha, rng)

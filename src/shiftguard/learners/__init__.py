@@ -215,6 +215,8 @@ def fit(config: LearnerConfig, X, y, X_val, y_val, rng,
     n_classes = int(num_classes if num_classes is not None else y.max() + 1)
     if y.max() >= n_classes:
         raise ValueError("label out of range")
+    if config.val_metric == "auc" and n_classes != 2:
+        raise ValueError("auc metric requires binary classification")
     X_val = np.asarray(X_val, dtype=np.float64)
     y_val = np.asarray(y_val, dtype=np.int64)
     if config.kind == "mlp":

@@ -14,13 +14,14 @@ import math
 
 import numpy as np
 
+from ..losses import replicate_for_disagreement
 from ..numerics import RngStream, softmax_rows
 from . import (
     LearnerConfig,
     Model,
     _decode_array,
     _encode_array,
-    auc_binary,
+    evaluate_metric,
 )
 
 _MIN_GAIN = 1e-12
@@ -184,12 +185,6 @@ def _boost_rounds(model: GbtModel, X, y, w, cfg, rng: RngStream,
         model.rounds.append(round_trees)
 
 
-def _val_score(model: GbtModel, X_val, y_val, metric: str) -> float:
-    if metric == "auc" and model.num_classes == 2:
-        return auc_binary(model.predict_proba_matrix(X_val)[:, 1], y_val)
-    return float(np.mean(model.predict_labels(X_val) == y_val))
-
-
 def _log_prior(y, w, n_classes):
     totals = np.zeros(n_classes)
     np.add.at(totals, y, w)
@@ -203,24 +198,8 @@ def fit_gbt(config: LearnerConfig, X, y, w, X_val, y_val, n_classes,
     model = GbtModel(_log_prior(y, w, n_classes), [], n_classes, X.shape[1],
                      (rng.base_seed, rng.stream_id))
     _boost_rounds(model, X, y, w, cfg, rng, cfg.num_rounds)
-    model.val_score = _val_score(model, X_val, y_val, config.val_metric)
+    model.val_score = evaluate_metric(model, X_val, y_val, config.val_metric)
     return model
-
-
-def _replicate_q(X_q, pseudo, n_classes, replica_weight):
-    """Each Q row becomes n_classes - 1 ordinary rows, one per non-pseudo
-    class, sharing the replica weight."""
-    n_q = X_q.shape[0]
-    X_rep = np.repeat(X_q, n_classes - 1, axis=0)
-    labels = np.empty(n_q * (n_classes - 1), dtype=np.int64)
-    k = 0
-    for i in range(n_q):
-        for c in range(n_classes):
-            if c != pseudo[i]:
-                labels[k] = c
-                k += 1
-    weights = np.full(n_q * (n_classes - 1), replica_weight)
-    return X_rep, labels, weights
 
 
 def fit_disagreeing_gbt(config: LearnerConfig, base: GbtModel, X_p, y_p,
@@ -234,12 +213,12 @@ def fit_disagreeing_gbt(config: LearnerConfig, base: GbtModel, X_p, y_p,
     if X_q.shape[0] == 0:
         _boost_rounds(model, X_p, y_p, np.ones(X_p.shape[0]), cfg, rng, rounds)
         return model
-    n_classes = model.num_classes
     # boosting sees all of P every round while the gradient path's lambda
     # is per-batch; rescale by |P_train| so one round's Q exposure matches
     # one epoch of batch-filled updates
-    replica_w = lam * X_p.shape[0] * cfg.disagree_scale / (n_classes - 1)
-    X_rep, y_rep, w_rep = _replicate_q(X_q, pseudo, n_classes, replica_w)
+    X_rep, y_rep, w_rep = replicate_for_disagreement(
+        X_q, pseudo, model.num_classes,
+        lam * X_p.shape[0] * cfg.disagree_scale)
     X_all = np.vstack([X_p, X_rep])
     y_all = np.concatenate([y_p, y_rep])
     w_all = np.concatenate([np.ones(X_p.shape[0]), w_rep])

@@ -18,7 +18,7 @@ from . import (
     Model,
     _decode_array,
     _encode_array,
-    auc_binary,
+    evaluate_metric,
 )
 
 _ADAM_B1 = 0.9
@@ -145,12 +145,6 @@ def _standardizer(X):
     return mean, std
 
 
-def _val_score(model: MlpModel, X_val, y_val, metric: str) -> float:
-    if metric == "auc" and model.num_classes == 2:
-        return auc_binary(model.predict_proba_matrix(X_val)[:, 1], y_val)
-    return float(np.mean(model.predict_labels(X_val) == y_val))
-
-
 def _val_ce(model: MlpModel, X_val, y_val) -> float:
     losses, _ = cross_entropy_batch(model.logits(X_val), y_val)
     return float(losses.mean())
@@ -169,7 +163,7 @@ def fit_mlp(config: LearnerConfig, X, y, w, X_val, y_val, n_classes,
     model = MlpModel(weights, biases, mean, std, n_classes, d,
                      (rng.base_seed, rng.stream_id))
     best = model.clone()
-    best_score = _val_score(model, X_val, y_val, config.val_metric)
+    best_score = evaluate_metric(model, X_val, y_val, config.val_metric)
     best_ce = _val_ce(model, X_val, y_val)
     since_best = 0
 
@@ -184,7 +178,7 @@ def fit_mlp(config: LearnerConfig, X, y, w, X_val, y_val, n_classes,
             dlogits = grads * (wb / wb.sum())[:, None]
             g_w, g_b = _backward(dlogits, acts, masks, weights, cfg.l2)
             optimizer.step(weights, biases, g_w, g_b)
-        score = _val_score(model, X_val, y_val, config.val_metric)
+        score = evaluate_metric(model, X_val, y_val, config.val_metric)
         ce = _val_ce(model, X_val, y_val)
         # ties on the (small-sample) score break toward lower val loss so
         # the kept snapshot is the best-margined one, not the earliest

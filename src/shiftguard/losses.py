@@ -19,7 +19,6 @@ from .numerics import log_sum_exp, log_softmax_rows, softmax, softmax_rows
 
 __all__ = [
     "DisagreementTarget",
-    "WeightedSample",
     "cross_entropy",
     "disagreement_cross_entropy",
     "cross_entropy_batch",
@@ -43,21 +42,6 @@ class DisagreementTarget:
             raise ValueError(
                 f"target_class {self.target_class} outside "
                 f"[0, {self.num_classes})")
-
-
-@dataclass(frozen=True)
-class WeightedSample:
-    """A feature row with label, positive weight, and agree/disagree mode."""
-    features: np.ndarray
-    label: int
-    weight: float
-    mode: str = "agree"
-
-    def __post_init__(self):
-        if self.weight <= 0:
-            raise ValueError("weight must be positive")
-        if self.mode not in ("agree", "disagree"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 def cross_entropy(logits, y: int) -> tuple[float, np.ndarray]:
@@ -187,21 +171,26 @@ def cdc_batch_loss(logits: np.ndarray, labels: np.ndarray,
     return loss, grads
 
 
-def replicate_for_disagreement(features,
-                               target: DisagreementTarget
-                               ) -> list[WeightedSample]:
-    """Rewrite one disagreement sample as N-1 weighted ordinary samples.
+def replicate_for_disagreement(X, targets, num_classes: int,
+                               weight: float = 1.0
+                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rewrite disagreement rows as N-1 weighted ordinary rows each.
 
-    Each non-target class gets a replica of weight 1/(N-1); summing
-    weight * cross_entropy over the replicas reproduces the DCE exactly,
-    so weight-aware learners need no disagreement-specific code path.
-    For N = 2 this is a single flipped label with weight 1.
+    Row i of X becomes one replica per class other than targets[i], in
+    ascending class order and contiguous per row, each of weight
+    weight / (N-1); summing weight * cross_entropy over a row's replicas
+    reproduces weight * DCE exactly, so weight-aware learners need no
+    disagreement-specific code path.  For N = 2 this is a single flipped
+    label.  Returns (X_rep, labels, weights).
     """
-    n = target.num_classes
-    t = target.target_class
-    feats = np.asarray(features, dtype=np.float64)
-    w = 1.0 / (n - 1)
-    return [
-        WeightedSample(features=feats, label=c, weight=w, mode="agree")
-        for c in range(n) if c != t
-    ]
+    X = np.asarray(X, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.int64)
+    if num_classes < 2:
+        raise ValueError("need at least 2 classes to disagree")
+    if targets.shape != (X.shape[0],):
+        raise ValueError("targets must align with rows")
+    if targets.size and not 0 <= targets.min() <= targets.max() < num_classes:
+        raise ValueError(f"targets outside [0, {num_classes})")
+    labels = np.nonzero(np.arange(num_classes) != targets[:, None])[1]
+    weights = np.full(labels.size, weight / (num_classes - 1))
+    return np.repeat(X, num_classes - 1, axis=0), labels, weights

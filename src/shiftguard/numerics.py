@@ -335,9 +335,6 @@ class RngStream:
             raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
         return self.permutation(n)[:k]
 
-    def shuffled(self, arr: np.ndarray) -> np.ndarray:
-        return np.asarray(arr)[self.permutation(len(arr))]
-
 
 def rng_stream(base_seed: int, stream_id: int = 0) -> RngStream:
     """Construct an RngStream (functional alias for the constructor)."""

@@ -32,7 +32,10 @@ __all__ = [
     "binomial_draws",
 ]
 
-EXACT_KS_MAX_NM = 10_000  # lattice DP stays sub-millisecond below this
+# exact lattice DP below this n*m; it is a pure-Python loop over tie
+# groups, so it costs about 20 ms at n=10, m=990 and 10-16 ms at n=20,
+# m=380 on tie-free samples (2-core Xeon)
+EXACT_KS_MAX_NM = 10_000
 
 
 @dataclass(frozen=True)

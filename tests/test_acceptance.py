@@ -155,9 +155,10 @@ def test_criterion_3_dce_correctness():
                          - disagreement_cross_entropy(lm, target)[0]) / (2 * h)
             assert np.abs(grad - fd).max() < 1e-6
             # replication identity at 1e-12
-            total = sum(rep.weight * cross_entropy(logits, rep.label)[0]
-                        for rep in replicate_for_disagreement(
-                            np.zeros(1), target))
+            _, labels, weights = replicate_for_disagreement(
+                np.zeros((1, 1)), [t], n)
+            total = sum(w * cross_entropy(logits, c)[0]
+                        for c, w in zip(labels, weights))
             dce, _ = disagreement_cross_entropy(logits, target)
             assert abs(total - dce) < 1e-12
             cases += 1

@@ -128,6 +128,26 @@ class TestCalibrateCommand:
         _, err = read_stdout_docs(capsys)
         assert "insufficient" in err
 
+    @pytest.mark.parametrize("command", ["calibrate", "test"])
+    def test_auc_on_three_classes_exit_one(self, tmp_path, capsys, command):
+        X = rng_stream(12, 0).normal((150, 2))
+        src = tmp_path / "three.csv"
+        src.write_text("f0,f1,y\n" + "".join(
+            f"{x[0]},{x[1]},{i % 3}\n" for i, x in enumerate(X)))
+        cfg = tmp_path / "auc.cfg"
+        cfg.write_text(f"[run]\nseed = 1\noutput_dir = {tmp_path}\n"
+                       f"[data]\nsource_csv = {src}\n"
+                       "[learner]\nkind = gbt\nval_metric = auc\n")
+        argv = [command, str(cfg)]
+        if command == "test":
+            argv += [str(src), str(tmp_path / "missing.json")]
+        assert main(argv) == 1
+        out, err = read_stdout_docs(capsys)
+        assert out == []
+        assert err.splitlines() == [
+            "error: cannot fit base model: "
+            "auc metric requires binary classification"]
+
     def test_cache_env_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SHIFTGUARD_CACHE", str(tmp_path / "mycache"))
         cfg = write_config(tmp_path)

@@ -173,6 +173,28 @@ class TestVerdicts:
         assert v_dis.shift_detected == solo_dis.shift_detected
         assert v_ent.test == "detectron_entropy"
 
+    def test_disagreement_alone_skips_entropy_and_ks(self, task_env,
+                                                     monkeypatch):
+        import shiftguard.detectron as detectron
+
+        def not_asked(*args, **kwargs):
+            raise AssertionError("entropy test ran unasked")
+
+        monkeypatch.setattr(detectron, "cdc_entropy", not_asked)
+        monkeypatch.setattr(detectron, "ks_two_sample", not_asked)
+        (verdict,) = detectron.run_tests(
+            task_env["target_X"][:N], task_env["calib"], task_env["data"],
+            LEARNER, task_env["f"], SPEC, rng_stream(56, 0),
+            which="disagreement")
+        assert verdict.test == "detectron_disagreement"
+
+    def test_unknown_test_name_rejected(self, task_env):
+        from shiftguard.detectron import run_tests
+        with pytest.raises(ValueError, match="unknown test"):
+            run_tests(task_env["target_X"][:N], task_env["calib"],
+                      task_env["data"], LEARNER, task_env["f"], SPEC,
+                      rng_stream(0, 0), which="ks")
+
 
 class TestPersistence:
     def test_round_trip(self, task_env, tmp_path):

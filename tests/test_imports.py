@@ -1,0 +1,57 @@
+"""Import hygiene of the package sources, checked with ``ast``: no module
+keeps a top-level import it never uses, and every ``__all__`` name exists
+on its module.  Deleting code tends to leave both behind."""
+
+import ast
+import importlib
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+MODULES = sorted((SRC / "shiftguard").rglob("*.py"))
+
+
+def module_name(path: pathlib.Path) -> str:
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def top_level_imports(tree: ast.Module) -> dict:
+    """Bound name -> line of every module-level import."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def exported_names(tree: ast.Module) -> list:
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=module_name)
+def test_no_unused_top_level_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used.update(exported_names(tree))
+    unused = {name: line for name, line in top_level_imports(tree).items()
+              if name not in used}
+    assert not unused, f"{module_name(path)}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=module_name)
+def test_all_names_resolve(path):
+    names = exported_names(ast.parse(path.read_text(encoding="utf-8")))
+    module = importlib.import_module(module_name(path))
+    missing = [n for n in names if not hasattr(module, n)]
+    assert not missing, f"{module_name(path)}: __all__ names {missing}"

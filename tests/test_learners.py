@@ -137,6 +137,24 @@ class TestPredictProba:
         model = fit(config, Xt, yt, Xv, yv, rng_stream(30, 0))
         assert model.val_score >= 0.99  # recorded score is now the AUC
 
+    @pytest.mark.parametrize("config", ALL_CONFIGS, ids=["mlp", "gbt"])
+    def test_auc_rejected_for_three_classes_before_training(
+            self, config, monkeypatch):
+        import shiftguard.learners.gbt as gbt
+        import shiftguard.learners.mlp as mlp
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before rejecting the metric")
+
+        monkeypatch.setattr(mlp, "fit_mlp", no_training)
+        monkeypatch.setattr(gbt, "fit_gbt", no_training)
+        config = LearnerConfig(kind=config.kind, mlp=config.mlp,
+                               gbt=config.gbt, val_metric="auc")
+        X = rng_stream(31, 0).normal((30, 2))
+        y = np.arange(30) % 3
+        with pytest.raises(ValueError, match="auc metric requires binary"):
+            fit(config, X, y, X, y, rng_stream(31, 1))
+
 
 class TestMlpInternals:
     def test_full_network_gradient_matches_finite_differences(self):

@@ -6,7 +6,6 @@ import pytest
 from oracles import central_difference_grad
 from shiftguard.losses import (
     DisagreementTarget,
-    WeightedSample,
     cdc_batch_loss,
     cross_entropy,
     disagreement_cross_entropy,
@@ -194,35 +193,54 @@ class TestCdcBatchLoss:
 
 class TestReplication:
     def test_binary_is_label_flip(self):
-        out = replicate_for_disagreement([1.0, 2.0], DisagreementTarget(1, 2))
-        assert len(out) == 1
-        assert out[0].label == 0
-        assert out[0].weight == pytest.approx(1.0)
-        assert out[0].mode == "agree"
+        X_rep, labels, weights = replicate_for_disagreement(
+            [[1.0, 2.0]], [1], 2)
+        np.testing.assert_array_equal(X_rep, [[1.0, 2.0]])
+        assert labels.tolist() == [0]
+        assert weights.tolist() == [1.0]
 
     def test_four_class_replicas(self):
-        out = replicate_for_disagreement([0.0], DisagreementTarget(2, 4))
-        assert sorted(s.label for s in out) == [0, 1, 3]
-        assert all(s.weight == pytest.approx(1 / 3) for s in out)
+        _, labels, weights = replicate_for_disagreement([[0.0]], [2], 4)
+        assert labels.tolist() == [0, 1, 3]
+        assert all(w == pytest.approx(1 / 3) for w in weights)
 
     def test_weighted_ce_sum_equals_dce(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
             l = rng.normal(size=5) * 2
             t = int(rng.integers(5))
-            tgt = DisagreementTarget(t, 5)
-            dce, dce_grad = disagreement_cross_entropy(l, tgt)
+            dce, dce_grad = disagreement_cross_entropy(
+                l, DisagreementTarget(t, 5))
             total = 0.0
             total_grad = np.zeros(5)
-            for rep in replicate_for_disagreement(np.zeros(1), tgt):
-                ce, g = cross_entropy(l, rep.label)
-                total += rep.weight * ce
-                total_grad += rep.weight * g
+            _, labels, weights = replicate_for_disagreement(np.zeros((1, 1)),
+                                                            [t], 5)
+            for c, w in zip(labels, weights):
+                ce, g = cross_entropy(l, c)
+                total += w * ce
+                total_grad += w * g
             assert total == pytest.approx(dce, abs=1e-12)
             np.testing.assert_allclose(total_grad, dce_grad, atol=1e-12)
 
-    def test_weighted_sample_validation(self):
-        with pytest.raises(ValueError):
-            WeightedSample(np.zeros(1), 0, 0.0)
-        with pytest.raises(ValueError):
-            WeightedSample(np.zeros(1), 0, 1.0, mode="maybe")
+    @pytest.mark.parametrize("n_classes", [2, 3, 5])
+    def test_rows_replicate_contiguously_in_class_order(self, n_classes):
+        X = np.arange(8.0).reshape(4, 2)
+        targets = np.array([0, n_classes - 1, 1, 0])
+        lam, n_p, scale = 1.0 / 21.0, 630, 0.7
+        X_rep, labels, weights = replicate_for_disagreement(
+            X, targets, n_classes, lam * n_p * scale)
+        np.testing.assert_array_equal(X_rep, np.repeat(X, n_classes - 1, 0))
+        expected = [c for t in targets for c in range(n_classes) if c != t]
+        assert labels.tolist() == expected
+        assert labels.dtype == np.int64
+        # bit-identical to the per-replica weight boosting has always used
+        assert weights.tolist() == (
+            [lam * n_p * scale / (n_classes - 1)] * len(expected))
+
+    def test_rejects_bad_targets(self):
+        with pytest.raises(ValueError, match="outside"):
+            replicate_for_disagreement(np.zeros((2, 1)), [0, 3], 3)
+        with pytest.raises(ValueError, match="align"):
+            replicate_for_disagreement(np.zeros((2, 1)), [0], 3)
+        with pytest.raises(ValueError, match="2 classes"):
+            replicate_for_disagreement(np.zeros((1, 1)), [0], 1)
