@@ -85,7 +85,7 @@ def ensemble_disagreement_stat(models, ref_X, Q_X) -> tuple[float, tuple]:
 def ensemble_entropy_stat(models, ref_X, Q_X) -> tuple[float, tuple]:
     """KS p-value between predictive-entropy distributions on Q and the
     reference sample."""
-    ensemble = CdcEnsemble(base=models[0], members=list(models[1:]))
+    ensemble = CdcEnsemble(base=models[0], members=models[1:])
     return ks_two_sample(cdc_entropy(ensemble, Q_X),
                          cdc_entropy(ensemble, ref_X)).p_value, ()
 

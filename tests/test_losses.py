@@ -233,7 +233,7 @@ class TestReplication:
         expected = [c for t in targets for c in range(n_classes) if c != t]
         assert labels.tolist() == expected
         assert labels.dtype == np.int64
-        # bit-identical to the per-replica weight boosting has always used
+        # bit-identical to lam * n_p * scale / (C - 1), divided last
         assert weights.tolist() == (
             [lam * n_p * scale / (n_classes - 1)] * len(expected))
 
