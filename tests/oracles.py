@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's own code paths:
 enumeration uses exact integer combinatorics, ECDFs are brute-force mean
-comparisons, and Monte Carlo goes through order statistics rather than
-any closed form under test.
+comparisons, Monte Carlo goes through order statistics rather than any
+closed form under test, and the GBT references grow and sum trees one
+node and one tree at a time.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 
 import numpy as np
 
+from shiftguard.learners.gbt import _MIN_GAIN, _leaf_value, _Tree
 from shiftguard.numerics import RngStream
 
 
@@ -92,3 +94,70 @@ def central_difference_grad(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
         xm.flat[i] -= h
         g.flat[i] = (fn(xp) - fn(xm)) / (2.0 * h)
     return g
+
+
+def reference_build_tree(X, g, h, rows, features, cfg) -> _Tree:
+    """Node-at-a-time exact greedy split search: every node argsorts each
+    feature of its own rows (stable, so ties keep the node's row order),
+    sums gradients per distinct value, prefix-sums them and keeps the
+    first best (feature, cut); children are numbered depth first."""
+    tree = _Tree()
+
+    def grow(node: int, rows: np.ndarray, depth: int):
+        g_sum = math.fsum(g[rows])
+        h_sum = math.fsum(h[rows])
+        if depth >= cfg.max_depth or rows.size < 2:
+            tree.value[node] = _leaf_value(g_sum, h_sum, cfg.reg_lambda,
+                                           cfg.eta)
+            return
+        parent_score = g_sum * g_sum / (h_sum + cfg.reg_lambda)
+        best_gain = _MIN_GAIN
+        best = None
+        for f in features:
+            order = rows[np.argsort(X[rows, f], kind="stable")]
+            xs = X[order, f]
+            cut = np.nonzero(xs[:-1] < xs[1:])[0]
+            if cut.size == 0:
+                continue
+            starts = np.concatenate(([0], cut + 1))
+            g_run = np.cumsum(np.add.reduceat(g[order], starts))
+            h_run = np.cumsum(np.add.reduceat(h[order], starts))
+            gl, hl = g_run[:-1], h_run[:-1]
+            gr, hr = g_run[-1] - gl, h_run[-1] - hl
+            ok = (hl >= cfg.min_child_weight) & (hr >= cfg.min_child_weight)
+            if not ok.any():
+                continue
+            gains = np.where(
+                ok,
+                gl * gl / (hl + cfg.reg_lambda)
+                + gr * gr / (hr + cfg.reg_lambda) - parent_score,
+                -np.inf)
+            k = int(np.argmax(gains))
+            if gains[k] > best_gain:
+                best_gain = float(gains[k])
+                thr = 0.5 * (xs[cut[k]] + xs[cut[k] + 1])
+                best = (f, thr, order[:cut[k] + 1], order[cut[k] + 1:])
+        if best is None:
+            tree.value[node] = _leaf_value(g_sum, h_sum, cfg.reg_lambda,
+                                           cfg.eta)
+            return
+        f, thr, left_rows, right_rows = best
+        tree.feature[node] = int(f)
+        tree.threshold[node] = float(thr)
+        tree.left[node] = tree.add_node()
+        tree.right[node] = tree.add_node()
+        grow(tree.left[node], left_rows, depth + 1)
+        grow(tree.right[node], right_rows, depth + 1)
+
+    grow(tree.add_node(), rows, 0)
+    return tree
+
+
+def reference_margins(model, X) -> np.ndarray:
+    """A GBT model's margins summed from scratch: the log prior, then each
+    tree's prediction, round by round and class by class."""
+    out = np.tile(model.base_log_prior, (X.shape[0], 1))
+    for round_trees in model.rounds:
+        for c, tree in enumerate(round_trees):
+            out[:, c] += tree.predict(X)
+    return out

@@ -27,6 +27,13 @@ GBT_K = 20
 GBT_CALIBRATION_SHA256 = (
     "7d6085d05b2356092024364970f84dca2880e8cdd569697194e4bb9fd8c38f34")
 
+# depth 6 and 10 rounds: trees reach the deep levels the 3-round golden
+# above never grows, and every CDC may take five boosting rounds
+GBT_DEEP = small_gbt_config()
+GBT_DEEP_SPEC = CdcTrainSpec(max_opt_steps=5)
+GBT_DEEP_CALIBRATION_SHA256 = (
+    "267a26a9638637557fa1665826c23aa64f836f8283afc50c884aed37bb26797f")
+
 
 def calibration_sha256(record) -> str:
     doc = json.dumps(calibration_to_doc(record), sort_keys=True)
@@ -60,6 +67,22 @@ def test_gbt_parallel_jobs_match_sequential(gbt_env):
                     GBT_SPEC, 0.05, gbt_env["rng"].split(3), jobs=2)
     assert par.phi_p == gbt_env["calib"].phi_p
     assert par.entropy_runs == gbt_env["calib"].entropy_runs
+
+
+def test_deep_binary_gbt_calibration_digest():
+    """Two overlapping Gaussian classes plus an integer-valued feature, so
+    split searches meet heavily tied values at every depth."""
+    rng = rng_stream(71, 0)
+    labels = np.arange(300) % 2
+    X = rng.normal((300, 3))
+    X[:, 0] += 1.5 * labels
+    X[:, 2] = np.round(2.0 * X[:, 2])
+    train, val, holdout = partition(Dataset(X, labels), rng=rng.split(1))
+    f = fit(GBT_DEEP, train.features, train.labels, val.features,
+            val.labels, rng.split(2))
+    calib = calibrate(PartitionedData(train, val, holdout), GBT_DEEP, f,
+                      GBT_N, GBT_K, GBT_DEEP_SPEC, 0.05, rng.split(3))
+    assert calibration_sha256(calib) == GBT_DEEP_CALIBRATION_SHA256
 
 
 def test_smoke_profile_config_hash(tmp_path, capsys, monkeypatch):

@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import separable_blob, small_gbt_config, small_mlp_config
-from oracles import central_difference_grad
+from oracles import (
+    central_difference_grad,
+    reference_build_tree,
+    reference_margins,
+)
 from shiftguard.learners import (
     GbtConfig,
     LearnerConfig,
@@ -18,7 +22,7 @@ from shiftguard.learners import (
     predict_proba,
     save_model,
 )
-from shiftguard.learners.gbt import GbtModel
+from shiftguard.learners.gbt import GbtModel, _build_tree
 from shiftguard.learners.mlp import MlpModel, _backward, _forward_train
 from shiftguard.losses import cross_entropy_batch, lambda_weight
 from shiftguard.numerics import rng_stream
@@ -217,6 +221,39 @@ class TestWeightedFitting:
         probe = rng.normal((25, 2))
         np.testing.assert_array_equal(a.predict_proba_matrix(probe),
                                       b.predict_proba_matrix(probe))
+
+
+def random_tree_case(seed):
+    """One split-search input: Gaussian or integer-valued (heavily tied)
+    features, gradients and hessians on a scale from 1e-3 to 1e3, a
+    permuted row subsample and a sorted feature subset."""
+    rng = rng_stream(seed, 40)
+    n = 10 + rng.integers(200)
+    d = 1 + rng.integers(5)
+    X = rng.normal((n, d))
+    tied = rng.uniform(d) < 0.5
+    X[:, tied] = np.round(1.5 * X[:, tied])
+    scale = 10.0 ** (6.0 * rng.uniform() - 3.0)
+    g = scale * rng.normal(n)
+    h = scale * (0.5 * rng.uniform(n) + 1e-3)
+    rows = rng.sample_without_replacement(n, n // 2 + rng.integers(n // 2))
+    features = np.sort(rng.sample_without_replacement(d, 1 + rng.integers(d)))
+    cfg = GbtConfig(max_depth=1 + rng.integers(7),
+                    min_child_weight=(0.0, 1.0, 5.0)[rng.integers(3)])
+    return X, g, h, rows, features, cfg
+
+
+class TestTreeBuilder:
+    def test_matches_node_at_a_time_reference(self):
+        splits = 0
+        for seed in range(400):
+            case = random_tree_case(seed)
+            tree = _build_tree(*case)
+            ref = reference_build_tree(*case)
+            for name in ("feature", "threshold", "left", "right", "value"):
+                assert getattr(tree, name) == getattr(ref, name), (seed, name)
+            splits += len(ref.feature) // 2
+        assert splits > 2000   # the cases reach deep, split-rich trees
 
 
 class TestFitDisagreeing:
