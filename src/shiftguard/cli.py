@@ -352,8 +352,8 @@ def cmd_test(args) -> int:
     data, _, f, config = build_environment(rc, seed)
     spec = cdc_spec_from_config(rc)
     try:
-        record = load_calibration(args.calibration)
-    except (OSError, ValueError, KeyError) as exc:
+        record = load_calibration(args.calibration, f.num_classes)
+    except (OSError, ValueError) as exc:
         raise CliError(f"cannot load calibration: {exc}")
     q = load_csv(args.q, label_column=None)
     q_digest = int(hashlib.sha256(q.fingerprint.encode()).hexdigest()[:12], 16)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -350,17 +351,69 @@ def calibration_to_doc(calib: CalibrationRecord) -> dict:
     }
 
 
-def calibration_from_doc(doc: dict) -> CalibrationRecord:
+# every field of a stored record and its JSON type; float also admits an
+# integer, and no field admits a boolean
+_RECORD_FIELDS = {
+    "config_hash": str, "sample_size": int, "K": int, "alpha": float,
+    "phi_p": list, "entropy_runs": list, "calib_p_values": list,
+    "tau_disagreement": float, "tau_entropy": float,
+    "config_snapshot": dict, "base_seed": int, "stream_id": int,
+}
+# slack for rounding in a computed entropy at 0 or at log C
+_ENTROPY_TOL = 1e-12
+
+
+def _has_type(value, kind) -> bool:
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def calibration_from_doc(doc: dict, num_classes: int) -> CalibrationRecord:
+    """Rebuild a record from its stored document, refusing with a one-line
+    ValueError a document that is not a well-formed record for a
+    ``num_classes``-class model."""
+    if not isinstance(doc, dict):
+        raise ValueError("calibration record is not a JSON object")
     if doc.get("format_version") != CALIBRATION_FORMAT_VERSION:
         raise ValueError(
             f"unsupported calibration format {doc.get('format_version')}")
+    for name, kind in _RECORD_FIELDS.items():
+        if name not in doc:
+            raise ValueError(f"calibration record has no {name!r}")
+        if not _has_type(doc[name], kind):
+            raise ValueError(
+                f"calibration {name!r} is not a JSON {kind.__name__}")
+    runs = doc["entropy_runs"]
+    if not all(isinstance(run, list) for run in runs):
+        raise ValueError("calibration 'entropy_runs' must hold lists")
+    entropies = [e for run in runs for e in run]
+    numbers = [doc["alpha"], doc["tau_disagreement"], doc["tau_entropy"],
+               *doc["phi_p"], *doc["calib_p_values"], *entropies]
+    if not all(_has_type(v, float) for v in numbers):
+        raise ValueError("calibration arrays must hold numbers")
+    if not all(math.isfinite(v) for v in numbers):
+        raise ValueError("calibration record holds a non-finite number")
+    if doc["K"] < 20:
+        raise ValueError(f"calibration K = {doc['K']} is below 20")
+    if not 0.0 < doc["alpha"] < 1.0:
+        raise ValueError(
+            f"calibration alpha = {doc['alpha']} is not in (0, 1)")
+    if doc["sample_size"] < 1:
+        raise ValueError(
+            f"calibration sample_size = {doc['sample_size']} is below 1")
+    log_c = math.log(num_classes)
+    if not all(-_ENTROPY_TOL <= e <= log_c + _ENTROPY_TOL
+               for e in entropies):
+        raise ValueError(
+            f"calibration entropies leave [0, log {num_classes}]")
     return CalibrationRecord(
         config_hash=doc["config_hash"],
         sample_size=doc["sample_size"],
         K=doc["K"],
         alpha=doc["alpha"],
         phi_p=tuple(doc["phi_p"]),
-        entropy_runs=tuple(tuple(r) for r in doc["entropy_runs"]),
+        entropy_runs=tuple(tuple(r) for r in runs),
         calib_p_values=tuple(doc["calib_p_values"]),
         tau_disagreement=doc["tau_disagreement"],
         tau_entropy=doc["tau_entropy"],
@@ -375,9 +428,9 @@ def save_calibration(calib: CalibrationRecord, path) -> None:
         json.dump(calibration_to_doc(calib), fh, sort_keys=True)
 
 
-def load_calibration(path) -> CalibrationRecord:
+def load_calibration(path, num_classes: int) -> CalibrationRecord:
     with open(path, encoding="utf-8") as fh:
-        return calibration_from_doc(json.load(fh))
+        return calibration_from_doc(json.load(fh), num_classes)
 
 
 # ---------------------------------------------------------------------------

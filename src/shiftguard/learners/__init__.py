@@ -255,8 +255,11 @@ def fit_disagreeing(config: LearnerConfig, base: Model, P_train, P_val,
     loss, every batch containing all of Q.  GBT path: replicas of each Q
     sample (one per non-pseudo class, weights lam * |P_train| *
     disagree_scale / (N-1)) appended to P, boosting continued from the
-    base model's trees.  Empty Q degenerates to plain continued training
-    on P only.
+    base model's trees, each new tree grown one depth at a time.  The
+    returned GBT model carries its margins on P_train, Q and P_val: the
+    next warm-started round, and a validation check on P_val, add only
+    that round's trees instead of re-running every earlier one.  Empty Q
+    degenerates to plain continued training on P only.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
@@ -274,8 +277,8 @@ def fit_disagreeing(config: LearnerConfig, base: Model, P_train, P_val,
             epochs=epochs, max_steps=max_steps)
     from . import gbt
     return gbt.fit_disagreeing_gbt(
-        config, base, X_p, y_p, X_q, pseudo, lam, rng,
-        epochs=epochs, max_steps=max_steps)
+        config, base, X_p, y_p, np.asarray(P_val[0], np.float64), X_q,
+        pseudo, lam, rng, epochs=epochs, max_steps=max_steps)
 
 
 # ---------------------------------------------------------------------------

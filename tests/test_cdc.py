@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import separable_blob, small_gbt_config, small_mlp_config
+from oracles import reference_margins
 from shiftguard import cdc
 from shiftguard.cdc import (
     CdcEnsemble,
@@ -174,6 +175,38 @@ class TestBuildEnsemble:
             agreed = g.predict_labels(Xq[ens.surviving_indices])
             np.testing.assert_array_equal(
                 agreed, pseudo_label(f, Xq[ens.surviving_indices]))
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_gbt_member_margins_equal_tree_sums(self, n_classes):
+        """Members carry margins through their warm-started rounds; on
+        P_train, P_val and the Q rows each member trained against they
+        must have the bytes of a from-scratch sum of the member's trees,
+        also after the caller edits those rows in place."""
+        rng = rng_stream(26, n_classes)
+        labels = np.arange(240) % n_classes
+        X = rng.normal((240, 2))
+        X[:, 0] += 1.5 * labels
+        p_train, p_val = (X[:160], labels[:160]), (X[160:200], labels[160:200])
+        Xq = X[200:]
+        config = small_gbt_config(num_rounds=4, max_depth=4)
+        f = fit(config, *p_train, *p_val, rng.split(1))
+        ens = build_ensemble(config, p_train, p_val, Xq, f,
+                             CdcTrainSpec(val_tolerance=1.0, max_opt_steps=3),
+                             rng.split(2))
+        assert all(len(g.rounds) == len(f.rounds) + 3 for g in ens.members)
+        pseudo = pseudo_label(f, Xq)
+        surviving = np.arange(Xq.shape[0])
+        for g in [f, *ens.members]:
+            for rows in (p_train[0], p_val[0], Xq, Xq[surviving]):
+                assert (g.margins(rows).tobytes()
+                        == reference_margins(g, rows).tobytes())
+            if g is not f:
+                surviving = surviving[
+                    g.predict_labels(Xq[surviving]) == pseudo[surviving]]
+        p_val[0][0] += 3.0     # the caller edits its rows in place
+        for g in [f, *ens.members]:
+            assert (g.margins(p_val[0]).tobytes()
+                    == reference_margins(g, p_val[0]).tobytes())
 
     def test_all_disagreed_first_round_stops_loop(self, blob_models,
                                                   monkeypatch):

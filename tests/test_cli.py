@@ -196,6 +196,22 @@ class TestTestCommand:
         assert code == 1
         assert "mismatch" in err
 
+    def test_tampered_calibration_exit_one(self, calibrated, capsys):
+        path = calibrated["summary"]["path"]
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["entropy_runs"][0][0] = 5.0   # above log 2
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        q = write_q_csv(calibrated["tmp"])
+        code = main(["test", calibrated["cfg"], q, path])
+        docs, err = read_stdout_docs(capsys)
+        assert code == 1
+        assert docs == []
+        assert err.strip().splitlines()[-1].endswith(
+            "cannot load calibration: calibration entropies leave "
+            "[0, log 2]")
+
     def test_verdicts_appended_not_clobbered(self, calibrated, capsys):
         q = write_q_csv(calibrated["tmp"])
         assert main(["test", calibrated["cfg"], q,

@@ -196,26 +196,84 @@ class TestVerdicts:
                       rng_stream(0, 0), which="ks")
 
 
+def _set(field, value):
+    def tamper(doc):
+        doc[field] = value
+    return tamper
+
+
+def _nan_phi(doc):
+    doc["phi_p"][3] = math.nan
+
+
+def _entropy(value):
+    def tamper(doc):
+        doc["entropy_runs"][1][4] = value
+    return tamper
+
+
 class TestPersistence:
     def test_round_trip(self, task_env, tmp_path):
         path = tmp_path / "calib.json"
         save_calibration(task_env["calib"], path)
-        back = load_calibration(path)
+        back = load_calibration(path, 2)
         assert back == task_env["calib"]
 
     def test_version_refusal(self, task_env):
         doc = calibration_to_doc(task_env["calib"])
         doc["format_version"] = 99
         with pytest.raises(ValueError, match="unsupported calibration"):
-            calibration_from_doc(doc)
+            calibration_from_doc(doc, 2)
 
     def test_loaded_record_still_guards_config(self, task_env, tmp_path):
         path = tmp_path / "calib.json"
         save_calibration(task_env["calib"], path)
-        back = load_calibration(path)
+        back = load_calibration(path, 2)
         live = config_hash(task_env["data"], LEARNER, task_env["f"], SPEC, N, K,
                            0.05)
         assert back.config_hash == live
+
+    def test_truncated_record_refused(self, task_env, tmp_path):
+        doc = calibration_to_doc(task_env["calib"])
+        del doc["tau_entropy"], doc["stream_id"]
+        with pytest.raises(ValueError, match="has no 'tau_entropy'"):
+            calibration_from_doc(doc, 2)
+        path = tmp_path / "calib.json"
+        save_calibration(task_env["calib"], path)
+        text = path.read_text()
+        path.write_text(text[:len(text) // 2])
+        with pytest.raises(ValueError):
+            load_calibration(path, 2)
+
+    @pytest.mark.parametrize("tamper, message", [
+        (_set("K", 19), "K = 19 is below 20"),
+        (_set("K", 40.0), "'K' is not a JSON int"),
+        (_set("alpha", 1.0), r"alpha = 1.0 is not in \(0, 1\)"),
+        (_set("alpha", 0.0), r"alpha = 0.0 is not in \(0, 1\)"),
+        (_set("alpha", True), "'alpha' is not a JSON float"),
+        (_set("sample_size", 0), "sample_size = 0 is below 1"),
+        (_set("config_snapshot", []), "'config_snapshot' is not a JSON dict"),
+        (_nan_phi, "non-finite"),
+        (_entropy("0.1"), "must hold numbers"),
+        (_entropy(math.log(2.0) + 1e-6), r"leave \[0, log 2\]"),
+        (_entropy(-1e-6), r"leave \[0, log 2\]"),
+    ])
+    def test_tampered_record_refused(self, task_env, tmp_path, tamper,
+                                     message):
+        doc = calibration_to_doc(task_env["calib"])
+        tamper(doc)
+        path = tmp_path / "calib.json"
+        path.write_text(json.dumps(doc))   # NaN round-trips as a JSON NaN
+        with pytest.raises(ValueError, match=message) as err:
+            load_calibration(path, 2)
+        assert "\n" not in str(err.value)
+
+    def test_entropy_bound_follows_class_count(self, task_env):
+        doc = calibration_to_doc(task_env["calib"])
+        _entropy(math.log(3.0))(doc)
+        with pytest.raises(ValueError, match="log 2"):
+            calibration_from_doc(doc, 2)
+        calibration_from_doc(doc, 3)
 
 
 class TestEvaluatePower:

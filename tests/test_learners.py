@@ -255,6 +255,21 @@ class TestTreeBuilder:
             splits += len(ref.feature) // 2
         assert splits > 2000   # the cases reach deep, split-rich trees
 
+    def test_nan_gain_skips_only_its_feature(self):
+        # with reg_lambda = 0, row 1's tiny statistics vanish from the sums
+        # on the right of feature 0's one cut: its gain is 0/0, and the
+        # search must move on to feature 1, not give up on the node
+        X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
+        g = np.array([3.0, 1e-30, -1.0, -1.0])
+        h = np.array([1.0, 1e-30, 1.0, 1.0])
+        case = (X, g, h, np.arange(4), np.arange(2),
+                GbtConfig(max_depth=1, reg_lambda=0.0, min_child_weight=0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tree, ref = _build_tree(*case), reference_build_tree(*case)
+        assert ref.feature[0] == 1
+        for name in ("feature", "threshold", "left", "right", "value"):
+            assert getattr(tree, name) == getattr(ref, name)
+
 
 class TestFitDisagreeing:
     @pytest.mark.parametrize("config", ALL_CONFIGS, ids=["mlp", "gbt"])
@@ -308,12 +323,15 @@ class TestFitDisagreeing:
         X_all = np.vstack([Xt, Xq])
         y_all = np.concatenate([yt, 1 - pseudo])
         w_all = np.concatenate([np.ones(len(yt)), np.full(8, w_q)])
-        _boost_rounds(manual, X_all, y_all, w_all, config.gbt,
-                      rng_stream(2, 2), 4)
+        _boost_rounds(manual, X_all, y_all, w_all, manual.margins(X_all),
+                      config.gbt, rng_stream(2, 2), 4)
         probe = rng_stream(2, 3).normal((40, 2)) * 3
-        np.testing.assert_allclose(cdc.predict_proba_matrix(probe),
-                                   manual.predict_proba_matrix(probe),
-                                   atol=1e-12)
+        np.testing.assert_array_equal(cdc.predict_proba_matrix(probe),
+                                      manual.predict_proba_matrix(probe))
+        # four rounds in one call: the carried margins took all of them
+        for rows in (Xt, Xv, Xq):
+            assert (cdc.margins(rows).tobytes()
+                    == reference_margins(cdc, rows).tobytes())
 
     def test_lambda_validation(self, blob):
         X, y = blob
