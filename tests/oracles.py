@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's own code paths:
 enumeration uses exact integer combinatorics, ECDFs are brute-force mean
 comparisons, Monte Carlo goes through order statistics rather than any
-closed form under test, and the GBT references grow and sum trees one
-node and one tree at a time.
+closed form under test, the exact-KS reference visits every state of
+every tie group one numpy-scalar term at a time, and the GBT references
+grow and sum trees one node and one tree at a time.
 """
 
 from __future__ import annotations
@@ -28,6 +29,63 @@ def brute_ks_statistic(xs, ys) -> float:
         fy = float(np.mean(ys <= v))
         best = max(best, abs(fx - fy))
     return best
+
+
+def reference_ks_exact_pvalue(xs: np.ndarray, ys: np.ndarray,
+                              d: float) -> float:
+    """P(D >= d) under the permutation null by lattice-path counting.
+
+    Walk the pooled sorted values in tie groups; a state is the number of
+    x's consumed so far.  Assignments whose running CDF gap stays strictly
+    below d at every group boundary are the survivors; everything else
+    attains D >= d.  Counts are binomially weighted within tie groups so
+    tied pooled values are handled exactly.
+    """
+    n, m = xs.size, ys.size
+    pooled = np.concatenate([xs, ys])
+    values, counts = np.unique(pooled, return_counts=True)
+
+    # log-binomial table for group weighting
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + m + 1)))))
+
+    def log_comb(a: int, b: int) -> float:
+        if b < 0 or b > a:
+            return -math.inf
+        return log_fact[a] - log_fact[b] - log_fact[a - b]
+
+    # ways[i] ~ (log-scaled) number of assignments with i x's consumed that
+    # have stayed strictly below d so far
+    ways = np.full(n + 1, -math.inf)
+    ways[0] = 0.0
+    consumed = 0
+    tol = 1e-12
+    for size in counts:
+        size = int(size)
+        consumed += size
+        new_ways = np.full(n + 1, -math.inf)
+        lo = max(0, consumed - m)
+        hi = min(n, consumed)
+        for i in range(lo, hi + 1):
+            gap = abs(i / n - (consumed - i) / m)
+            if gap >= d - tol:
+                continue  # this boundary already attains D >= d
+            # i x's consumed now; previous state j contributed C(size, i-j)
+            j_lo = max(0, i - size)
+            terms = []
+            for j in range(j_lo, i + 1):
+                if ways[j] == -math.inf:
+                    continue
+                terms.append(ways[j] + log_comb(size, i - j))
+            if terms:
+                mx = max(terms)
+                new_ways[i] = mx + math.log(
+                    sum(math.exp(t - mx) for t in terms))
+        ways = new_ways
+    if ways[n] == -math.inf:
+        surviving = 0.0
+    else:
+        surviving = math.exp(ways[n] - log_comb(n + m, n))
+    return min(1.0, max(0.0, 1.0 - surviving))
 
 
 def enumerate_ks_pvalue(xs, ys) -> float:

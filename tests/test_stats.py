@@ -12,7 +12,9 @@ from oracles import (
     enumerate_binom_sf,
     enumerate_binom_two_sided,
     enumerate_ks_pvalue,
+    reference_ks_exact_pvalue,
 )
+from shiftguard import stats
 from shiftguard.numerics import rng_stream
 from shiftguard.stats import (
     PosteriorInputs,
@@ -94,6 +96,103 @@ class TestKsTwoSample:
     def test_empty_errors(self):
         with pytest.raises(ValueError):
             ks_two_sample([], [1.0])
+
+
+def _exact_pvalue(xs, ys, d):
+    return stats._ks_exact_pvalue(xs, ys, d)
+
+
+def _lattice_ds(rng, n, m):
+    """A lattice value |i/n - k/m| > 0 of the CDF gap, the values 1e-13
+    either side of it, which straddle the DP's 1e-12 band tolerance, and
+    the value 1e-12 above it, where d - 1e-12 can land on the gap itself."""
+    d = 0.0
+    while d == 0.0:
+        d = abs(int(rng.integers(0, n + 1)) / n - int(rng.integers(0, m + 1)) / m)
+    return [d, d - 1e-13, d + 1e-13, d + 1e-12]
+
+
+def _bit_cases(family: str):
+    """Seeded (xs, ys) pairs of one family."""
+    rng = np.random.default_rng(["tie_free", "integer_ties", "cross_ties",
+                                 "shapes"].index(family) + 404)
+    cases = []
+    if family == "shapes":
+        for n, m in [(10, 990), (20, 380), (100, 100), (1, 10000), (10000, 1)]:
+            cases.append((rng.normal(size=n), rng.normal(size=m) + 0.2))
+            cases.append((rng.integers(0, 8, size=n).astype(float),
+                          rng.integers(0, 9, size=m).astype(float)))
+        for _ in range(4):
+            cases.append((rng.normal(size=10), rng.normal(size=990) + 1.0))
+        return cases
+    for _ in range({"tie_free": 200, "integer_ties": 160,
+                    "cross_ties": 140}[family]):
+        n, m = (int(v) for v in rng.integers(1, 41, size=2))
+        if family == "tie_free":
+            xs = rng.normal(size=n)
+            ys = rng.normal(size=m) + rng.uniform(-1.5, 1.5)
+        elif family == "integer_ties":
+            k = int(rng.integers(1, 7))
+            xs = rng.integers(0, k, size=n).astype(float)
+            ys = rng.integers(0, k + 1, size=m).astype(float)
+        else:
+            xs = rng.normal(size=n)
+            shared = rng.choice(xs, size=int(rng.integers(1, m + 1)))
+            ys = np.concatenate([shared, rng.normal(size=m - shared.size)])
+            rng.shuffle(ys)
+        cases.append((xs, ys))
+    return cases
+
+
+class TestKsExactBits:
+    """The lattice DP returns the reference walk's float bits exactly:
+    calibration p-values, thresholds and verdict digests depend on them."""
+
+    @pytest.mark.parametrize("family", ["tie_free", "integer_ties",
+                                        "cross_ties", "shapes"])
+    def test_matches_reference_bits(self, family):
+        rng = np.random.default_rng(7)
+        for xs, ys in _bit_cases(family):
+            n, m = xs.size, ys.size
+            res = ks_two_sample(xs, ys)
+            assert res.method == "exact"
+            if res.statistic > 0.0:
+                want = reference_ks_exact_pvalue(xs, ys, res.statistic)
+                assert res.p_value.hex() == want.hex(), (n, m, res.statistic)
+            for d in [res.statistic, *_lattice_ds(rng, n, m)]:
+                want = reference_ks_exact_pvalue(xs, ys, d)
+                got = _exact_pvalue(xs, ys, d)
+                assert got.hex() == want.hex(), (n, m, d.hex())
+
+    def test_case_count(self):
+        assert sum(len(_bit_cases(f)) for f in
+                   ("tie_free", "integer_ties", "cross_ties", "shapes")) >= 500
+
+    def test_no_surviving_path(self):
+        # fully separated singletons: both orders reach the gap D = 1
+        xs, ys = np.array([0.0]), np.array([1.0])
+        assert reference_ks_exact_pvalue(xs, ys, 1.0) == 1.0
+        assert _exact_pvalue(xs, ys, 1.0) == 1.0
+        assert ks_two_sample(xs, ys).p_value == 1.0
+        # a d below the first step kills every path at the first group
+        xs, ys = np.arange(3.0), np.arange(3.0) + 10.0
+        for d in (0.0, 1e-14, 0.3):
+            assert _exact_pvalue(xs, ys, d).hex() == \
+                reference_ks_exact_pvalue(xs, ys, d).hex() == (1.0).hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        xs=st.lists(st.integers(0, 3), min_size=1, max_size=9),
+        ys=st.lists(st.integers(0, 3), min_size=1, max_size=9),
+        d=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    )
+    def test_small_tied_samples(self, xs, ys, d):
+        xs = np.array(xs, dtype=float)
+        ys = np.array(ys, dtype=float)
+        if d is None:
+            d = ks_two_sample(xs, ys).statistic
+        assert _exact_pvalue(xs, ys, d).hex() == \
+            reference_ks_exact_pvalue(xs, ys, d).hex()
 
 
 class TestBinomialPvalue:
