@@ -299,6 +299,10 @@ def _decode_array(doc: dict) -> np.ndarray:
     return np.frombuffer(raw, dtype=doc["dtype"]).reshape(doc["shape"]).copy()
 
 
+_HEADER_FIELDS = ("format_version", "kind", "num_classes", "feature_dim",
+                  "training_seed", "val_score")
+
+
 def model_to_doc(model: Model) -> dict:
     header = {
         "format_version": MODEL_FORMAT_VERSION,
@@ -320,17 +324,31 @@ def model_to_doc(model: Model) -> dict:
 
 
 def doc_to_model(doc: dict) -> Model:
+    """Rebuild a model from its stored document, refusing with a one-line
+    ValueError a document that is not a well-formed model."""
+    if not isinstance(doc, dict):
+        raise ValueError("model document is not a JSON object")
+    for name in ("header", "body"):
+        if not isinstance(doc.get(name), dict):
+            raise ValueError(f"model document has no {name!r} object")
     header = doc["header"]
+    for name in _HEADER_FIELDS:
+        if name not in header:
+            raise ValueError(f"model header has no {name!r}")
     if header["format_version"] != MODEL_FORMAT_VERSION:
         raise ValueError(
             f"unsupported model format version {header['format_version']}")
     if header["kind"] == "mlp":
-        from . import mlp
-        return mlp.mlp_from_doc(doc)
-    if header["kind"] == "gbt":
-        from . import gbt
-        return gbt.gbt_from_doc(doc)
-    raise ValueError(f"unknown model kind {header['kind']!r}")
+        from .mlp import mlp_from_doc as from_doc
+    elif header["kind"] == "gbt":
+        from .gbt import gbt_from_doc as from_doc
+    else:
+        raise ValueError(f"unknown model kind {header['kind']!r}")
+    try:
+        return from_doc(doc)
+    except KeyError as exc:
+        raise ValueError(
+            f"{header['kind']} model body has no {exc.args[0]!r}") from None
 
 
 def save_model(model: Model, path) -> None:

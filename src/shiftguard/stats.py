@@ -32,9 +32,9 @@ __all__ = [
     "binomial_draws",
 ]
 
-# exact lattice DP below this n*m; it is a pure-Python loop over tie
-# groups, so it costs about 20 ms at n=10, m=990 and 10-16 ms at n=20,
-# m=380 on tie-free samples (2-core Xeon)
+# exact lattice DP at or below this n*m; on tie-free samples one call costs
+# about 3 ms at n=10, m=990 and 2 ms at n=20, m=380 (2-core Xeon), and its
+# band holds at most (n + m)(min(n, m) + 1) cells, about 20k at the cap
 EXACT_KS_MAX_NM = 10_000
 
 
@@ -67,71 +67,103 @@ class PosteriorInputs:
 # Kolmogorov-Smirnov
 # ---------------------------------------------------------------------------
 
-def _ks_statistic(xs: np.ndarray, ys: np.ndarray) -> float:
-    """sup |F_x - F_y| over the pooled sample points (<= convention, so
+def _ks_statistic(pooled: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> float:
+    """sup |F_x - F_y| over the sorted pooled sample (<= convention, so
     ties are handled by comparing CDFs at each distinct pooled value)."""
-    pooled = np.concatenate([xs, ys])
-    pooled.sort(kind="stable")
-    xs_sorted = np.sort(xs)
-    ys_sorted = np.sort(ys)
-    fx = np.searchsorted(xs_sorted, pooled, side="right") / xs.size
-    fy = np.searchsorted(ys_sorted, pooled, side="right") / ys.size
+    fx = np.searchsorted(np.sort(xs), pooled, side="right") / xs.size
+    fy = np.searchsorted(np.sort(ys), pooled, side="right") / ys.size
     return float(np.abs(fx - fy).max())
 
 
-def _ks_exact_pvalue(xs: np.ndarray, ys: np.ndarray, d: float) -> float:
+def _tie_counts(pooled: np.ndarray) -> np.ndarray:
+    """Sizes of the runs of equal values in the sorted pooled sample."""
+    starts = np.flatnonzero(np.concatenate(([True], pooled[1:] != pooled[:-1])))
+    return np.diff(np.append(starts, pooled.size))
+
+
+def _ks_band(counts: np.ndarray, n: int, m: int, d: float):
+    """Each tie group's live states: the x-counts i in its reachable window
+    [max(0, c - m), min(n, c)] after c pooled values whose running CDF gap
+    |i/n - (c - i)/m| stays below d - 1e-12.
+
+    Int/int true division rounds correctly in numpy as in Python, so the
+    mask is the scalar comparison's.  Rounding keeps i/n non-decreasing
+    and (c - i)/m non-increasing in i, so the rounded gap falls then rises
+    across a window and the live states of a group are one run.  Returns
+    each group's first live i and run length (0 when none).  The flat
+    window arrays hold at most (n + m)(min(n, m) + 1) cells.
+    """
+    consumed = np.cumsum(counts)
+    lo = np.maximum(0, consumed - m)
+    width = np.minimum(n, consumed) - lo + 1
+    starts = np.cumsum(width) - width
+    i = np.repeat(lo - starts, width)
+    i += np.arange(i.size)
+    gap = (np.repeat(consumed, width) - i) / m
+    np.subtract(i / n, gap, out=gap)
+    live = np.abs(gap, out=gap) < d - 1e-12
+    first = np.minimum.reduceat(np.where(live, i, n + 1), starts)
+    return first, np.add.reduceat(live, starts)
+
+
+def _ks_exact_pvalue(counts: np.ndarray, n: int, m: int, d: float) -> float:
     """P(D >= d) under the permutation null by lattice-path counting.
 
-    Walk the pooled sorted values in tie groups; a state is the number of
-    x's consumed so far.  Assignments whose running CDF gap stays strictly
-    below d at every group boundary are the survivors; everything else
-    attains D >= d.  Counts are binomially weighted within tie groups so
-    tied pooled values are handled exactly.
+    ``counts`` are the tie-group sizes of the sorted pooled sample.  A
+    state is the number of x's consumed so far.  Assignments whose running
+    CDF gap stays strictly below d at every group boundary are the
+    survivors; everything else attains D >= d.  Counts are binomially
+    weighted within tie groups so tied pooled values are handled exactly.
+
+    The walk runs on plain floats with math.exp/math.log in a fixed term
+    order, so p-values (and the calibration digests built on them) are the
+    same bits on every machine; numpy's vectorized exp and log may differ
+    in the last ulp between CPUs.
     """
-    n, m = xs.size, ys.size
-    pooled = np.concatenate([xs, ys])
-    values, counts = np.unique(pooled, return_counts=True)
+    log_fact = np.concatenate(
+        ([0.0], np.cumsum(np.log(np.arange(1, n + m + 1))))).tolist()
+    first, n_live = _ks_band(counts, n, m, d)
 
-    # log-binomial table for group weighting
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + m + 1)))))
-
-    def log_comb(a: int, b: int) -> float:
-        if b < 0 or b > a:
-            return -math.inf
-        return log_fact[a] - log_fact[b] - log_fact[a - b]
-
-    # ways[i] ~ (log-scaled) number of assignments with i x's consumed that
-    # have stayed strictly below d so far
-    ways = np.full(n + 1, -math.inf)
-    ways[0] = 0.0
-    consumed = 0
-    tol = 1e-12
-    for size in counts:
-        size = int(size)
-        consumed += size
-        new_ways = np.full(n + 1, -math.inf)
-        lo = max(0, consumed - m)
-        hi = min(n, consumed)
-        for i in range(lo, hi + 1):
-            gap = abs(i / n - (consumed - i) / m)
-            if gap >= d - tol:
-                continue  # this boundary already attains D >= d
-            # i x's consumed now; previous state j contributed C(size, i-j)
-            j_lo = max(0, i - size)
-            terms = []
-            for j in range(j_lo, i + 1):
-                if ways[j] == -math.inf:
-                    continue
-                terms.append(ways[j] + log_comb(size, i - j))
-            if terms:
-                mx = max(terms)
-                new_ways[i] = mx + math.log(
-                    sum(math.exp(t - mx) for t in terms))
+    # ways[i]: log of the number of assignments with i x's consumed that have
+    # stayed strictly below d so far; dead states are absent
+    ways = {0: 0.0}
+    for size, lo, run in zip(counts.tolist(), first.tolist(),
+                              n_live.tolist()):
+        cells = range(lo, lo + run)
+        new_ways = {}
+        if size == 1:
+            # the general step with C(1, k) = 1, whose log is exactly 0: one
+            # live parent p gives p + log(exp(p - p)) = p; two give
+            # mx + log(exp(a - mx) + exp(b - mx)), where exp(mx - mx) = 1
+            for i in cells:
+                a = ways.get(i - 1)
+                b = ways.get(i)
+                if a is None:
+                    if b is not None:
+                        new_ways[i] = b
+                elif b is None:
+                    new_ways[i] = a
+                elif b > a:
+                    new_ways[i] = b + math.log(math.exp(a - b) + 1.0)
+                else:
+                    new_ways[i] = a + math.log(1.0 + math.exp(b - a))
+        else:
+            # i x's consumed now; previous state j contributed C(size, i - j)
+            row = [log_fact[size] - log_fact[k] - log_fact[size - k]
+                   for k in range(size + 1)]
+            for i in cells:
+                terms = [p + row[i - j]
+                         for j in range(max(0, i - size), i + 1)
+                         if (p := ways.get(j)) is not None]
+                if terms:
+                    mx = max(terms)
+                    new_ways[i] = mx + math.log(
+                        sum(math.exp(t - mx) for t in terms))
         ways = new_ways
-    if ways[n] == -math.inf:
-        surviving = 0.0
-    else:
-        surviving = math.exp(ways[n] - log_comb(n + m, n))
+    if n not in ways:
+        return 1.0
+    log_total = log_fact[n + m] - log_fact[n] - log_fact[m]
+    surviving = math.exp(ways[n] - log_total)
     return min(1.0, max(0.0, 1.0 - surviving))
 
 
@@ -154,22 +186,27 @@ def ks_two_sample(xs, ys) -> KsResult:
     Exact p-value (lattice-path counting over the permutation null) when
     n*m <= 10_000, otherwise the asymptotic series
     2 * sum_j (-1)^(j-1) exp(-2 j^2 lambda^2), lambda = D sqrt(nm/(n+m)).
+    Samples holding NaN are refused.
     """
     xs = np.asarray(xs, dtype=np.float64).ravel()
     ys = np.asarray(ys, dtype=np.float64).ravel()
     if xs.size == 0 or ys.size == 0:
         raise ValueError("both samples must be nonempty")
-    d = _ks_statistic(xs, ys)
+    pooled = np.concatenate([xs, ys])
+    if np.isnan(pooled).any():
+        raise ValueError("samples must not contain NaN")
+    pooled.sort()
+    n, m = xs.size, ys.size
+    d = _ks_statistic(pooled, xs, ys)
+    exact = n * m <= EXACT_KS_MAX_NM
     if d == 0.0:
-        method = "exact" if xs.size * ys.size <= EXACT_KS_MAX_NM else "asymptotic"
-        return KsResult(statistic=0.0, p_value=1.0, method=method)
-    if xs.size * ys.size <= EXACT_KS_MAX_NM:
-        return KsResult(statistic=d,
-                        p_value=_ks_exact_pvalue(xs, ys, d),
-                        method="exact")
-    return KsResult(statistic=d,
-                    p_value=_ks_asymptotic_pvalue(d, xs.size, ys.size),
-                    method="asymptotic")
+        p_value = 1.0
+    elif exact:
+        p_value = _ks_exact_pvalue(_tie_counts(pooled), n, m, d)
+    else:
+        p_value = _ks_asymptotic_pvalue(d, n, m)
+    return KsResult(statistic=d, p_value=p_value,
+                    method="exact" if exact else "asymptotic")
 
 
 # ---------------------------------------------------------------------------

@@ -368,6 +368,43 @@ class TestSerialization:
         with pytest.raises(ValueError, match="format version"):
             doc_to_model(doc)
 
+    def test_truncated_file_refused(self, fitted, tmp_path):
+        _, model, _ = fitted
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        text = path.read_text()
+        for cut in (0, 1, len(text) // 2, len(text) - 1):
+            path.write_text(text[:cut])
+            with pytest.raises(ValueError) as info:
+                load_model(path)
+            assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda doc: doc.pop("header"), "no 'header' object"),
+        (lambda doc: doc.pop("body"), "no 'body' object"),
+        (lambda doc: doc.update(header="mlp"), "no 'header' object"),
+        (lambda doc: doc["header"].pop("kind"), "header has no 'kind'"),
+        (lambda doc: doc["header"].pop("num_classes"),
+         "header has no 'num_classes'"),
+        (lambda doc: doc["header"].update(format_version="1"),
+         "format version"),
+        (lambda doc: doc["header"].update(kind="svm"),
+         "unknown model kind 'svm'"),
+        (lambda doc: doc["body"].clear(), "model body has no"),
+    ])
+    def test_tampered_doc_refused(self, fitted, tamper, message):
+        _, model, _ = fitted
+        doc = model_to_doc(model)
+        tamper(doc)
+        with pytest.raises(ValueError, match=message) as info:
+            doc_to_model(doc)
+        assert "\n" not in str(info.value)
+
+    def test_non_object_doc_refused(self, fitted):
+        _, model, _ = fitted
+        with pytest.raises(ValueError, match="not a JSON object"):
+            doc_to_model([model_to_doc(model)])
+
 
 class TestConfigValidation:
     def test_bad_values_rejected(self):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,9 +98,14 @@ class TestKsTwoSample:
         with pytest.raises(ValueError):
             ks_two_sample([], [1.0])
 
+    def test_nan_refused(self):
+        with pytest.raises(ValueError, match="NaN"):
+            ks_two_sample([0.1, float("nan")], [0.2, 0.3])
+
 
 def _exact_pvalue(xs, ys, d):
-    return stats._ks_exact_pvalue(xs, ys, d)
+    counts = np.unique(np.concatenate([xs, ys]), return_counts=True)[1]
+    return stats._ks_exact_pvalue(counts, xs.size, ys.size, d)
 
 
 def _lattice_ds(rng, n, m):
@@ -163,6 +169,25 @@ class TestKsExactBits:
                 want = reference_ks_exact_pvalue(xs, ys, d)
                 got = _exact_pvalue(xs, ys, d)
                 assert got.hex() == want.hex(), (n, m, d.hex())
+
+    @pytest.mark.parametrize("n, m", [(1, 10000), (10000, 1)])
+    def test_band_is_window_sized(self, n, m):
+        # the windows hold at most (n + m)(min(n, m) + 1) = 20,002 cells;
+        # a full (n + m) x (n + 1) grid at (10000, 1) would be 10^8 cells,
+        # 95 MiB even as booleans
+        rng = np.random.default_rng(n)
+        xs, ys = rng.normal(size=n), rng.normal(size=m)
+        ks_two_sample(xs, ys)
+        tracemalloc.start()
+        try:
+            res = ks_two_sample(xs, ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.method == "exact" and res.statistic > 0.0
+        assert res.p_value.hex() == reference_ks_exact_pvalue(
+            xs, ys, res.statistic).hex()
+        assert peak < 8 * 2**20
 
     def test_case_count(self):
         assert sum(len(_bit_cases(f)) for f in
