@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 # exact lattice DP at or below this n*m; on tie-free samples one call costs
-# about 3 ms at n=10, m=990 and 2 ms at n=20, m=380 (2-core Xeon), and its
+# about 4 ms at n=10, m=990 and 2 ms at n=20, m=380 (2-core Xeon), and its
 # band holds at most (n + m)(min(n, m) + 1) cells, about 20k at the cap
 EXACT_KS_MAX_NM = 10_000
 
