@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import small_mlp_config
+from conftest import small_gbt_config, small_mlp_config
 from shiftguard.cdc import CdcTrainSpec
-from shiftguard.data import ShiftTaskSpec
+from shiftguard.data import Dataset, ShiftTaskSpec, partition
 from shiftguard.detectron import (
     BenchmarkTask,
     CalibrationRecord,
@@ -21,11 +21,13 @@ from shiftguard.detectron import (
     evaluate_power,
     load_calibration,
     prepare_task,
+    run_tests,
     save_calibration,
 )
 from shiftguard.detectron import test_both as run_both_tests
 from shiftguard.detectron import test_disagreement as run_disagreement_test
 from shiftguard.detectron import test_entropy as run_entropy_test
+from shiftguard.learners import fit, load_model, save_model
 from shiftguard.numerics import rng_stream
 from shiftguard.stats import empirical_quantile
 
@@ -189,7 +191,6 @@ class TestVerdicts:
         assert verdict.test == "detectron_disagreement"
 
     def test_unknown_test_name_rejected(self, task_env):
-        from shiftguard.detectron import run_tests
         with pytest.raises(ValueError, match="unknown test"):
             run_tests(task_env["target_X"][:N], task_env["calib"],
                       task_env["data"], LEARNER, task_env["f"], SPEC,
@@ -274,6 +275,77 @@ class TestPersistence:
         with pytest.raises(ValueError, match="log 2"):
             calibration_from_doc(doc, 2)
         calibration_from_doc(doc, 3)
+
+
+GBT_SMALL = small_gbt_config(num_rounds=3, max_depth=3)
+GBT_SMALL_SPEC = CdcTrainSpec(ensemble_max=3, max_opt_steps=3)
+GBT_N = 10
+
+
+def _gbt_env(num_classes):
+    """Overlapping Gaussian classes, a small GBT base model and its own
+    calibration; the target is the same classes moved by (3, 3)."""
+    rng = rng_stream(80 + num_classes, 0)
+    labels = np.arange(300) % num_classes
+    X = rng.normal((300, 2))
+    X[:, 0] += 2.0 * (labels == 1)
+    X[:, 1] += 2.0 * (labels == 2)
+    train, val, holdout = partition(Dataset(X, labels), rng=rng.split(1))
+    data = PartitionedData(train, val, holdout)
+    f = fit(GBT_SMALL, train.features, train.labels, val.features,
+            val.labels, rng.split(2))
+    calib = calibrate(data, GBT_SMALL, f, GBT_N, 20, GBT_SMALL_SPEC, 0.05,
+                      rng.split(3))
+    return {"data": data, "target_X": holdout.features + 3.0, "f": f,
+            "calib": calib, "learner": GBT_SMALL, "spec": GBT_SMALL_SPEC}
+
+
+@pytest.fixture(scope="module")
+def gbt_binary_env():
+    return _gbt_env(2)
+
+
+@pytest.fixture(scope="module")
+def gbt_three_class_env():
+    return _gbt_env(3)
+
+
+@pytest.fixture(scope="module")
+def mlp_env(task_env):
+    return dict(task_env, learner=LEARNER, spec=SPEC)
+
+
+def _verdict_texts(env, f, Q_X, rng):
+    """Each verdict as its JSON text, without its wall time."""
+    texts = []
+    for v in run_tests(Q_X, env["calib"], env["data"], env["learner"], f,
+                       env["spec"], rng):
+        doc = v.to_json_dict()
+        del doc["wall_time_ms"]
+        texts.append(json.dumps(doc, sort_keys=True))
+    return texts
+
+
+class TestLoadedBaseModel:
+    """A base model read back from its file tests exactly as the fitted
+    one: same ensembles, same statistics, same verdict bytes."""
+
+    @pytest.mark.parametrize("env_name", ["mlp_env", "gbt_binary_env",
+                                          "gbt_three_class_env"])
+    def test_round_trip_verdicts_identical(self, env_name, request,
+                                           tmp_path):
+        env = request.getfixturevalue(env_name)
+        path = tmp_path / "base.model.json"
+        save_model(env["f"], path)
+        loaded = load_model(path)
+        n = env["calib"].sample_size
+        for i, pool in enumerate((env["data"].holdout.features,
+                                  env["target_X"])):
+            Q_X = pool[rng_stream(57, i).sample_without_replacement(
+                pool.shape[0], n)]
+            fitted = _verdict_texts(env, env["f"], Q_X, rng_stream(58, i))
+            again = _verdict_texts(env, loaded, Q_X, rng_stream(58, i))
+            assert again == fitted
 
 
 class TestEvaluatePower:
