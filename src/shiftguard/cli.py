@@ -35,7 +35,16 @@ from .detectron import (
     save_calibration,
     DETECTOR_IDS,
 )
-from .learners import GbtConfig, LearnerConfig, MlpConfig, fit
+from .learners import (
+    GbtConfig,
+    LearnerConfig,
+    MlpConfig,
+    Model,
+    fit,
+    load_model,
+    model_fingerprint,
+    save_model,
+)
 from .numerics import RngStream
 
 __all__ = ["main", "RunConfig", "load_run_config", "canonical_config_text"]
@@ -194,10 +203,10 @@ def shift_spec_from_config(rc: RunConfig, seed: int) -> ShiftTaskSpec:
 
 
 def build_environment(rc: RunConfig, seed: int):
-    """Materialize (partitioned source, target features or None, base
-    model, learner config)."""
+    """Materialize (partitioned source, target features or None, learner
+    config).  Data only: the base model is fitted by ``calibrate`` and
+    read back from its file by ``test``."""
     d = rc.sections["data"]
-    root = RngStream(seed, 0)
     fractions = tuple(float(x) for x in d["fractions"].split(","))
     target_X = None
     if "source_csv" in d:
@@ -218,17 +227,12 @@ def build_environment(rc: RunConfig, seed: int):
         source, target, _ = synth_generate(spec)
         target_X = target.features
     try:
-        train, val, holdout = partition(source, fractions, root.split(1))
+        train, val, holdout = partition(source, fractions,
+                                         RngStream(seed, 0).split(1))
     except ValueError as exc:
         raise CliError(f"cannot partition source data: {exc}")
-    data = PartitionedData(train, val, holdout)
-    config = learner_from_config(rc)
-    try:
-        f = fit(config, train.features, train.labels, val.features,
-                val.labels, root.split(2))
-    except ValueError as exc:
-        raise CliError(f"cannot fit base model: {exc}")
-    return data, target_X, f, config
+    return (PartitionedData(train, val, holdout), target_X,
+            learner_from_config(rc))
 
 
 def resolve_seed(rc: RunConfig, cli_seed) -> int:
@@ -243,6 +247,23 @@ def resolve_seed(rc: RunConfig, cli_seed) -> int:
 def cache_dir(rc: RunConfig) -> str:
     return os.environ.get("SHIFTGUARD_CACHE",
                           os.path.join(rc.get("run", "output_dir"), "cache"))
+
+
+def model_path(calibration_path: str) -> str:
+    """The base model file beside a calibration record:
+    ``calibration_<hash>_<seed>.json`` -> ``..._<seed>.model.json``."""
+    return os.path.splitext(calibration_path)[0] + ".model.json"
+
+
+def load_base_model(calibration_path: str) -> Model:
+    path = model_path(calibration_path)
+    try:
+        return load_model(path)
+    except FileNotFoundError:
+        raise CliError(f"cannot load base model: no file {path} "
+                       "(calibrate writes it beside the record)")
+    except (OSError, ValueError) as exc:
+        raise CliError(f"cannot load base model: {path}: {exc}")
 
 
 def _emit(doc: dict) -> None:
@@ -312,7 +333,13 @@ def cmd_calibrate(args) -> int:
     seed = resolve_seed(rc, args.seed)
     jobs = args.jobs or rc.getint("run", "jobs")
     start = time.perf_counter()
-    data, _, f, config = build_environment(rc, seed)
+    data, _, config = build_environment(rc, seed)
+    try:
+        f = fit(config, data.train.features, data.train.labels,
+                data.val.features, data.val.labels,
+                RngStream(seed, 0).split(2))
+    except ValueError as exc:
+        raise CliError(f"cannot fit base model: {exc}")
     spec = cdc_spec_from_config(rc)
     N = rc.getint("test", "sample_size")
     K = rc.getint("test", "K")
@@ -326,6 +353,8 @@ def cmd_calibrate(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir,
                         f"calibration_{record.config_hash[:16]}_{seed}.json")
+    # the model first: a record on disk always has its model beside it
+    save_model(f, model_path(path))
     save_calibration(record, path)
     elapsed = time.perf_counter() - start
     _log(f"calibrated K={K} runs at N={N}: "
@@ -349,12 +378,16 @@ def cmd_calibrate(args) -> int:
 def cmd_test(args) -> int:
     rc = load_run_config(args.config)
     seed = resolve_seed(rc, args.seed)
-    data, _, f, config = build_environment(rc, seed)
+    data, _, config = build_environment(rc, seed)
     spec = cdc_spec_from_config(rc)
+    f = load_base_model(args.calibration)
     try:
         record = load_calibration(args.calibration, f.num_classes)
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot load calibration: {exc}")
+    if model_fingerprint(f) != record.config_snapshot.get("model_fingerprint"):
+        raise CliError(f"base model mismatch: {model_path(args.calibration)} "
+                       "is not the model the calibration was made with")
     q = load_csv(args.q, label_column=None)
     q_digest = int(hashlib.sha256(q.fingerprint.encode()).hexdigest()[:12], 16)
     rng = RngStream(seed, 0).split(4).split(q_digest)

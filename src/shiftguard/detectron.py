@@ -13,7 +13,6 @@ mismatched configuration.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
 import math
@@ -210,6 +209,8 @@ def calibrate(data: PartitionedData, config: LearnerConfig, f: Model,
         for i in range(K)
     ]
     if jobs > 1:
+        # imported here: it pulls in logging, which no other path needs
+        import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
             results = list(ex.map(_calibration_run, run_args))
     else:

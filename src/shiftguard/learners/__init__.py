@@ -12,6 +12,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -294,9 +295,44 @@ def _encode_array(arr: np.ndarray) -> dict:
     }
 
 
-def _decode_array(doc: dict) -> np.ndarray:
-    raw = base64.b64decode(doc["data"])
-    return np.frombuffer(raw, dtype=doc["dtype"]).reshape(doc["shape"]).copy()
+# the float and int types a stored array may name
+_ARRAY_DTYPES = ("float16", "float32", "float64",
+                 "int8", "int16", "int32", "int64")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _decode_array(doc) -> np.ndarray:
+    """The array a stored ``{dtype, shape, data}`` object holds, refusing
+    with a one-line ValueError an object that does not describe one."""
+    if not isinstance(doc, dict) or not {"dtype", "shape", "data"} <= set(doc):
+        raise ValueError("model array is not a {dtype, shape, data} object")
+    dtype, shape, data = doc["dtype"], doc["shape"], doc["data"]
+    if dtype not in _ARRAY_DTYPES:
+        raise ValueError(f"model array dtype {dtype!r} is not a float or "
+                         "int type")
+    if not (isinstance(shape, list)
+            and all(_is_int(n) and n >= 0 for n in shape)):
+        raise ValueError(f"model array shape {shape!r} is not a list of "
+                         "sizes")
+    if not isinstance(data, str):
+        raise ValueError("model array data is not a base64 string")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as exc:       # binascii.Error, or a non-ASCII string
+        raise ValueError(f"model array data is not base64: {exc}") from None
+    if len(raw) != math.prod(shape) * np.dtype(dtype).itemsize:
+        raise ValueError(f"model array of shape {shape} holds {len(raw)} "
+                         f"bytes of {dtype}")
+    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+
+
+def _decode_arrays(docs) -> list:
+    if not isinstance(docs, list):
+        raise ValueError("model body holds no list of arrays")
+    return [_decode_array(d) for d in docs]
 
 
 _HEADER_FIELDS = ("format_version", "kind", "num_classes", "feature_dim",
@@ -335,9 +371,24 @@ def doc_to_model(doc: dict) -> Model:
     for name in _HEADER_FIELDS:
         if name not in header:
             raise ValueError(f"model header has no {name!r}")
-    if header["format_version"] != MODEL_FORMAT_VERSION:
+    if (not _is_int(header["format_version"])
+            or header["format_version"] != MODEL_FORMAT_VERSION):
         raise ValueError(
-            f"unsupported model format version {header['format_version']}")
+            f"unsupported model format version {header['format_version']!r}")
+    for name, least in (("num_classes", 2), ("feature_dim", 1)):
+        if not (_is_int(header[name]) and header[name] >= least):
+            raise ValueError(f"model {name!r} is not an int >= {least}: "
+                             f"{header[name]!r}")
+    seed = header["training_seed"]
+    if not (isinstance(seed, list) and len(seed) == 2
+            and all(_is_int(v) for v in seed)):
+        raise ValueError(f"model 'training_seed' is not two ints: {seed!r}")
+    score = header["val_score"]
+    if score is not None and not (
+            isinstance(score, (int, float)) and not isinstance(score, bool)
+            and math.isfinite(score)):
+        raise ValueError(
+            f"model 'val_score' is not a finite number or null: {score!r}")
     if header["kind"] == "mlp":
         from .mlp import mlp_from_doc as from_doc
     elif header["kind"] == "gbt":

@@ -356,13 +356,39 @@ def _tree_to_doc(tree: _Tree) -> dict:
     }
 
 
-def _tree_from_doc(doc: dict) -> _Tree:
+_TREE_FIELDS = ("feature", "threshold", "left", "right", "value")
+
+
+def _tree_from_doc(doc, feature_dim: int) -> _Tree:
+    """A stored tree, refused unless ``predict`` can walk it: every inner
+    node splits on a feature below ``feature_dim`` and points at two
+    later nodes, so each walk ends at a leaf."""
+    if not isinstance(doc, dict):
+        raise ValueError("gbt tree is not an object")
+    for name in _TREE_FIELDS:
+        if name not in doc:
+            raise ValueError(f"gbt tree has no {name!r}")
+    feature, threshold, left, right, value = (
+        _decode_array(doc[name]) for name in _TREE_FIELDS)
+    n = feature.size
+    if n == 0 or any(a.shape != (n,)
+                     for a in (feature, threshold, left, right, value)):
+        raise ValueError("gbt tree arrays are not of one nonempty length")
+    if any(a.dtype.kind != "i" for a in (feature, left, right)):
+        raise ValueError("gbt tree 'feature', 'left' and 'right' are not "
+                         "int arrays")
+    inner = np.flatnonzero(feature >= 0)
+    if (feature.min() < -1 or feature.max() >= feature_dim
+            or np.any(left[inner] <= inner) or np.any(right[inner] <= inner)
+            or np.any(left[inner] >= n) or np.any(right[inner] >= n)):
+        raise ValueError("gbt tree nodes do not form a tree over "
+                         f"{feature_dim} features")
     tree = _Tree()
-    tree.feature = _decode_array(doc["feature"]).tolist()
-    tree.threshold = _decode_array(doc["threshold"]).tolist()
-    tree.left = _decode_array(doc["left"]).tolist()
-    tree.right = _decode_array(doc["right"]).tolist()
-    tree.value = _decode_array(doc["value"]).tolist()
+    tree.feature = feature.tolist()
+    tree.threshold = threshold.tolist()
+    tree.left = left.tolist()
+    tree.right = right.tolist()
+    tree.value = value.tolist()
     return tree
 
 
@@ -375,9 +401,19 @@ def gbt_body(model: GbtModel) -> dict:
 
 def gbt_from_doc(doc: dict) -> GbtModel:
     header, body = doc["header"], doc["body"]
-    rounds = [[_tree_from_doc(t) for t in rnd] for rnd in body["rounds"]]
+    prior = _decode_array(body["base_log_prior"])
+    if prior.shape != (header["num_classes"],):
+        raise ValueError("gbt 'base_log_prior' does not match num_classes")
+    rounds = body["rounds"]
+    if not (isinstance(rounds, list)
+            and all(isinstance(rnd, list) and len(rnd) == prior.size
+                    for rnd in rounds)):
+        raise ValueError("gbt 'rounds' is not a list of one tree per class "
+                         "per round")
+    rounds = [[_tree_from_doc(t, header["feature_dim"]) for t in rnd]
+              for rnd in rounds]
     return GbtModel(
-        _decode_array(body["base_log_prior"]),
+        prior,
         rounds,
         header["num_classes"],
         header["feature_dim"],

@@ -17,6 +17,7 @@ from . import (
     LearnerConfig,
     Model,
     _decode_array,
+    _decode_arrays,
     _encode_array,
     evaluate_metric,
 )
@@ -268,11 +269,25 @@ def mlp_body(model: MlpModel) -> dict:
 
 def mlp_from_doc(doc: dict) -> MlpModel:
     header, body = doc["header"], doc["body"]
+    weights, biases = (_decode_arrays(body["weights"]),
+                       _decode_arrays(body["biases"]))
+    mean, std = _decode_array(body["mean"]), _decode_array(body["std"])
+    width = header["feature_dim"]
+    if mean.shape != (width,) or std.shape != (width,):
+        raise ValueError("mlp 'mean' and 'std' do not match feature_dim")
+    if not weights or len(weights) != len(biases):
+        raise ValueError("mlp body does not hold one bias per weight matrix")
+    for W, b in zip(weights, biases):
+        if W.ndim != 2 or W.shape[0] != width or b.shape != (W.shape[1],):
+            raise ValueError("mlp layer shapes do not chain from feature_dim")
+        width = W.shape[1]
+    if width != header["num_classes"]:
+        raise ValueError("mlp output layer does not match num_classes")
     return MlpModel(
-        [_decode_array(w) for w in body["weights"]],
-        [_decode_array(b) for b in body["biases"]],
-        _decode_array(body["mean"]),
-        _decode_array(body["std"]),
+        weights,
+        biases,
+        mean,
+        std,
         header["num_classes"],
         header["feature_dim"],
         tuple(header["training_seed"]),

@@ -1,5 +1,8 @@
+import hashlib
 import json
 import os
+import re
+import shutil
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from shiftguard.cli import (
     validate_against_schema,
 )
 from shiftguard.data import ShiftTaskSpec, synth_generate
+from shiftguard.learners import load_model, model_fingerprint, save_model
 from shiftguard.numerics import rng_stream
 
 SMOKE_CONFIG = """
@@ -139,14 +143,18 @@ class TestCalibrateCommand:
                        f"[data]\nsource_csv = {src}\n"
                        "[learner]\nkind = gbt\nval_metric = auc\n")
         argv = [command, str(cfg)]
+        expected = ("error: cannot fit base model: "
+                    "auc metric requires binary classification")
         if command == "test":
+            # test fits nothing: it refuses a record without a model file
             argv += [str(src), str(tmp_path / "missing.json")]
+            expected = ("error: cannot load base model: no file "
+                        f"{tmp_path / 'missing.model.json'} "
+                        "(calibrate writes it beside the record)")
         assert main(argv) == 1
         out, err = read_stdout_docs(capsys)
         assert out == []
-        assert err.splitlines() == [
-            "error: cannot fit base model: "
-            "auc metric requires binary classification"]
+        assert err.splitlines() == [expected]
 
     def test_cache_env_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SHIFTGUARD_CACHE", str(tmp_path / "mycache"))
@@ -211,6 +219,68 @@ class TestTestCommand:
         assert err.strip().splitlines()[-1].endswith(
             "cannot load calibration: calibration entropies leave "
             "[0, log 2]")
+
+    def test_calibrate_writes_model_beside_record(self, calibrated):
+        record = calibrated["summary"]["path"]
+        assert record.endswith(".json")
+        f = load_model(record[:-len(".json")] + ".model.json")
+        snapshot = json.load(open(record))["config_snapshot"]
+        assert model_fingerprint(f) == snapshot["model_fingerprint"]
+
+    @pytest.mark.parametrize("shifted, digest", [
+        (True, "c62732e1854750ea87f57e5d92e80598"
+               "e4afbba079d552d04861c14b2aaefd4c"),
+        (False, "1ac18c34e2eb262c006c5c2cc800eae7"
+                "2051be11fe62fd74c7c113d5ec1b441e"),
+    ])
+    def test_no_fit_same_verdicts_as_refit(self, calibrated, capsys,
+                                           monkeypatch, shifted, digest):
+        """The verdicts, apart from wall_time_ms, that test gave when it
+        refitted the base model from the config on every call."""
+        def no_fit(*args, **kwargs):
+            raise AssertionError("test fitted a model")
+
+        monkeypatch.setattr("shiftguard.cli.fit", no_fit)
+        q = write_q_csv(calibrated["tmp"], shifted=shifted)
+        assert main(["test", calibrated["cfg"], q,
+                     calibrated["summary"]["path"]]) == 0
+        docs, _ = read_stdout_docs(capsys)
+        for doc in docs:
+            del doc["wall_time_ms"]
+        text = json.dumps(docs, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("damage, message", [
+        ("delete", "no file"),
+        ("truncate", "Unterminated string|Expecting"),
+        ("change_weight", "base model mismatch"),
+        ("other_seed", "base model mismatch"),
+    ])
+    def test_bad_model_file_exit_one(self, calibrated, capsys, damage,
+                                     message):
+        record = calibrated["summary"]["path"]
+        path = record[:-len(".json")] + ".model.json"
+        if damage == "delete":
+            os.remove(path)
+        elif damage == "truncate":
+            text = open(path).read()
+            open(path, "w").write(text[:len(text) // 2])
+        elif damage == "change_weight":
+            f = load_model(path)
+            f.weights[0][0, 0] += 1e-9
+            save_model(f, path)
+        else:
+            assert main(["calibrate", calibrated["cfg"], "--seed", "6"]) == 0
+            other = read_stdout_docs(capsys)[0][0]["path"]
+            shutil.copyfile(other[:-len(".json")] + ".model.json", path)
+        q = write_q_csv(calibrated["tmp"])
+        assert main(["test", calibrated["cfg"], q, record]) == 1
+        docs, err = read_stdout_docs(capsys)
+        assert docs == []
+        (line,) = err.splitlines()
+        assert line.startswith("error: ")
+        assert re.search(message, line)
+        assert path in line
 
     def test_verdicts_appended_not_clobbered(self, calibrated, capsys):
         q = write_q_csv(calibrated["tmp"])

@@ -1,10 +1,15 @@
 """Import hygiene of the package sources, checked with ``ast``: no module
 keeps a top-level import it never uses, and every ``__all__`` name exists
-on its module.  Deleting code tends to leave both behind."""
+on its module.  Deleting code tends to leave both behind.  A fresh
+interpreter checks what ``import shiftguard.cli`` loads, which every CLI
+process pays for."""
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -55,3 +60,17 @@ def test_all_names_resolve(path):
     module = importlib.import_module(module_name(path))
     missing = [n for n in names if not hasattr(module, n)]
     assert not missing, f"{module_name(path)}: __all__ names {missing}"
+
+
+def test_cli_import_leaves_out_process_pools():
+    """Only ``calibrate(jobs > 1)`` uses ``concurrent.futures`` (which
+    imports ``logging``), so it is imported there, not with the CLI."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))
+    code = ("import sys, shiftguard.cli; "
+            "print('concurrent.futures' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60,
+                         check=True)
+    assert out.stdout.strip() == "False"

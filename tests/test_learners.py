@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -404,6 +406,117 @@ class TestSerialization:
         _, model, _ = fitted
         with pytest.raises(ValueError, match="not a JSON object"):
             doc_to_model([model_to_doc(model)])
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("format_version", True, "format version"),
+        ("num_classes", "2", "'num_classes' is not an int >= 2"),
+        ("num_classes", 1, "'num_classes' is not an int >= 2"),
+        ("num_classes", 2.0, "'num_classes' is not an int >= 2"),
+        ("feature_dim", 0, "'feature_dim' is not an int >= 1"),
+        ("feature_dim", True, "'feature_dim' is not an int >= 1"),
+        ("training_seed", 3, "'training_seed' is not two ints"),
+        ("training_seed", [0, 0, 0], "'training_seed' is not two ints"),
+        ("training_seed", [0, 0.0], "'training_seed' is not two ints"),
+        ("val_score", True, "'val_score' is not a finite number or null"),
+        ("val_score", "0.9", "'val_score' is not a finite number or null"),
+        ("val_score", math.nan, "'val_score' is not a finite number"),
+        ("val_score", math.inf, "'val_score' is not a finite number"),
+    ])
+    def test_bad_header_field_refused(self, fitted, field, value, message):
+        _, model, _ = fitted
+        doc = model_to_doc(model)
+        doc["header"][field] = value
+        with pytest.raises(ValueError, match=message) as info:
+            doc_to_model(doc)
+        assert "\n" not in str(info.value)
+
+    def test_null_val_score_loads(self, fitted):
+        _, model, _ = fitted
+        doc = model_to_doc(model)
+        doc["header"]["val_score"] = None
+        assert doc_to_model(doc).val_score is None
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("dtype", "foo", "dtype 'foo' is not a float or int type"),
+        ("dtype", "complex128", "is not a float or int type"),
+        ("dtype", ["float64"], "is not a float or int type"),
+        ("shape", "2", "is not a list of sizes"),
+        ("shape", [-1], "is not a list of sizes"),
+        ("shape", [3], r"of shape \[3\] holds 16 bytes of float64"),
+        ("data", 5, "is not a base64 string"),
+        ("data", "!!!!", "is not base64"),
+        ("data", "\u00e9", "is not base64"),
+    ])
+    def test_bad_body_array_refused(self, fitted, key, value, message):
+        _, model, _ = fitted
+        doc = model_to_doc(model)
+        body = doc["body"]
+        array = body["mean"] if model.kind == "mlp" else body["base_log_prior"]
+        array[key] = value
+        with pytest.raises(ValueError, match=message) as info:
+            doc_to_model(doc)
+        assert "\n" not in str(info.value)
+
+    def test_array_not_an_object_refused(self, fitted):
+        _, model, _ = fitted
+        doc = model_to_doc(model)
+        key = "mean" if model.kind == "mlp" else "base_log_prior"
+        doc["body"][key] = [0.0, 0.0]
+        with pytest.raises(ValueError, match="not a {dtype, shape, data}"):
+            doc_to_model(doc)
+
+    @pytest.mark.parametrize("fitted", ["mlp"], indirect=True)
+    @pytest.mark.parametrize("damage, message", [
+        (lambda m: m.weights.__setitem__(0, m.weights[0][:-1]),
+         "do not chain from feature_dim"),
+        (lambda m: m.biases.__setitem__(1, m.biases[1][:-1]),
+         "do not chain from feature_dim"),
+        (lambda m: m.biases.pop(), "one bias per weight matrix"),
+        (lambda m: setattr(m, "mean", m.mean[:1]), "'mean' and 'std'"),
+        (lambda m: (m.weights.__setitem__(-1, m.weights[-1][:, :1]),
+                    m.biases.__setitem__(-1, m.biases[-1][:1])),
+         "output layer does not match num_classes"),
+    ], ids=["first-layer-rows", "bias-width", "missing-bias", "mean-width",
+            "output-width"])
+    def test_mlp_shapes_refused(self, fitted, damage, message):
+        _, model, _ = fitted
+        copy = doc_to_model(model_to_doc(model))
+        damage(copy)
+        with pytest.raises(ValueError, match=message):
+            doc_to_model(model_to_doc(copy))
+
+    @pytest.mark.parametrize("fitted", ["gbt"], indirect=True)
+    @pytest.mark.parametrize("damage, message", [
+        (lambda m: m.rounds[1][0].left.__setitem__(0, 0),
+         "do not form a tree over 2 features"),
+        (lambda m: m.rounds[1][0].right.__setitem__(0, 99),
+         "do not form a tree"),
+        (lambda m: m.rounds[1][0].feature.__setitem__(0, 2),
+         "do not form a tree"),
+        (lambda m: m.rounds[1][0].feature.__setitem__(0, -2),
+         "do not form a tree"),
+        (lambda m: m.rounds[1][0].value.pop(), "one nonempty length"),
+        (lambda m: m.rounds[1].pop(), "one tree per class per round"),
+        (lambda m: setattr(m, "base_log_prior", m.base_log_prior[:1]),
+         "'base_log_prior' does not match num_classes"),
+    ], ids=["self-loop", "child-out-of-range", "feature-out-of-range",
+            "feature-below-leaf", "short-values", "missing-class-tree",
+            "short-prior"])
+    def test_gbt_trees_refused(self, fitted, damage, message):
+        _, model, _ = fitted
+        copy = doc_to_model(model_to_doc(model))
+        assert copy.rounds[1][0].feature[0] >= 0   # the root splits
+        damage(copy)
+        with pytest.raises(ValueError, match=message):
+            doc_to_model(model_to_doc(copy))
+
+    @pytest.mark.parametrize("fitted", ["gbt"], indirect=True)
+    def test_tree_field_missing_refused(self, fitted):
+        _, model, _ = fitted
+        doc = model_to_doc(model)
+        del doc["body"]["rounds"][0][1]["threshold"]
+        with pytest.raises(ValueError, match="gbt tree has no 'threshold'"):
+            doc_to_model(doc)
 
 
 class TestConfigValidation:
