@@ -262,7 +262,10 @@ def load_base_model(calibration_path: str) -> Model:
     except FileNotFoundError:
         raise CliError(f"cannot load base model: no file {path} "
                        "(calibrate writes it beside the record)")
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
+        raise CliError(f"cannot load base model: {path}: "
+                       f"{exc.strerror or exc}")
+    except ValueError as exc:
         raise CliError(f"cannot load base model: {path}: {exc}")
 
 
@@ -335,8 +338,7 @@ def cmd_calibrate(args) -> int:
     start = time.perf_counter()
     data, _, config = build_environment(rc, seed)
     try:
-        f = fit(config, data.train.features, data.train.labels,
-                data.val.features, data.val.labels,
+        f = fit(config, *data.train_pair(), *data.val_pair(),
                 RngStream(seed, 0).split(2))
     except ValueError as exc:
         raise CliError(f"cannot fit base model: {exc}")

@@ -384,9 +384,8 @@ def doc_to_model(doc: dict) -> Model:
             and all(_is_int(v) for v in seed)):
         raise ValueError(f"model 'training_seed' is not two ints: {seed!r}")
     score = header["val_score"]
-    if score is not None and not (
-            isinstance(score, (int, float)) and not isinstance(score, bool)
-            and math.isfinite(score)):
+    if not (score is None or _is_int(score)
+            or (isinstance(score, float) and math.isfinite(score))):
         raise ValueError(
             f"model 'val_score' is not a finite number or null: {score!r}")
     if header["kind"] == "mlp":

@@ -430,11 +430,12 @@ class TestSerialization:
             doc_to_model(doc)
         assert "\n" not in str(info.value)
 
-    def test_null_val_score_loads(self, fitted):
+    @pytest.mark.parametrize("score", [None, 1, 10 ** 400])
+    def test_null_or_int_val_score_loads(self, fitted, score):
         _, model, _ = fitted
         doc = model_to_doc(model)
-        doc["header"]["val_score"] = None
-        assert doc_to_model(doc).val_score is None
+        doc["header"]["val_score"] = score
+        assert doc_to_model(doc).val_score == score
 
     @pytest.mark.parametrize("key, value, message", [
         ("dtype", "foo", "dtype 'foo' is not a float or int type"),
