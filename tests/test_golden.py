@@ -34,6 +34,12 @@ GBT_DEEP_SPEC = CdcTrainSpec(max_opt_steps=5)
 GBT_DEEP_CALIBRATION_SHA256 = (
     "267a26a9638637557fa1665826c23aa64f836f8283afc50c884aed37bb26797f")
 
+# colsample 0.6 on 5 features keeps 3: every tree of every class draws
+# its own column subset, which no golden above does
+GBT_COLS = small_gbt_config(num_rounds=3, max_depth=3, colsample=0.6)
+GBT_COLS_CALIBRATION_SHA256 = (
+    "361f7be2181cfeab2199a6e9276b4ccc3c646c1e66ee80be039285a7479e3f45")
+
 
 def calibration_sha256(record) -> str:
     doc = json.dumps(calibration_to_doc(record), sort_keys=True)
@@ -83,6 +89,23 @@ def test_deep_binary_gbt_calibration_digest():
     calib = calibrate(PartitionedData(train, val, holdout), GBT_DEEP, f,
                       GBT_N, GBT_K, GBT_DEEP_SPEC, 0.05, rng.split(3))
     assert calibration_sha256(calib) == GBT_DEEP_CALIBRATION_SHA256
+
+
+def test_colsample_gbt_calibration_digest():
+    """Three classes on five features, one of them integer-valued, with a
+    column subset drawn per class per round."""
+    rng = rng_stream(72, 0)
+    labels = np.arange(300) % 3
+    X = rng.normal((300, 5))
+    X[:, 0] += 1.5 * (labels == 1)
+    X[:, 3] += 1.5 * (labels == 2)
+    X[:, 4] = np.round(2.0 * X[:, 4] + labels)
+    train, val, holdout = partition(Dataset(X, labels), rng=rng.split(1))
+    f = fit(GBT_COLS, train.features, train.labels, val.features,
+            val.labels, rng.split(2))
+    calib = calibrate(PartitionedData(train, val, holdout), GBT_COLS, f,
+                      GBT_N, GBT_K, GBT_SPEC, 0.05, rng.split(3))
+    assert calibration_sha256(calib) == GBT_COLS_CALIBRATION_SHA256
 
 
 def test_smoke_profile_config_hash(tmp_path, capsys, monkeypatch):
