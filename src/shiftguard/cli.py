@@ -591,11 +591,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "samples with constrained-disagreement ensembles.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, jobs=True):
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="parallel calibration workers")
+        if jobs:    # test builds one ensemble and runs no calibration
+            p.add_argument("--jobs", type=int, default=None,
+                           help="parallel calibration workers")
 
     p_cal = sub.add_parser("calibrate", help="estimate null distributions")
     p_cal.add_argument("config")
@@ -610,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="both")
     p_test.add_argument("--strict-exit", action="store_true",
                         help="exit 2 when shift is detected")
-    add_common(p_test)
+    add_common(p_test, jobs=False)
     p_test.set_defaults(fn=cmd_test)
 
     p_bench = sub.add_parser("benchmark", help="power table over detectors")

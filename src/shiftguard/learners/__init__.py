@@ -188,8 +188,15 @@ def evaluate_metric(model: Model, X: np.ndarray, y: np.ndarray,
 # fit / predict dispatch
 # ---------------------------------------------------------------------------
 
-def _validate_training_inputs(X, y, sample_weight):
+def _finite_features(X, name: str) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
+    if not np.isfinite(X).all():
+        raise ValueError(f"{name} features hold NaN or inf")
+    return X
+
+
+def _validate_training_inputs(X, y, sample_weight):
+    X = _finite_features(X, "training")
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("training set must be a nonempty (n, d) matrix")
@@ -211,14 +218,14 @@ def _validate_training_inputs(X, y, sample_weight):
 def fit(config: LearnerConfig, X, y, X_val, y_val, rng,
         sample_weight=None, num_classes: int | None = None) -> Model:
     """Train a classifier; records the validation score used later as the
-    disagreement-training constraint."""
+    disagreement-training constraint.  X and X_val must be finite."""
     X, y, w = _validate_training_inputs(X, y, sample_weight)
     n_classes = int(num_classes if num_classes is not None else y.max() + 1)
     if y.max() >= n_classes:
         raise ValueError("label out of range")
     if config.val_metric == "auc" and n_classes != 2:
         raise ValueError("auc metric requires binary classification")
-    X_val = np.asarray(X_val, dtype=np.float64)
+    X_val = _finite_features(X_val, "validation")
     y_val = np.asarray(y_val, dtype=np.int64)
     if config.kind == "mlp":
         from . import mlp
@@ -256,18 +263,24 @@ def fit_disagreeing(config: LearnerConfig, base: Model, P_train, P_val,
     loss, every batch containing all of Q.  GBT path: replicas of each Q
     sample (one per non-pseudo class, weights lam * |P_train| *
     disagree_scale / (N-1)) appended to P, boosting continued from the
-    base model's trees, each new tree grown one depth at a time.  The
-    returned GBT model carries its margins on P_train, Q and P_val: the
-    next warm-started round, and a validation check on P_val, add only
-    that round's trees instead of re-running every earlier one.  Empty Q
-    degenerates to plain continued training on P only.
+    base model's trees.  A round's class trees grow together, one depth
+    at a time, with one split search per depth over every class's nodes;
+    each search sorts by integer ranks of the feature values, taken once
+    per call.  The returned GBT model carries its margins on P_train, Q
+    and P_val: the next warm-started round, and a validation check on
+    P_val, add only that round's trees, walked level by level, instead
+    of re-running every earlier one.  Empty Q degenerates to plain
+    continued training on P only.  Features of P_train, P_val and Q must
+    be finite.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
-    X_p, y_p = np.asarray(P_train[0], np.float64), np.asarray(P_train[1], np.int64)
-    X_q = np.asarray(Q[0], dtype=np.float64)
+    X_p = _finite_features(P_train[0], "P_train")
+    y_p = np.asarray(P_train[1], np.int64)
+    X_val = _finite_features(P_val[0], "P_val")
+    X_q = _finite_features(Q[0], "Q")
     pseudo = np.asarray(Q[1], dtype=np.int64)
     if X_q.shape[0] != pseudo.shape[0]:
         raise ValueError("pseudo labels must align with Q rows")
@@ -278,8 +291,8 @@ def fit_disagreeing(config: LearnerConfig, base: Model, P_train, P_val,
             epochs=epochs, max_steps=max_steps)
     from . import gbt
     return gbt.fit_disagreeing_gbt(
-        config, base, X_p, y_p, np.asarray(P_val[0], np.float64), X_q,
-        pseudo, lam, rng, epochs=epochs, max_steps=max_steps)
+        config, base, X_p, y_p, X_val, X_q, pseudo, lam, rng,
+        epochs=epochs, max_steps=max_steps)
 
 
 # ---------------------------------------------------------------------------

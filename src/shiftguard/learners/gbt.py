@@ -2,18 +2,24 @@
 
 One depth-limited regression tree per class per round on the multiclass
 logistic objective (softmax linkage), second-order leaf values, row
-subsampling and per-tree column subsampling.  Trees grow one depth at a
-time, with the exact greedy split search run for every node of a depth
-at once.  Margins start at the weighted log class priors, so an
-untrained model predicts the training class frequencies.  Disagreement
-training continues boosting from the base model's trees on a
-replica-weighted dataset; each warm-started round carries its base's
-margins on the training, target and validation rows and adds only its
-own trees to them.
+subsampling and per-tree column subsampling.  A round's class trees
+share its rows and softmax gradients and draw no randomness while they
+grow, so they grow together: one depth at a time, with one exact greedy
+split search for every node of every class at that depth.  The search
+sorts each node's rows by integer ranks of the feature values, ranked
+once per boosting call, so equal values (-0.0 and 0.0 among them) fall
+in one run; features must therefore be finite.  Prediction walks every
+row, and every tree of a batch, down one level per step.  Margins start
+at the weighted log class priors, so an untrained model predicts the
+training class frequencies.  Disagreement training continues boosting
+from the base model's trees on a replica-weighted dataset; each
+warm-started round carries its base's margins on the training, target
+and validation rows and adds only its own trees to them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -29,13 +35,15 @@ from . import (
 )
 
 _MIN_GAIN = 1e-12
+_WALK_CELLS = 1 << 16
 
 
 class _Tree:
     """Flat-array binary tree: internal nodes carry (feature, threshold),
-    leaves carry an additive margin value (shrinkage already applied)."""
+    leaves carry an additive margin value (shrinkage already applied).
+    Immutable once built: ``_walk_trees`` keeps its arrays in ``_walk``."""
 
-    __slots__ = ("feature", "threshold", "left", "right", "value")
+    __slots__ = ("feature", "threshold", "left", "right", "value", "_walk")
 
     def __init__(self):
         self.feature: list[int] = []
@@ -43,6 +51,7 @@ class _Tree:
         self.left: list[int] = []
         self.right: list[int] = []
         self.value: list[float] = []
+        self._walk = None
 
     def add_node(self) -> int:
         self.feature.append(-1)
@@ -53,20 +62,52 @@ class _Tree:
         return len(self.feature) - 1
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        out = np.zeros(X.shape[0])
-        stack = [(0, np.arange(X.shape[0]))]
-        while stack:
-            node, rows = stack.pop()
-            if rows.size == 0:
-                continue
-            f = self.feature[node]
-            if f < 0:
-                out[rows] = self.value[node]
-                continue
-            go_left = X[rows, f] <= self.threshold[node]
-            stack.append((self.left[node], rows[go_left]))
-            stack.append((self.right[node], rows[~go_left]))
-        return out
+        return _walk_trees([self], X)[0]
+
+
+def _walk_arrays(tree: _Tree) -> tuple:
+    """(feature, threshold, child, value, height) for the level-wise walk.
+    A row at node i moves to child[2 * i + 1] (left) where it goes left,
+    else to child[2 * i] (right); a leaf splits on feature 0 into itself.
+    Height is the longest root-to-leaf path.  Children follow their parent
+    in every stored tree, so heights fill in from the last node back."""
+    leaf = np.asarray(tree.feature) < 0
+    own = np.arange(leaf.size)
+    child = np.stack([np.where(leaf, own, tree.right),
+                      np.where(leaf, own, tree.left)], axis=1).ravel()
+    height = [0] * leaf.size
+    for i in np.flatnonzero(~leaf)[::-1].tolist():
+        height[i] = 1 + max(height[tree.left[i]], height[tree.right[i]])
+    return (np.where(leaf, 0, tree.feature), np.asarray(tree.threshold),
+            child, np.asarray(tree.value), height[0])
+
+
+def _walk_trees(trees: list, X: np.ndarray) -> np.ndarray:
+    """(len(trees), n) leaf values of every tree on every row of X.
+
+    All trees and rows descend together, one level per step; a row goes
+    left where ``X[row, feature] <= threshold``, so NaN goes right.  A
+    leaf is its own child, so walks that reach one early stay there while
+    deeper ones finish.
+    """
+    for tree in trees:
+        if tree._walk is None:
+            tree._walk = _walk_arrays(tree)
+    feature, threshold, child, value, heights = zip(
+        *(tree._walk for tree in trees))
+    sizes = [f.size for f in feature]
+    start = np.cumsum([0] + sizes[:-1])
+    feature, threshold, value = (np.concatenate(a)
+                                 for a in (feature, threshold, value))
+    child = np.concatenate(child) + np.repeat(start, 2 * np.array(sizes))
+    n, d = X.shape
+    X = np.ascontiguousarray(X).ravel()
+    row_start = np.arange(0, n * d, d)
+    node = np.repeat(start, n).reshape(len(trees), n)
+    for _ in range(max(heights)):
+        go_left = X[row_start + feature[node]] <= threshold[node]
+        node = child[2 * node + go_left]
+    return value[node]
 
 
 def _leaf_value(g_sum: float, h_sum: float, reg_lambda: float,
@@ -74,114 +115,154 @@ def _leaf_value(g_sum: float, h_sum: float, reg_lambda: float,
     return -eta * g_sum / (h_sum + reg_lambda)
 
 
-def _build_tree(X, g, h, rows, features, cfg) -> _Tree:
-    """Exact greedy tree on ``rows``, grown one depth at a time.
+def _column_ranks(X: np.ndarray) -> np.ndarray:
+    """(d, n) dense ranks of each column of X: equal values, -0.0 and 0.0
+    included, share a rank, and a larger value has a larger rank."""
+    return np.stack([np.unique(col, return_inverse=True)[1].reshape(-1)
+                     for col in X.T])
 
-    ``_best_splits`` searches every node of a depth at once; a node's
-    rows keep the order its parent sorted them in.  Nodes are numbered
-    depth first, each split allocating its two children together, as a
-    node-at-a-time recursion numbers them.
+
+def _build_trees(X, ranks, grad, hess, rows, feats, cfg) -> list:
+    """One exact greedy tree per class column of ``grad``/``hess``, tree c
+    on the features ``feats[c]``, all grown on ``rows`` together.
+
+    Trees grow one depth at a time: ``_best_splits`` searches every node
+    of every class at a depth at once, and a node's rows keep the order
+    its parent sorted them in.  Nodes are numbered depth first, each split
+    allocating its two children together, as a node-at-a-time recursion
+    numbers them.
     """
-    grown = [None]       # per node: leaf value, or (f, thr, left, right)
-    ids, level = [0], [rows]
+    n_classes = grad.shape[1]
+    grown = [[None] for _ in range(n_classes)]  # leaf value or (f, thr, l, r)
+    cls = list(range(n_classes))                # each level node's class
+    ids, level = [0] * n_classes, [rows] * n_classes
     for depth in range(cfg.max_depth + 1):
+        if not level:
+            break
+        sizes = np.array([r.size for r in level])
+        flat = np.concatenate(level)
+        flat_cls = np.repeat(cls, sizes)
+        g, h = grad[flat, flat_cls], hess[flat, flat_cls]
         # fsum is exactly rounded, so weight-k rows and k duplicates yield
         # bit-identical node statistics regardless of summation order
-        sums = [(math.fsum(g[r]), math.fsum(h[r])) for r in level]
-        open_ = [i for i, r in enumerate(level)
-                 if depth < cfg.max_depth and r.size >= 2]
-        found = {}
-        if open_:
-            scores = [sums[i][0] * sums[i][0] / (sums[i][1] + cfg.reg_lambda)
-                      for i in open_]
-            found = dict(zip(open_, _best_splits(
-                X, g, h, [level[i] for i in open_], scores, features, cfg)))
-        next_ids, next_level = [], []
-        for i, node in enumerate(ids):
-            split = found.get(i)
+        g_list, h_list = g.tolist(), h.tolist()
+        ends = np.cumsum(sizes).tolist()
+        sums = [(math.fsum(g_list[a:b]), math.fsum(h_list[a:b]))
+                for a, b in zip([0] + ends, ends)]
+        found = [None] * len(level)
+        if depth < cfg.max_depth:
+            # a one-row node has no cut, so it comes back None
+            scores = np.array([gs * gs / (hs + cfg.reg_lambda)
+                               for gs, hs in sums])
+            found = _best_splits(X, ranks, flat, sizes, feats[cls], g, h,
+                                 scores, cfg)
+        next_cls, next_ids, next_level = [], [], []
+        for i, (c, node) in enumerate(zip(cls, ids)):
+            split, tree = found[i], grown[c]
             if split is None:
-                grown[node] = _leaf_value(*sums[i], cfg.reg_lambda, cfg.eta)
+                tree[node] = _leaf_value(*sums[i], cfg.reg_lambda, cfg.eta)
                 continue
             f, thr, left_rows, right_rows = split
-            grown[node] = (f, thr, len(grown), len(grown) + 1)
-            next_ids += [len(grown), len(grown) + 1]
+            tree[node] = (f, thr, len(tree), len(tree) + 1)
+            next_cls += [c, c]
+            next_ids += [len(tree), len(tree) + 1]
             next_level += [left_rows, right_rows]
-            grown += [None, None]
-        ids, level = next_ids, next_level
+            tree += [None, None]
+        cls, ids, level = next_cls, next_ids, next_level
+    return [_assemble(tree_nodes) for tree_nodes in grown]
 
+
+def _assemble(grown: list) -> _Tree:
+    """The _Tree of breadth-first ``grown`` nodes, renumbered depth first:
+    each split, when visited, numbers its two children next."""
+    n = len(grown)
     tree = _Tree()
-    stack = [(0, tree.add_node())]
+    tree.feature, tree.threshold = [-1] * n, [0.0] * n
+    tree.left, tree.right, tree.value = [-1] * n, [-1] * n, [0.0] * n
+    number = [0] * n
+    stack, taken = [0], 1
     while stack:
-        node, out = stack.pop()
-        if not isinstance(grown[node], tuple):
-            tree.value[out] = grown[node]
+        node = stack.pop()
+        at, spec = number[node], grown[node]
+        if not isinstance(spec, tuple):
+            tree.value[at] = spec
             continue
-        f, thr, left, right = grown[node]
-        tree.feature[out], tree.threshold[out] = f, thr
-        tree.left[out] = tree.add_node()
-        tree.right[out] = tree.add_node()
-        stack += [(right, tree.right[out]), (left, tree.left[out])]
+        f, thr, left, right = spec
+        tree.feature[at], tree.threshold[at] = f, thr
+        tree.left[at] = number[left] = taken
+        tree.right[at] = number[right] = taken + 1
+        taken += 2
+        stack += (right, left)
     return tree
 
 
-def _best_splits(X, g, h, node_rows, parent_score, features, cfg) -> list:
+def _best_splits(X, ranks, flat, sizes, node_feats, g, h, parent_score,
+                 cfg) -> list:
     """Best split of each node, or None where no cut gains more than
     _MIN_GAIN: (feature, threshold, left rows, right rows).
 
-    One group per (feature, node) pair.  Each group's rows are sorted by
-    value, ties kept in the node's row order; gradients and hessians are
-    summed per distinct value, so a weight-k row and k duplicate rows give
-    bit-identical statistics (cuts sit between distinct values anyway),
-    then prefix-summed in sequence.  A node takes its first best cut, the
-    earliest feature winning ties.
+    Node s holds the next ``sizes[s]`` rows of ``flat``, whose gradients
+    and hessians are ``g`` and ``h``, and searches the features
+    ``node_feats[s]``.  One group per (feature slot, node) pair.  Each
+    group's rows are sorted by value, ties kept in the node's row order:
+    one stable sort of the integer keys group * n + rank.  Gradients and
+    hessians are summed per distinct value, so a weight-k row and k
+    duplicate rows give bit-identical statistics (cuts sit between
+    distinct values anyway), then prefix-summed in sequence.  A node takes
+    its first best cut, the earliest feature winning ties.
     """
-    n_nodes, n_feat = len(node_rows), len(features)
-    sizes = np.array([r.size for r in node_rows])
-    flat = np.concatenate(node_rows)
-    m = flat.size
-    x = X[flat[:, None], features].T.ravel()
-    group = (np.arange(n_feat)[:, None] * n_nodes
-             + np.repeat(np.arange(n_nodes), sizes)).ravel()
-    order = np.lexsort((np.arange(x.size), x, group))
-    xs, grp, row = x[order], group[order], flat[order % m]
-    new_run = np.ones(xs.size, dtype=bool)
-    new_run[1:] = (grp[1:] != grp[:-1]) | (xs[:-1] < xs[1:])
+    n_nodes, n_feat = node_feats.shape
+    n, m = ranks.shape[1], flat.size
+    groups = n_feat * n_nodes
+    key = (np.repeat(np.arange(groups).reshape(n_feat, n_nodes) * n, sizes,
+                     axis=1)
+           + ranks.ravel()[np.repeat(node_feats.T * n, sizes, axis=1) + flat]
+           ).ravel()
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    pos = order % m
+    new_run = np.empty(key.size, dtype=bool)
+    new_run[0] = True
+    np.not_equal(key[1:], key[:-1], out=new_run[1:])
     starts = np.flatnonzero(new_run)
-    run_grp = grp[starts]
-    n_runs = np.bincount(run_grp, minlength=n_feat * n_nodes)
-    first = np.cumsum(n_runs) - n_runs
+    n_runs = np.bincount(key[starts] // n, minlength=groups)
     width = int(n_runs.max())
     if width < 2:
         return [None] * n_nodes
     # one matrix row per group, zero-padded after its last run: the
     # prefix sums along a matrix row are the group's own sequential ones
-    cell = (run_grp, np.arange(starts.size) - first[run_grp])
-    g_run = np.zeros((n_runs.size, width))
-    h_run = np.zeros((n_runs.size, width))
-    g_run[cell] = np.add.reduceat(g[row], starts)
-    h_run[cell] = np.add.reduceat(h[row], starts)
-    g_run = np.cumsum(g_run, axis=1)
-    h_run = np.cumsum(h_run, axis=1)
+    first = np.cumsum(n_runs) - n_runs
+    cell = (np.arange(starts.size)
+            + np.repeat(np.arange(groups) * width - first, n_runs))
+    g_run = np.zeros(groups * width)
+    h_run = np.zeros(groups * width)
+    g_run[cell] = np.add.reduceat(g[pos], starts)
+    h_run[cell] = np.add.reduceat(h[pos], starts)
+    g_run = np.cumsum(g_run.reshape(groups, width), axis=1)
+    h_run = np.cumsum(h_run.reshape(groups, width), axis=1)
     last = n_runs - 1
     gl, hl = g_run[:, :-1], h_run[:, :-1]
-    gr = g_run[np.arange(n_runs.size), last][:, None] - gl
-    hr = h_run[np.arange(n_runs.size), last][:, None] - hl
-    ok = ((np.arange(width - 1) < last[:, None])
-          & (hl >= cfg.min_child_weight) & (hr >= cfg.min_child_weight))
+    gr = g_run[np.arange(groups), last][:, None] - gl
+    hr = h_run[np.arange(groups), last][:, None] - hl
+    cut_ok = ((np.arange(width - 1) < last[:, None])
+              & (np.minimum(hl, hr) >= cfg.min_child_weight))
     with np.errstate(divide="ignore", invalid="ignore"):
-        gains = np.where(
-            ok,
-            gl * gl / (hl + cfg.reg_lambda) + gr * gr / (hr + cfg.reg_lambda)
-            - np.tile(parent_score, n_feat)[:, None],
-            -np.inf)
+        gains = gl * gl
+        gains /= hl + cfg.reg_lambda
+        gr *= gr
+        gr /= hr + cfg.reg_lambda
+        gains += gr
+        gains.reshape(n_feat, n_nodes, -1)[...] -= parent_score[:, None]
+    gains[~cut_ok] = -np.inf
     k = np.argmax(gains, axis=1)
-    best = gains[np.arange(n_runs.size), k]
+    best = gains[np.arange(groups), k]
     # a feature whose first best gain is not above _MIN_GAIN, a NaN (0/0
     # at reg_lambda = 0) included, drops out; the others still compete
     best[~(best > _MIN_GAIN)] = -np.inf
     best = best.reshape(n_feat, n_nodes)
     f_idx = np.argmax(best, axis=0)
 
+    row = flat[pos]
     offset = np.cumsum(sizes) - sizes
     splits = []
     for s, f in enumerate(f_idx):
@@ -191,8 +272,10 @@ def _best_splits(X, g, h, node_rows, parent_score, features, cfg) -> list:
         j = f * n_nodes + s
         lo = f * m + offset[s]          # group j spans [lo, lo + sizes[s])
         cut = starts[first[j] + k[j] + 1]
-        splits.append((int(features[f]),
-                       float(0.5 * (xs[cut - 1] + xs[cut])),
+        feature = node_feats[s, f]
+        splits.append((int(feature),
+                       float(0.5 * (X[row[cut - 1], feature]
+                                    + X[row[cut], feature])),
                        row[lo:cut], row[cut:lo + sizes[s]]))
     return splits
 
@@ -250,9 +333,14 @@ def _add_rounds(margins, X, rounds) -> None:
     """Add each tree's predictions on X to ``margins``, round by round and
     class by class: the one order every margin sum uses, so a carried sum
     extended by later rounds has the bytes of a sum from scratch."""
+    trees = [tree for round_trees in rounds for tree in round_trees]
+    # walk at most about _WALK_CELLS (tree, row) pairs at once
+    step = max(1, _WALK_CELLS // max(1, X.shape[0]))
+    values = itertools.chain.from_iterable(
+        _walk_trees(trees[i:i + step], X) for i in range(0, len(trees), step))
     for round_trees in rounds:
-        for c, tree in enumerate(round_trees):
-            margins[:, c] += tree.predict(X)
+        for c in range(len(round_trees)):
+            margins[:, c] += next(values)
 
 
 def _boost_rounds(model: GbtModel, X, y, w, margins, cfg, rng: RngStream,
@@ -265,6 +353,7 @@ def _boost_rounds(model: GbtModel, X, y, w, margins, cfg, rng: RngStream,
     onehot[np.arange(n), y] = 1.0
     n_sub = max(1, int(round(cfg.subsample * n)))
     n_col = max(1, int(round(cfg.colsample * d)))
+    ranks = _column_ranks(X)
     for _ in range(n_rounds):
         p = softmax_rows(margins)
         grad = w[:, None] * (p - onehot)
@@ -274,14 +363,12 @@ def _boost_rounds(model: GbtModel, X, y, w, margins, cfg, rng: RngStream,
         hess = w[:, None] * np.maximum(2.0 * p * (1.0 - p), 1e-16)
         rows = (rng.sample_without_replacement(n, n_sub)
                 if n_sub < n else np.arange(n))
-        round_trees = []
-        for c in range(n_classes):
-            feats = (np.sort(rng.sample_without_replacement(d, n_col))
-                     if n_col < d else np.arange(d))
-            tree = _build_tree(X, grad[:, c], hess[:, c], rows, feats, cfg)
-            round_trees.append(tree)
-            margins[:, c] += tree.predict(X)
-        model.rounds.append(round_trees)
+        feats = np.array([np.sort(rng.sample_without_replacement(d, n_col))
+                          if n_col < d else np.arange(d)
+                          for _ in range(n_classes)])
+        model.rounds.append(_build_trees(X, ranks, grad, hess, rows, feats,
+                                         cfg))
+        _add_rounds(margins, X, model.rounds[-1:])
 
 
 def _log_prior(y, w, n_classes):

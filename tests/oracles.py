@@ -5,7 +5,7 @@ enumeration uses exact integer combinatorics, ECDFs are brute-force mean
 comparisons, Monte Carlo goes through order statistics rather than any
 closed form under test, the exact-KS reference visits every state of
 every tie group one numpy-scalar term at a time, and the GBT references
-grow and sum trees one node and one tree at a time.
+grow, walk and sum trees one node and one tree at a time.
 """
 
 from __future__ import annotations
@@ -211,11 +211,31 @@ def reference_build_tree(X, g, h, rows, features, cfg) -> _Tree:
     return tree
 
 
+def reference_tree_predict(tree, X) -> np.ndarray:
+    """Each row's leaf value, walked node by node from a stack of (node,
+    rows) pairs: a node sends its rows with X[row, feature] <= threshold
+    left and the rest, NaN included, right."""
+    out = np.zeros(X.shape[0])
+    stack = [(0, np.arange(X.shape[0]))]
+    while stack:
+        node, rows = stack.pop()
+        if rows.size == 0:
+            continue
+        f = tree.feature[node]
+        if f < 0:
+            out[rows] = tree.value[node]
+            continue
+        go_left = X[rows, f] <= tree.threshold[node]
+        stack.append((tree.left[node], rows[go_left]))
+        stack.append((tree.right[node], rows[~go_left]))
+    return out
+
+
 def reference_margins(model, X) -> np.ndarray:
     """A GBT model's margins summed from scratch: the log prior, then each
     tree's prediction, round by round and class by class."""
     out = np.tile(model.base_log_prior, (X.shape[0], 1))
     for round_trees in model.rounds:
         for c, tree in enumerate(round_trees):
-            out[:, c] += tree.predict(X)
+            out[:, c] += reference_tree_predict(tree, X)
     return out

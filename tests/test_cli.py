@@ -185,6 +185,15 @@ class TestTestCommand:
         assert len(docs) == 1
         assert docs[0]["test"] == "detectron_entropy"
 
+    def test_jobs_flag_refused(self, calibrated, capsys):
+        # test runs no calibration, so it takes no worker count
+        q = write_q_csv(calibrated["tmp"])
+        with pytest.raises(SystemExit) as exc:
+            main(["test", calibrated["cfg"], q,
+                  calibrated["summary"]["path"], "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
     def test_wrong_size_q_exit_one(self, calibrated, capsys):
         q = write_q_csv(calibrated["tmp"], n=7)
         code = main(["test", calibrated["cfg"], q,

@@ -8,6 +8,7 @@ from oracles import (
     central_difference_grad,
     reference_build_tree,
     reference_margins,
+    reference_tree_predict,
 )
 from shiftguard.learners import (
     GbtConfig,
@@ -24,7 +25,15 @@ from shiftguard.learners import (
     predict_proba,
     save_model,
 )
-from shiftguard.learners.gbt import GbtModel, _build_tree
+from shiftguard.learners import gbt
+from shiftguard.learners.gbt import (
+    GbtModel,
+    _build_trees,
+    _column_ranks,
+    _Tree,
+    _walk_trees,
+    gbt_from_doc,
+)
 from shiftguard.learners.mlp import MlpModel, _backward, _forward_train
 from shiftguard.losses import cross_entropy_batch, lambda_weight
 from shiftguard.numerics import rng_stream
@@ -95,6 +104,16 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(small_gbt_config(), X, y, X, y, rng_stream(0, 0),
                 sample_weight=w)
+
+    @pytest.mark.parametrize("config", ALL_CONFIGS, ids=["mlp", "gbt"])
+    @pytest.mark.parametrize("where", ["X", "X_val"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_features_refused(self, config, blob, where, bad):
+        X, y = blob
+        Xt, yt, Xv, yv = (a.copy() for a in split_blob(X, y))
+        (Xt if where == "X" else Xv)[4, 1] = bad
+        with pytest.raises(ValueError, match="NaN or inf"):
+            fit(config, Xt, yt, Xv, yv, rng_stream(0, 0))
 
 
 class TestPredictProba:
@@ -245,17 +264,95 @@ def random_tree_case(seed):
     return X, g, h, rows, features, cfg
 
 
+TREE_FIELDS = ("feature", "threshold", "left", "right", "value")
+
+
+def build_tree(X, g, h, rows, features, cfg) -> _Tree:
+    """The lockstep builder growing a single class's tree."""
+    return _build_trees(X, _column_ranks(X), g[:, None], h[:, None], rows,
+                        features[None], cfg)[0]
+
+
+def assert_same_tree(tree, ref, *context):
+    """Node arrays equal byte for byte, so -0.0 and 0.0 thresholds or
+    values differ."""
+    for name in TREE_FIELDS:
+        assert (np.asarray(getattr(tree, name)).tobytes()
+                == np.asarray(getattr(ref, name)).tobytes()), (*context, name)
+
+
+def lockstep_case(seed, n_classes, X=None):
+    """A random_tree_case (or its rows and config over the given X) with
+    one gradient and hessian column per class and, per class, its own
+    sorted feature subset of one shared size."""
+    case_X, _, _, rows, _, cfg = random_tree_case(seed)
+    X = case_X if X is None else X
+    rng = rng_stream(seed, 41)
+    n, d = X.shape
+    rows = rows[rows < n]
+    scale = 10.0 ** (6.0 * rng.uniform() - 3.0)
+    grad = scale * rng.normal((n, n_classes))
+    hess = scale * (0.5 * rng.uniform((n, n_classes)) + 1e-3)
+    n_col = 1 + rng.integers(d)
+    feats = np.array([np.sort(rng.sample_without_replacement(d, n_col))
+                      for _ in range(n_classes)])
+    return X, grad, hess, rows, feats, cfg
+
+
+def assert_lockstep_matches_reference(X, grad, hess, rows, feats, cfg,
+                                      *context):
+    trees = _build_trees(X, _column_ranks(X), grad, hess, rows, feats, cfg)
+    assert len(trees) == grad.shape[1]
+    for c, tree in enumerate(trees):
+        ref = reference_build_tree(X, grad[:, c], hess[:, c], rows,
+                                   feats[c], cfg)
+        assert_same_tree(tree, ref, *context, c)
+    return trees
+
+
 class TestTreeBuilder:
     def test_matches_node_at_a_time_reference(self):
         splits = 0
         for seed in range(400):
             case = random_tree_case(seed)
-            tree = _build_tree(*case)
             ref = reference_build_tree(*case)
-            for name in ("feature", "threshold", "left", "right", "value"):
-                assert getattr(tree, name) == getattr(ref, name), (seed, name)
+            assert_same_tree(build_tree(*case), ref, seed)
             splits += len(ref.feature) // 2
         assert splits > 2000   # the cases reach deep, split-rich trees
+
+    @pytest.mark.parametrize("n_classes", [2, 3, 5])
+    def test_lockstep_classes_match_reference(self, n_classes):
+        # every class grows on the same rows from its own gradient column
+        # and feature subset, as if it were grown alone
+        subsets_differ = 0
+        for seed in range(40):
+            case = lockstep_case(seed, n_classes)
+            assert_lockstep_matches_reference(*case, seed)
+            subsets_differ += len({tuple(f) for f in case[4]}) > 1
+        assert subsets_differ >= 10
+
+    def test_lockstep_signed_zero_ties(self):
+        # -0.0 and 0.0 are one value: one rank, one run, no cut between
+        rng = rng_stream(5, 42)
+        X = rng.normal((150, 3))
+        X[:, 0] = np.where(rng.uniform(150) < 0.5, -0.0, 0.0)
+        X[::3, 0] = 1.0
+        X[:, 1] = np.where(rng.uniform(150) < 0.5, -0.0, 0.0)
+        ranks = _column_ranks(X)
+        assert set(ranks[1].tolist()) == {0}
+        assert set(ranks[0].tolist()) == {0, 1}
+        for n_classes in (2, 3):
+            case = lockstep_case(7, n_classes, X=X)
+            trees = assert_lockstep_matches_reference(*case, n_classes)
+            assert all(1 not in t.feature for t in trees)
+
+    def test_lockstep_heavily_repeated_values(self):
+        rng = rng_stream(6, 42)
+        X = rng.integers(3, (400, 4)).astype(np.float64)
+        for n_classes in (2, 3, 5):
+            case = lockstep_case(11, n_classes, X=X)
+            trees = assert_lockstep_matches_reference(*case, n_classes)
+            assert any(len(t.feature) > 1 for t in trees)
 
     def test_nan_gain_skips_only_its_feature(self):
         # with reg_lambda = 0, row 1's tiny statistics vanish from the sums
@@ -267,10 +364,85 @@ class TestTreeBuilder:
         case = (X, g, h, np.arange(4), np.arange(2),
                 GbtConfig(max_depth=1, reg_lambda=0.0, min_child_weight=0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
-            tree, ref = _build_tree(*case), reference_build_tree(*case)
+            tree, ref = build_tree(*case), reference_build_tree(*case)
         assert ref.feature[0] == 1
-        for name in ("feature", "threshold", "left", "right", "value"):
-            assert getattr(tree, name) == getattr(ref, name)
+        assert_same_tree(tree, ref)
+
+
+class TestTreePredict:
+    """The level-wise walk against the node-at-a-time stack walk."""
+
+    @staticmethod
+    def assert_walks_agree(tree, X):
+        assert (tree.predict(X).tobytes()
+                == reference_tree_predict(tree, X).tobytes())
+
+    def test_built_trees(self):
+        for seed in range(60):
+            X, g, h, rows, features, cfg = random_tree_case(seed)
+            tree = build_tree(X, g, h, rows, features, cfg)
+            probe = rng_stream(seed, 43).normal((50, X.shape[1])) * 2.0
+            self.assert_walks_agree(tree, X)
+            self.assert_walks_agree(tree, probe)
+
+    def test_single_leaf_tree(self):
+        tree = _Tree()
+        tree.value[tree.add_node()] = -0.25
+        X = rng_stream(7, 43).normal((9, 2))
+        self.assert_walks_agree(tree, X)
+        assert tree.predict(np.empty((0, 2))).shape == (0,)
+
+    def test_loaded_trees(self, blob):
+        X, y = blob
+        Xt, yt, Xv, yv = split_blob(X, y)
+        model = fit(small_gbt_config(), Xt, yt, Xv, yv, rng_stream(8, 0))
+        loaded = gbt_from_doc(model_to_doc(model))
+        probe = rng_stream(8, 43).normal((80, 2)) * 5.0
+        for tree in (t for rnd in loaded.rounds for t in rnd):
+            self.assert_walks_agree(tree, probe)
+
+    def test_trees_walked_together(self, monkeypatch):
+        # trees of unequal heights, a single leaf among them, walked in
+        # one batch and in chunks of every size down to one tree
+        rng = rng_stream(9, 0)
+        X = rng.normal((150, 2))
+        y = (X[:, 0] + X[:, 1] ** 2 + rng.normal(150) > 1.0).astype(np.int64)
+        model = fit(small_gbt_config(), X[:120], y[:120], X[120:], y[120:],
+                    rng.split(1))
+        leaf = _Tree()
+        leaf.value[leaf.add_node()] = 0.5
+        trees = [t for rnd in model.rounds for t in rnd] + [leaf]
+        assert len({len(t.feature) for t in trees}) > 2
+        probe = rng_stream(9, 43).normal((30, 2)) * 5.0
+        for tree, values in zip(trees, _walk_trees(trees, probe)):
+            assert (values.tobytes()
+                    == reference_tree_predict(tree, probe).tobytes())
+        for cells in (1, 45, 1000):
+            monkeypatch.setattr(gbt, "_WALK_CELLS", cells)
+            assert (model.margins(probe).tobytes()
+                    == reference_margins(model, probe).tobytes())
+
+    def test_nonfinite_rows(self):
+        X, g, h, rows, features, cfg = random_tree_case(3)
+        tree = build_tree(X, g, h, rows, features, cfg)
+        probe = np.repeat(X[:12], 4, axis=0)
+        probe[0::4, features[0]] = np.nan
+        probe[1::4, features[0]] = np.inf
+        probe[2::4, features[0]] = -np.inf
+        probe[3::4] = np.nan
+        self.assert_walks_agree(tree, probe)
+
+    def test_values_equal_to_thresholds(self):
+        # every row of a copy of X holds node i's threshold in node i's
+        # feature, so every row meets it at the root and some deeper
+        for seed in range(20):
+            X, g, h, rows, features, cfg = random_tree_case(seed)
+            tree = build_tree(X, g, h, rows, features, cfg)
+            for f, thr in zip(tree.feature, tree.threshold):
+                if f >= 0:
+                    probe = X.copy()
+                    probe[:, f] = thr
+                    self.assert_walks_agree(tree, probe)
 
 
 class TestFitDisagreeing:
@@ -343,6 +515,20 @@ class TestFitDisagreeing:
             fit_disagreeing(config, base, (X, y), (X, y),
                             (X[:4], base.predict_labels(X[:4])),
                             lam=0.0, rng=rng_stream(3, 1))
+
+    @pytest.mark.parametrize("config", ALL_CONFIGS, ids=["mlp", "gbt"])
+    @pytest.mark.parametrize("where", ["P_train", "P_val", "Q"])
+    def test_nonfinite_features_refused(self, config, blob, where):
+        X, y = blob
+        Xt, yt, Xv, yv = split_blob(X, y)
+        base = fit(config, Xt, yt, Xv, yv, rng_stream(3, 0))
+        parts = {"P_train": Xt.copy(), "P_val": Xv.copy(), "Q": Xv[:4].copy()}
+        parts[where][1, 0] = np.nan
+        with pytest.raises(ValueError, match=f"{where} features hold NaN"):
+            fit_disagreeing(config, base, (parts["P_train"], yt),
+                            (parts["P_val"], yv),
+                            (parts["Q"], base.predict_labels(Xv[:4])),
+                            lam=0.1, rng=rng_stream(3, 1))
 
 
 class TestSerialization:
