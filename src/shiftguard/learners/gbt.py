@@ -61,9 +61,6 @@ class _Tree:
         self.value.append(0.0)
         return len(self.feature) - 1
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return _walk_trees([self], X)[0]
-
 
 def _walk_arrays(tree: _Tree) -> tuple:
     """(feature, threshold, child, value, height) for the level-wise walk.
@@ -134,13 +131,11 @@ def _build_trees(X, ranks, grad, hess, rows, feats, cfg) -> list:
     """
     n_classes = grad.shape[1]
     grown = [[None] for _ in range(n_classes)]  # leaf value or (f, thr, l, r)
-    cls = list(range(n_classes))                # each level node's class
-    ids, level = [0] * n_classes, [rows] * n_classes
+    ids = [0] * n_classes                       # each level node's id,
+    cls = np.arange(n_classes)                  # class,
+    sizes = np.full(n_classes, rows.size)       # and row count
+    flat = np.tile(rows, n_classes)             # the nodes' rows in turn
     for depth in range(cfg.max_depth + 1):
-        if not level:
-            break
-        sizes = np.array([r.size for r in level])
-        flat = np.concatenate(level)
         flat_cls = np.repeat(cls, sizes)
         g, h = grad[flat, flat_cls], hess[flat, flat_cls]
         # fsum is exactly rounded, so weight-k rows and k duplicates yield
@@ -149,26 +144,27 @@ def _build_trees(X, ranks, grad, hess, rows, feats, cfg) -> list:
         ends = np.cumsum(sizes).tolist()
         sums = [(math.fsum(g_list[a:b]), math.fsum(h_list[a:b]))
                 for a, b in zip([0] + ends, ends)]
-        found = [None] * len(level)
+        node_cls, splits = cls.tolist(), {}
         if depth < cfg.max_depth:
-            # a one-row node has no cut, so it comes back None
             scores = np.array([gs * gs / (hs + cfg.reg_lambda)
                                for gs, hs in sums])
-            found = _best_splits(X, ranks, flat, sizes, feats[cls], g, h,
-                                 scores, cfg)
-        next_cls, next_ids, next_level = [], [], []
-        for i, (c, node) in enumerate(zip(cls, ids)):
-            split, tree = found[i], grown[c]
-            if split is None:
+            split, feature, thr, flat, sizes = _best_splits(
+                X, ranks, flat, sizes, feats[cls], g, h, scores, cfg)
+            splits = dict(zip(split.tolist(),
+                              zip(feature.tolist(), thr.tolist())))
+            cls = np.repeat(cls[split], 2)
+        next_ids = []
+        for i, (c, node) in enumerate(zip(node_cls, ids)):
+            tree = grown[c]
+            if i not in splits:
                 tree[node] = _leaf_value(*sums[i], cfg.reg_lambda, cfg.eta)
                 continue
-            f, thr, left_rows, right_rows = split
-            tree[node] = (f, thr, len(tree), len(tree) + 1)
-            next_cls += [c, c]
+            tree[node] = (*splits[i], len(tree), len(tree) + 1)
             next_ids += [len(tree), len(tree) + 1]
-            next_level += [left_rows, right_rows]
             tree += [None, None]
-        cls, ids, level = next_cls, next_ids, next_level
+        ids = next_ids
+        if not ids:
+            break
     return [_assemble(tree_nodes) for tree_nodes in grown]
 
 
@@ -197,9 +193,12 @@ def _assemble(grown: list) -> _Tree:
 
 
 def _best_splits(X, ranks, flat, sizes, node_feats, g, h, parent_score,
-                 cfg) -> list:
-    """Best split of each node, or None where no cut gains more than
-    _MIN_GAIN: (feature, threshold, left rows, right rows).
+                 cfg) -> tuple:
+    """The nodes with a cut that gains more than _MIN_GAIN, each at its
+    best cut: (split, feature, threshold, next_flat, next_sizes).  The
+    split nodes come in order; next_flat holds each one's rows sorted by
+    its split feature, left child first, and next_sizes the children's
+    row counts.
 
     Node s holds the next ``sizes[s]`` rows of ``flat``, whose gradients
     and hessians are ``g`` and ``h``, and searches the features
@@ -226,11 +225,10 @@ def _best_splits(X, ranks, flat, sizes, node_feats, g, h, parent_score,
     np.not_equal(key[1:], key[:-1], out=new_run[1:])
     starts = np.flatnonzero(new_run)
     n_runs = np.bincount(key[starts] // n, minlength=groups)
-    width = int(n_runs.max())
-    if width < 2:
-        return [None] * n_nodes
     # one matrix row per group, zero-padded after its last run: the
-    # prefix sums along a matrix row are the group's own sequential ones
+    # prefix sums along a matrix row are the group's own sequential ones.
+    # A group's last run is no cut, so one-run groups find none.
+    width = max(2, int(n_runs.max()))
     first = np.cumsum(n_runs) - n_runs
     cell = (np.arange(starts.size)
             + np.repeat(np.arange(groups) * width - first, n_runs))
@@ -262,22 +260,21 @@ def _best_splits(X, ranks, flat, sizes, node_feats, g, h, parent_score,
     best = best.reshape(n_feat, n_nodes)
     f_idx = np.argmax(best, axis=0)
 
+    split = np.flatnonzero(best[f_idx, np.arange(n_nodes)] > _MIN_GAIN)
+    f = f_idx[split]
+    j = f * n_nodes + split
+    cut = starts[first[j] + k[j] + 1]
+    # group j spans [lo, lo + sizes[split]) of the sorted order
+    lo = f * m + (np.cumsum(sizes) - sizes)[split]
     row = flat[pos]
-    offset = np.cumsum(sizes) - sizes
-    splits = []
-    for s, f in enumerate(f_idx):
-        if not best[f, s] > _MIN_GAIN:
-            splits.append(None)
-            continue
-        j = f * n_nodes + s
-        lo = f * m + offset[s]          # group j spans [lo, lo + sizes[s])
-        cut = starts[first[j] + k[j] + 1]
-        feature = node_feats[s, f]
-        splits.append((int(feature),
-                       float(0.5 * (X[row[cut - 1], feature]
-                                    + X[row[cut], feature])),
-                       row[lo:cut], row[cut:lo + sizes[s]]))
-    return splits
+    feature = node_feats[split, f]
+    thr = 0.5 * (X[row[cut - 1], feature] + X[row[cut], feature])
+    n_rows = sizes[split]
+    take = (np.arange(n_rows.sum())
+            + np.repeat(lo - (np.cumsum(n_rows) - n_rows), n_rows))
+    n_left = cut - lo
+    return (split, feature, thr, row[take],
+            np.stack([n_left, n_rows - n_left], axis=1).ravel())
 
 
 class GbtModel(Model):

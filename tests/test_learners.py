@@ -374,7 +374,7 @@ class TestTreePredict:
 
     @staticmethod
     def assert_walks_agree(tree, X):
-        assert (tree.predict(X).tobytes()
+        assert (_walk_trees([tree], X)[0].tobytes()
                 == reference_tree_predict(tree, X).tobytes())
 
     def test_built_trees(self):
@@ -390,7 +390,7 @@ class TestTreePredict:
         tree.value[tree.add_node()] = -0.25
         X = rng_stream(7, 43).normal((9, 2))
         self.assert_walks_agree(tree, X)
-        assert tree.predict(np.empty((0, 2))).shape == (0,)
+        assert _walk_trees([tree], np.empty((0, 2))).shape == (1, 0)
 
     def test_loaded_trees(self, blob):
         X, y = blob
