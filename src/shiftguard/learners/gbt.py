@@ -53,14 +53,6 @@ class _Tree:
         self.value: list[float] = []
         self._walk = None
 
-    def add_node(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        return len(self.feature) - 1
-
 
 def _walk_arrays(tree: _Tree) -> tuple:
     """(feature, threshold, child, value, height) for the level-wise walk.

@@ -154,6 +154,16 @@ def central_difference_grad(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     return g
 
 
+def add_node(tree: _Tree) -> int:
+    """Append a leaf of value 0.0 to ``tree``; return its number."""
+    tree.feature.append(-1)
+    tree.threshold.append(0.0)
+    tree.left.append(-1)
+    tree.right.append(-1)
+    tree.value.append(0.0)
+    return len(tree.feature) - 1
+
+
 def reference_build_tree(X, g, h, rows, features, cfg) -> _Tree:
     """Node-at-a-time exact greedy split search: every node argsorts each
     feature of its own rows (stable, so ties keep the node's row order),
@@ -202,12 +212,12 @@ def reference_build_tree(X, g, h, rows, features, cfg) -> _Tree:
         f, thr, left_rows, right_rows = best
         tree.feature[node] = int(f)
         tree.threshold[node] = float(thr)
-        tree.left[node] = tree.add_node()
-        tree.right[node] = tree.add_node()
+        tree.left[node] = add_node(tree)
+        tree.right[node] = add_node(tree)
         grow(tree.left[node], left_rows, depth + 1)
         grow(tree.right[node], right_rows, depth + 1)
 
-    grow(tree.add_node(), rows, 0)
+    grow(add_node(tree), rows, 0)
     return tree
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import separable_blob, small_gbt_config, small_mlp_config
 from oracles import (
+    add_node,
     central_difference_grad,
     reference_build_tree,
     reference_margins,
@@ -387,7 +388,7 @@ class TestTreePredict:
 
     def test_single_leaf_tree(self):
         tree = _Tree()
-        tree.value[tree.add_node()] = -0.25
+        tree.value[add_node(tree)] = -0.25
         X = rng_stream(7, 43).normal((9, 2))
         self.assert_walks_agree(tree, X)
         assert _walk_trees([tree], np.empty((0, 2))).shape == (1, 0)
@@ -410,7 +411,7 @@ class TestTreePredict:
         model = fit(small_gbt_config(), X[:120], y[:120], X[120:], y[120:],
                     rng.split(1))
         leaf = _Tree()
-        leaf.value[leaf.add_node()] = 0.5
+        leaf.value[add_node(leaf)] = 0.5
         trees = [t for rnd in model.rounds for t in rnd] + [leaf]
         assert len({len(t.feature) for t in trees}) > 2
         probe = rng_stream(9, 43).normal((30, 2)) * 5.0
