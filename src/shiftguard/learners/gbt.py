@@ -107,8 +107,7 @@ def _leaf_value(g_sum: float, h_sum: float, reg_lambda: float,
 def _column_ranks(X: np.ndarray) -> np.ndarray:
     """(d, n) dense ranks of each column of X: equal values, -0.0 and 0.0
     included, share a rank, and a larger value has a larger rank."""
-    return np.stack([np.unique(col, return_inverse=True)[1].reshape(-1)
-                     for col in X.T])
+    return np.stack([np.unique(col, return_inverse=True)[1] for col in X.T])
 
 
 def _build_trees(X, ranks, grad, hess, rows, feats, cfg) -> list:
@@ -350,6 +349,8 @@ def _boost_rounds(model: GbtModel, X, y, w, margins, cfg, rng: RngStream,
         # confident models otherwise starve nodes below min_child_weight
         # and force huge unsplittable Newton leaves
         hess = w[:, None] * np.maximum(2.0 * p * (1.0 - p), 1e-16)
+        # the round's rows, then each class's columns: the draw order
+        # every stored model depends on
         rows = (rng.sample_without_replacement(n, n_sub)
                 if n_sub < n else np.arange(n))
         feats = np.array([np.sort(rng.sample_without_replacement(d, n_col))
