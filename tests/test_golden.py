@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import small_gbt_config
+from conftest import small_gbt_config, small_mlp_config
 from shiftguard.cdc import CdcTrainSpec
 from shiftguard.cli import main
 from shiftguard.data import Dataset, partition
@@ -40,25 +40,38 @@ GBT_COLS = small_gbt_config(num_rounds=3, max_depth=3, colsample=0.6)
 GBT_COLS_CALIBRATION_SHA256 = (
     "361f7be2181cfeab2199a6e9276b4ccc3c646c1e66ee80be039285a7479e3f45")
 
+# l2 and dropout on; batch 8 <= N, so a CDC batch holds one P row while
+# Q is whole; 210 training rows leave a short last batch in every epoch
+MLP3 = small_mlp_config(hidden_sizes=(8, 8), batch_size=8, l2=1e-3,
+                        max_epochs=20, patience=5)
+MLP3_SPEC = CdcTrainSpec(ensemble_max=3, max_opt_steps=40)
+MLP3_CALIBRATION_SHA256 = (
+    "dda10df349c4a0c24b300325e71f705ae3818caf4fa666cf13276ab63f4af087")
+
 
 def calibration_sha256(record) -> str:
     doc = json.dumps(calibration_to_doc(record), sort_keys=True)
     return hashlib.sha256(doc.encode()).hexdigest()
 
 
-@pytest.fixture(scope="module")
-def gbt_env():
-    """Three overlapping Gaussian classes, so every CDC replicates each
-    target row into two labelled copies."""
+def three_class_data():
+    """Three overlapping Gaussian classes and the stream they came from."""
     rng = rng_stream(70, 0)
     labels = np.arange(300) % 3
     X = rng.normal((300, 2))
     X[:, 0] += 2.0 * (labels == 1)
     X[:, 1] += 2.0 * (labels == 2)
     train, val, holdout = partition(Dataset(X, labels), rng=rng.split(1))
-    data = PartitionedData(train, val, holdout)
-    f = fit(GBT, train.features, train.labels, val.features, val.labels,
-            rng.split(2))
+    return PartitionedData(train, val, holdout), rng
+
+
+@pytest.fixture(scope="module")
+def gbt_env():
+    """Three classes, so every CDC replicates each target row into two
+    labelled copies."""
+    data, rng = three_class_data()
+    f = fit(GBT, data.train.features, data.train.labels, data.val.features,
+            data.val.labels, rng.split(2))
     calib = calibrate(data, GBT, f, GBT_N, GBT_K, GBT_SPEC, 0.05,
                       rng.split(3))
     return {"data": data, "f": f, "calib": calib, "rng": rng}
@@ -73,6 +86,18 @@ def test_gbt_parallel_jobs_match_sequential(gbt_env):
                     GBT_SPEC, 0.05, gbt_env["rng"].split(3), jobs=2)
     assert par.phi_p == gbt_env["calib"].phi_p
     assert par.entropy_runs == gbt_env["calib"].entropy_runs
+
+
+def test_three_class_mlp_calibration_digest():
+    """The DCE's 1/(C-1) terms, the l2 term and one-P-row batches all
+    reach the record."""
+    data, rng = three_class_data()
+    assert data.train.n_rows % MLP3.mlp.batch_size != 0
+    f = fit(MLP3, data.train.features, data.train.labels,
+            data.val.features, data.val.labels, rng.split(4))
+    calib = calibrate(data, MLP3, f, GBT_N, GBT_K, MLP3_SPEC, 0.05,
+                      rng.split(5))
+    assert calibration_sha256(calib) == MLP3_CALIBRATION_SHA256
 
 
 def test_deep_binary_gbt_calibration_digest():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath
@@ -226,6 +227,40 @@ class TestRngStream:
         one = RngStream(2 ** 63 + 17, 2 ** 40).uniform(512).tobytes()
         two = RngStream(2 ** 63 + 17, 2 ** 40).uniform(512).tobytes()
         assert one == two
+
+
+def _draw_script_sha256(base_seed, stream_id) -> str:
+    """sha256 of the bytes of a fixed script touching every draw method,
+    odd and shaped sizes, and two split children."""
+    r = RngStream(base_seed, stream_id)
+    draws = [
+        r.uniform(), r.uniform(7), r.uniform((3, 5)),
+        r.normal(9), r.normal((2, 3)),
+        r.integers(10, 100), r.permutation(1000),
+        r.sample_without_replacement(50, 7),
+        r.split(0).uniform(4), r.split(3).normal(5),
+    ]
+    h = hashlib.sha256()
+    for d in draws:
+        h.update(np.asarray(d).tobytes())
+    return h.hexdigest()
+
+
+# the byte stream the RngStream docstring promises across processes
+RNG_SCRIPT_SHA256 = {
+    (0, 0):
+        "5c2c075789a79dab9b09d50a8b93b5befe37a0a8d4e36a4e3f9ad0179ce1fcf7",
+    (12345, 7):
+        "40abca5c23c2f0e3de740f912d319f56523bd3d1272dc321f8e9da594996cd32",
+    (2 ** 63 + 17, 2 ** 40):
+        "37a0a51d5739c13fb9e124f04141d62764d084e6662cc0fb9374ce31b48d00e2",
+}
+
+
+@pytest.mark.parametrize("seed", list(RNG_SCRIPT_SHA256),
+                         ids=["0-0", "12345-7", "2e63+17-2e40"])
+def test_rng_stream_stored_digest(seed):
+    assert _draw_script_sha256(*seed) == RNG_SCRIPT_SHA256[seed]
 
 
 class TestTermination:
