@@ -19,10 +19,8 @@ from .learners import (
     LearnerConfig,
     Model,
     batches_per_epoch,
-    doc_to_model,
     evaluate_metric,
     fit_disagreeing,
-    model_to_doc,
 )
 from .losses import lambda_weight
 from .numerics import RngStream
@@ -34,8 +32,6 @@ __all__ = [
     "train_cdc",
     "build_ensemble",
     "cdc_entropy",
-    "ensemble_to_doc",
-    "ensemble_from_doc",
 ]
 
 
@@ -204,23 +200,3 @@ def cdc_entropy(ensemble: CdcEnsemble, X):
         terms = np.where(p_hat > 0.0, p_hat * np.log(p_hat), 0.0)
     ent = -terms.sum(axis=1)
     return float(ent[0]) if single else ent
-
-
-def ensemble_to_doc(ensemble: CdcEnsemble) -> dict:
-    return {
-        "base": model_to_doc(ensemble.base),
-        "members": [model_to_doc(m) for m in ensemble.members],
-        "per_round_phi": list(ensemble.per_round_phi),
-        "surviving_indices": [int(i) for i in ensemble.surviving_indices],
-        "target_size": ensemble.target_size,
-    }
-
-
-def ensemble_from_doc(doc: dict) -> CdcEnsemble:
-    return CdcEnsemble(
-        base=doc_to_model(doc["base"]),
-        members=[doc_to_model(m) for m in doc["members"]],
-        per_round_phi=list(doc["per_round_phi"]),
-        surviving_indices=np.asarray(doc["surviving_indices"], dtype=np.int64),
-        target_size=doc["target_size"],
-    )

@@ -271,7 +271,8 @@ def fit_disagreeing(config: LearnerConfig, base: Model, P_train, P_val,
     P_val, add only that round's trees, walked level by level, instead
     of re-running every earlier one.  Empty Q degenerates to plain
     continued training on P only.  Features of P_train, P_val and Q must
-    be finite.
+    be finite, and P_train labels and Q pseudo-labels must lie in
+    [0, base.num_classes).
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
@@ -284,6 +285,11 @@ def fit_disagreeing(config: LearnerConfig, base: Model, P_train, P_val,
     pseudo = np.asarray(Q[1], dtype=np.int64)
     if X_q.shape[0] != pseudo.shape[0]:
         raise ValueError("pseudo labels must align with Q rows")
+    for name, labels in (("P_train", y_p), ("Q pseudo", pseudo)):
+        if labels.size and not (0 <= labels.min()
+                                and labels.max() < base.num_classes):
+            raise ValueError(f"{name} labels outside "
+                             f"[0, {base.num_classes})")
     if config.kind == "mlp":
         from . import mlp
         return mlp.fit_disagreeing_mlp(

@@ -3,15 +3,19 @@
 ReLU hidden layers with inverted dropout, feature standardization fit on
 the training rows, snapshot selection by validation score with patience
 early stopping.  Dropout is disabled at prediction time.
+
+A training step computes only d loss / d logits (``losses.cdc_batch_grad``
+or ``losses.logit_grads``), never the loss value.  While a model trains,
+its weights and biases are views into one flat parameter vector, and Adam
+updates that vector with one set of elementwise operations; the update is
+elementwise, so its bits are those of a per-array update.
 """
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
-from ..losses import cdc_batch_loss, cross_entropy_batch
+from ..losses import cdc_batch_grad, cross_entropy_batch, logit_grads
 from ..numerics import RngStream, softmax_rows
 from . import (
     LearnerConfig,
@@ -40,7 +44,10 @@ class MlpModel(Model):
         self.feature_dim = feature_dim
         self.training_seed = tuple(training_seed)
         self.val_score = val_score
-        self._opt_state = None  # transient Adam moments for warm restarts
+        # transient training state, set by clone: the flat vector the
+        # weights and biases view, and Adam moments for warm restarts
+        self._params = None
+        self._opt_state = None
 
     def logits(self, X: np.ndarray) -> np.ndarray:
         X = self._check_matrix(X)
@@ -53,15 +60,29 @@ class MlpModel(Model):
         return softmax_rows(self.logits(X))
 
     def clone(self) -> "MlpModel":
-        m = MlpModel(
-            [W.copy() for W in self.weights],
-            [b.copy() for b in self.biases],
-            self.mean.copy(), self.std.copy(),
-            self.num_classes, self.feature_dim,
-            self.training_seed, self.val_score)
+        """An independent copy whose weights and biases are views into one
+        flat parameter vector; Adam moments, if any, are copied too."""
+        params, weights, biases = _flat_params(self.weights, self.biases)
+        m = MlpModel(weights, biases, self.mean.copy(), self.std.copy(),
+                     self.num_classes, self.feature_dim,
+                     self.training_seed, self.val_score)
+        m._params = params
         if self._opt_state is not None:
-            m._opt_state = copy.deepcopy(self._opt_state)
+            m._opt_state = self._opt_state.copy()
         return m
+
+
+def _flat_params(weights, biases):
+    """One flat copy of every weight and bias, layer by layer (W0, b0, W1,
+    b1, ...), and the weights and biases again as views into it."""
+    arrays = [a for pair in zip(weights, biases) for a in pair]
+    params = np.concatenate([a.ravel() for a in arrays])
+    views = []
+    start = 0
+    for a in arrays:
+        views.append(params[start:start + a.size].reshape(a.shape))
+        start += a.size
+    return params, views[0::2], views[1::2]
 
 
 def _init_params(dims, rng: RngStream):
@@ -98,45 +119,50 @@ def _forward_train(X, weights, biases, dropout_rate, rng: RngStream):
 
 
 def _backward(dlogits, acts, masks, weights, l2):
-    """Gradients of the batch loss wrt every weight and bias."""
-    grads_w = [None] * len(weights)
-    grads_b = [None] * len(weights)
+    """Gradient of the batch loss wrt every weight and bias, flat in the
+    layer order of ``_flat_params``."""
+    parts = []
     delta = dlogits
     for layer in range(len(weights) - 1, -1, -1):
-        grads_w[layer] = acts[layer].T @ delta
+        g_w = acts[layer].T @ delta
         if l2 > 0.0:
-            grads_w[layer] += l2 * weights[layer]
-        grads_b[layer] = delta.sum(axis=0)
+            g_w += l2 * weights[layer]
+        parts.append(delta.sum(axis=0))
+        parts.append(g_w.ravel())
         if layer > 0:
             delta = delta @ weights[layer].T
             if masks[layer - 1] is not None:
                 delta = delta * masks[layer - 1]
             delta = delta * (acts[layer] > 0.0)
-    return grads_w, grads_b
+    return np.concatenate(parts[::-1])
 
 
 class _Adam:
-    def __init__(self, weights, biases, lr):
+    """Adam over one flat parameter vector, with one flat vector each for
+    the first and second moments."""
+
+    def __init__(self, params, lr):
         self.lr = lr
         self.t = 0
-        self.m_w = [np.zeros_like(W) for W in weights]
-        self.v_w = [np.zeros_like(W) for W in weights]
-        self.m_b = [np.zeros_like(b) for b in biases]
-        self.v_b = [np.zeros_like(b) for b in biases]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
 
-    def step(self, weights, biases, grads_w, grads_b):
+    def copy(self) -> "_Adam":
+        other = _Adam.__new__(_Adam)
+        other.lr, other.t = self.lr, self.t
+        other.m, other.v = self.m.copy(), self.v.copy()
+        return other
+
+    def step(self, params, grad):
         self.t += 1
         bc1 = 1.0 - _ADAM_B1 ** self.t
         bc2 = 1.0 - _ADAM_B2 ** self.t
-        for i in range(len(weights)):
-            for param, grad, m, v in (
-                    (weights[i], grads_w[i], self.m_w[i], self.v_w[i]),
-                    (biases[i], grads_b[i], self.m_b[i], self.v_b[i])):
-                m *= _ADAM_B1
-                m += (1.0 - _ADAM_B1) * grad
-                v *= _ADAM_B2
-                v += (1.0 - _ADAM_B2) * grad * grad
-                param -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
+        m, v = self.m, self.v
+        m *= _ADAM_B1
+        m += (1.0 - _ADAM_B1) * grad
+        v *= _ADAM_B2
+        v += (1.0 - _ADAM_B2) * grad * grad
+        params -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
 
 
 def _standardizer(X):
@@ -158,8 +184,8 @@ def fit_mlp(config: LearnerConfig, X, y, w, X_val, y_val, n_classes,
     mean, std = _standardizer(X)
     Xs = (X - mean) / std
     dims = [d, *cfg.hidden_sizes, n_classes]
-    weights, biases = _init_params(dims, rng)
-    optimizer = _Adam(weights, biases, cfg.learning_rate)
+    params, weights, biases = _flat_params(*_init_params(dims, rng))
+    optimizer = _Adam(params, cfg.learning_rate)
 
     model = MlpModel(weights, biases, mean, std, n_classes, d,
                      (rng.base_seed, rng.stream_id))
@@ -174,11 +200,9 @@ def fit_mlp(config: LearnerConfig, X, y, w, X_val, y_val, n_classes,
             idx = order[start:start + cfg.batch_size]
             logits, acts, masks = _forward_train(
                 Xs[idx], weights, biases, cfg.dropout_rate, rng)
-            _, grads = cross_entropy_batch(logits, y[idx])
-            wb = w[idx]
-            dlogits = grads * (wb / wb.sum())[:, None]
-            g_w, g_b = _backward(dlogits, acts, masks, weights, cfg.l2)
-            optimizer.step(weights, biases, g_w, g_b)
+            dlogits = cdc_batch_grad(logits, y[idx], None, 1.0, w[idx])
+            optimizer.step(
+                params, _backward(dlogits, acts, masks, weights, cfg.l2))
         score = evaluate_metric(model, X_val, y_val, config.val_metric)
         ce = _val_ce(model, X_val, y_val)
         # ties on the (small-sample) score break toward lower val loss so
@@ -202,9 +226,9 @@ def fit_disagreeing_mlp(config: LearnerConfig, base: MlpModel, X_p, y_p,
                         max_steps=None) -> MlpModel:
     cfg = config.mlp
     model = base.clone()
-    weights, biases = model.weights, model.biases
+    params, weights, biases = model._params, model.weights, model.biases
     if model._opt_state is None:
-        model._opt_state = _Adam(weights, biases, cfg.learning_rate)
+        model._opt_state = _Adam(params, cfg.learning_rate)
     else:
         # chained warm restart: keep the accumulated Adam moments
         model._opt_state.lr = cfg.learning_rate
@@ -224,10 +248,9 @@ def fit_disagreeing_mlp(config: LearnerConfig, base: MlpModel, X_p, y_p,
                 idx = order[start:start + cfg.batch_size]
                 logits, acts, masks = _forward_train(
                     Xs_p[idx], weights, biases, cfg.dropout_rate, rng)
-                _, grads = cross_entropy_batch(logits, y_p[idx])
-                dlogits = grads / idx.size
-                g_w, g_b = _backward(dlogits, acts, masks, weights, cfg.l2)
-                optimizer.step(weights, biases, g_w, g_b)
+                dlogits = logit_grads(logits, y_p[idx]) / idx.size
+                optimizer.step(
+                    params, _backward(dlogits, acts, masks, weights, cfg.l2))
                 steps += 1
         return model
 
@@ -246,10 +269,9 @@ def fit_disagreeing_mlp(config: LearnerConfig, base: MlpModel, X_p, y_p,
             dis = disagree[fill - idx.size:] if idx.size < fill else disagree
             logits, acts, masks = _forward_train(
                 Xb, weights, biases, cfg.dropout_rate, rng)
-            _, dlogits = cdc_batch_loss(
-                logits, labels, np.ones(Xb.shape[0]), dis, lam)
-            g_w, g_b = _backward(dlogits, acts, masks, weights, cfg.l2)
-            optimizer.step(weights, biases, g_w, g_b)
+            dlogits = cdc_batch_grad(logits, labels, dis, lam)
+            optimizer.step(
+                params, _backward(dlogits, acts, masks, weights, cfg.l2))
             steps += 1
     return model
 

@@ -7,20 +7,24 @@ the prediction high-entropy.  For two classes it reduces exactly to
 cross-entropy against the flipped label.  A replication scheme converts
 the same objective into plain weighted labels for learners that cannot
 consume gradients.
+
+Training needs only d loss / d logits.  ``logit_grads`` computes it per
+row from one row-wise softmax over the whole batch, and
+``cdc_batch_grad`` normalizes it by batch weight; the learners call
+these and never compute a loss value.  The loss-returning batch
+functions take their gradients from the same two functions, so a test of
+them checks the code that training runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .numerics import log_sum_exp, log_softmax_rows, softmax, softmax_rows
+from .numerics import log_softmax_rows, softmax_rows
 
 __all__ = [
-    "DisagreementTarget",
-    "cross_entropy",
-    "disagreement_cross_entropy",
+    "logit_grads",
+    "cdc_batch_grad",
     "cross_entropy_batch",
     "disagreement_cross_entropy_batch",
     "lambda_weight",
@@ -29,57 +33,57 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DisagreementTarget:
-    """Class a disagreeing model must avoid, out of num_classes."""
-    target_class: int
-    num_classes: int
+def logit_grads(logits: np.ndarray, labels: np.ndarray, disagree=None,
+                lam: float = 1.0) -> np.ndarray:
+    """Per-row d loss / d logits over an (B, N) logit matrix, unweighted.
 
-    def __post_init__(self):
-        if self.num_classes < 2:
-            raise ValueError("need at least 2 classes to disagree")
-        if not 0 <= self.target_class < self.num_classes:
-            raise ValueError(
-                f"target_class {self.target_class} outside "
-                f"[0, {self.num_classes})")
-
-
-def cross_entropy(logits, y: int) -> tuple[float, np.ndarray]:
-    """Standard cross-entropy on logits; returns (loss, d loss / d logits).
-
-    loss = log_sum_exp(l) - l_y, grad = softmax(l) - onehot(y).
+    Agree rows get the cross-entropy gradient softmax(l) - onehot(label).
+    Disagree rows get lam times the DCE gradient with the label as the
+    target: softmax(l)_j - (1/(N-1)) * [j != label].  ``disagree`` is a
+    boolean row mask; None means every row agrees.  Softmax is row-wise,
+    so each row's bits do not depend on the rest of the batch.  Labels
+    must lie in [0, N); they are not checked here.
     """
-    arr = np.asarray(logits, dtype=np.float64).ravel()
-    n = arr.size
-    if not 0 <= y < n:
-        raise ValueError(f"label {y} outside [0, {n})")
-    loss = log_sum_exp(arr) - float(arr[y])
-    grad = softmax(arr)
-    grad[y] -= 1.0
-    return max(loss, 0.0), grad
-
-
-def disagreement_cross_entropy(
-        logits, target: DisagreementTarget) -> tuple[float, np.ndarray]:
-    """DCE on logits: cross-entropy against uniform over non-target classes.
-
-    In logit form: loss = -(1/(N-1)) * sum_{i != t} l_i + log_sum_exp(l),
-    grad_j = softmax(l)_j - (1/(N-1)) * [j != t].  For N = 2 this equals
-    cross_entropy(l, 1 - t) exactly.
-    """
-    arr = np.asarray(logits, dtype=np.float64).ravel()
-    n = arr.size
-    if n != target.num_classes:
-        raise ValueError("logit length does not match num_classes")
+    grads = softmax_rows(logits)
+    rows = np.arange(grads.shape[0])
+    if disagree is None:
+        grads[rows, labels] -= 1.0
+        return grads
+    n = grads.shape[1]
     if n < 2:
         raise ValueError("need at least 2 classes to disagree")
-    t = target.target_class
-    off_sum = float(arr.sum() - arr[t])
-    loss = -off_sum / (n - 1) + log_sum_exp(arr)
-    grad = softmax(arr)
-    grad -= 1.0 / (n - 1)
-    grad[t] += 1.0 / (n - 1)
-    return loss, grad
+    off = 1.0 / (n - 1)
+    # agree rows: p - 0.0 (exact), then p - 1.0 at the label; disagree
+    # rows: (p - off), then + off at the target, then * lam
+    grads -= np.where(disagree, off, 0.0)[:, None]
+    grads[rows, labels] += np.where(disagree, off, -1.0)
+    grads *= np.where(disagree, lam, 1.0)[:, None]
+    return grads
+
+
+def cdc_batch_grad(logits: np.ndarray, labels: np.ndarray, disagree,
+                   lam: float, weights=None) -> np.ndarray:
+    """d cdc_batch_loss / d logits, without the loss value.
+
+    Each row of ``logit_grads`` is scaled by weight / total weight;
+    ``weights`` None means unit weights, whose scale is 1/B.  Weights
+    must be positive; they are not checked here.
+    """
+    grads = logit_grads(logits, labels, disagree, lam)
+    if weights is None:
+        grads *= 1.0 / grads.shape[0]
+    else:
+        grads *= (weights / weights.sum())[:, None]
+    return grads
+
+
+def _ce_losses(logp: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    return -logp[np.arange(logp.shape[0]), labels]
+
+
+def _dce_losses(logp: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    rows = np.arange(logp.shape[0])
+    return -(logp.sum(axis=1) - logp[rows, targets]) / (logp.shape[1] - 1)
 
 
 def cross_entropy_batch(logits: np.ndarray,
@@ -90,12 +94,8 @@ def cross_entropy_batch(logits: np.ndarray,
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    b = logits.shape[0]
-    logp = log_softmax_rows(logits)
-    losses = -logp[np.arange(b), labels]
-    grads = softmax_rows(logits)
-    grads[np.arange(b), labels] -= 1.0
-    return losses, grads
+    return (_ce_losses(log_softmax_rows(logits), labels),
+            logit_grads(logits, labels))
 
 
 def disagreement_cross_entropy_batch(
@@ -105,15 +105,10 @@ def disagreement_cross_entropy_batch(
     to avoid)."""
     logits = np.asarray(logits, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.int64)
-    b, n = logits.shape
-    if n < 2:
+    if logits.shape[1] < 2:
         raise ValueError("need at least 2 classes to disagree")
-    logp = log_softmax_rows(logits)
-    rows = np.arange(b)
-    losses = -(logp.sum(axis=1) - logp[rows, targets]) / (n - 1)
-    grads = softmax_rows(logits) - 1.0 / (n - 1)
-    grads[rows, targets] += 1.0 / (n - 1)
-    return losses, grads
+    return (_dce_losses(log_softmax_rows(logits), targets),
+            logit_grads(logits, targets, np.ones(logits.shape[0], bool)))
 
 
 def lambda_weight(q_size: int, batches_per_epoch: int = 1) -> float:
@@ -152,23 +147,14 @@ def cdc_batch_loss(logits: np.ndarray, labels: np.ndarray,
     if np.any(weights <= 0):
         raise ValueError("weights must be positive")
 
-    losses = np.empty(logits.shape[0])
-    grads = np.empty_like(logits)
-    agree = ~disagree
-    if agree.any():
-        l_a, g_a = cross_entropy_batch(logits[agree], labels[agree])
-        losses[agree] = l_a
-        grads[agree] = g_a
-    if disagree.any():
-        l_d, g_d = disagreement_cross_entropy_batch(
-            logits[disagree], labels[disagree])
-        losses[disagree] = lam * l_d
-        grads[disagree] = lam * g_d
-
-    total_w = weights.sum()
-    loss = float((weights * losses).sum() / total_w)
-    grads *= (weights / total_w)[:, None]
-    return loss, grads
+    if not disagree.any():
+        disagree = None         # plain cross-entropy, for any class count
+    logp = log_softmax_rows(logits)
+    losses = _ce_losses(logp, labels)
+    if disagree is not None:
+        losses = np.where(disagree, lam * _dce_losses(logp, labels), losses)
+    loss = float((weights * losses).sum() / weights.sum())
+    return loss, cdc_batch_grad(logits, labels, disagree, lam, weights)
 
 
 def replicate_for_disagreement(X, targets, num_classes: int,

@@ -25,6 +25,13 @@ __all__ = [
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
 _INV_2_53 = 1.0 / (1 << 53)
+_U64_GOLDEN = np.uint64(_GOLDEN)
+_U64_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_U64_MIX2 = np.uint64(0x94D049BB133111EB)
+_U64_11 = np.uint64(11)
+_U64_27 = np.uint64(27)
+_U64_30 = np.uint64(30)
+_U64_31 = np.uint64(31)
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +249,14 @@ def hypergeometric_3f2_terminating(a1: float, a2: float, a3: float,
 # ---------------------------------------------------------------------------
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer over a uint64 array (wrapping arithmetic)."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64 finalizer over a uint64 array, in place (wrapping
+    arithmetic); returns z."""
+    z ^= z >> _U64_30
+    z *= _U64_MIX1
+    z ^= z >> _U64_27
+    z *= _U64_MIX2
+    z ^= z >> _U64_31
+    return z
 
 
 def _mix64_int(z: int) -> int:
@@ -253,6 +264,13 @@ def _mix64_int(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def _size_count(size) -> int:
+    """Number of values an int or shape ``size`` asks for."""
+    if isinstance(size, (tuple, list)):
+        return int(math.prod(size))
+    return int(size)
 
 
 class RngStream:
@@ -284,28 +302,32 @@ class RngStream:
         return RngStream(self.base_seed, child_id)
 
     def _raw(self, n: int) -> np.ndarray:
-        counters = np.arange(self._counter, self._counter + n, dtype=np.uint64)
+        state = np.arange(self._counter, self._counter + n, dtype=np.uint64)
         self._counter += n
-        state = np.uint64(self._key) + counters * np.uint64(_GOLDEN)
+        state *= _U64_GOLDEN
+        state += np.uint64(self._key)
         return _mix64(state)
 
     def uniform(self, size: int | tuple | None = None):
         """Uniform float64 in [0, 1) with 53-bit resolution."""
         if size is None:
-            return float(self._raw(1)[0] >> np.uint64(11)) * _INV_2_53
-        n = int(np.prod(size))
-        out = (self._raw(n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
+            return float(self._raw(1)[0] >> _U64_11) * _INV_2_53
+        raw = self._raw(_size_count(size))
+        raw >>= _U64_11
+        out = raw.astype(np.float64)
+        out *= _INV_2_53
         return out.reshape(size)
 
     def normal(self, size: int | tuple | None = None):
         """Standard normals via Box-Muller (no rejection, so the draw count
         is a deterministic function of ``size``)."""
         scalar = size is None
-        n = 1 if scalar else int(np.prod(size))
+        n = 1 if scalar else _size_count(size)
         pairs = (n + 1) // 2
         raw = self._raw(2 * pairs)
-        u1 = ((raw[:pairs] >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
-        u2 = (raw[pairs:] >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        raw >>= _U64_11
+        u1 = (raw[:pairs].astype(np.float64) + 1.0) * _INV_2_53
+        u2 = raw[pairs:].astype(np.float64) * _INV_2_53
         r = np.sqrt(-2.0 * np.log(u1))
         theta = 2.0 * np.pi * u2
         z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]

@@ -5,18 +5,28 @@ enumeration uses exact integer combinatorics, ECDFs are brute-force mean
 comparisons, Monte Carlo goes through order statistics rather than any
 closed form under test, the exact-KS reference visits every state of
 every tie group one numpy-scalar term at a time, and the GBT references
-grow, walk and sum trees one node and one tree at a time.
+grow, walk and sum trees one node and one tree at a time.  The loss
+oracles are per-sample, or batch code that takes each loss and gradient
+through its own log-softmax and masks; the Adam reference updates one
+parameter array at a time.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from shiftguard.learners.gbt import _MIN_GAIN, _leaf_value, _Tree
-from shiftguard.numerics import RngStream
+from shiftguard.numerics import (
+    RngStream,
+    log_softmax_rows,
+    log_sum_exp,
+    softmax,
+    softmax_rows,
+)
 
 
 def brute_ks_statistic(xs, ys) -> float:
@@ -249,3 +259,148 @@ def reference_margins(model, X) -> np.ndarray:
         for c, tree in enumerate(round_trees):
             out[:, c] += reference_tree_predict(tree, X)
     return out
+
+
+# ---------------------------------------------------------------------------
+# losses and the Adam step
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class DisagreementTarget:
+    """Class a disagreeing model must avoid, out of num_classes."""
+    target_class: int
+    num_classes: int
+
+    def __post_init__(self):
+        if self.num_classes < 2:
+            raise ValueError("need at least 2 classes to disagree")
+        if not 0 <= self.target_class < self.num_classes:
+            raise ValueError(
+                f"target_class {self.target_class} outside "
+                f"[0, {self.num_classes})")
+
+
+def cross_entropy(logits, y: int) -> tuple[float, np.ndarray]:
+    """Standard cross-entropy on logits; returns (loss, d loss / d logits).
+
+    loss = log_sum_exp(l) - l_y, grad = softmax(l) - onehot(y).
+    """
+    arr = np.asarray(logits, dtype=np.float64).ravel()
+    n = arr.size
+    if not 0 <= y < n:
+        raise ValueError(f"label {y} outside [0, {n})")
+    loss = log_sum_exp(arr) - float(arr[y])
+    grad = softmax(arr)
+    grad[y] -= 1.0
+    return max(loss, 0.0), grad
+
+
+def disagreement_cross_entropy(
+        logits, target: DisagreementTarget) -> tuple[float, np.ndarray]:
+    """DCE on logits: cross-entropy against uniform over non-target classes.
+
+    In logit form: loss = -(1/(N-1)) * sum_{i != t} l_i + log_sum_exp(l),
+    grad_j = softmax(l)_j - (1/(N-1)) * [j != t].  For N = 2 this equals
+    cross_entropy(l, 1 - t) exactly.
+    """
+    arr = np.asarray(logits, dtype=np.float64).ravel()
+    n = arr.size
+    if n != target.num_classes:
+        raise ValueError("logit length does not match num_classes")
+    if n < 2:
+        raise ValueError("need at least 2 classes to disagree")
+    t = target.target_class
+    off_sum = float(arr.sum() - arr[t])
+    loss = -off_sum / (n - 1) + log_sum_exp(arr)
+    grad = softmax(arr)
+    grad -= 1.0 / (n - 1)
+    grad[t] += 1.0 / (n - 1)
+    return loss, grad
+
+
+def reference_cross_entropy_batch(logits, labels):
+    """Per-row cross-entropy losses and gradients of a logit matrix."""
+    logits = np.asarray(logits, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    b = logits.shape[0]
+    logp = log_softmax_rows(logits)
+    losses = -logp[np.arange(b), labels]
+    grads = softmax_rows(logits)
+    grads[np.arange(b), labels] -= 1.0
+    return losses, grads
+
+
+def reference_disagreement_cross_entropy_batch(logits, targets):
+    """Per-row DCE losses and gradients of a logit matrix."""
+    logits = np.asarray(logits, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.int64)
+    b, n = logits.shape
+    if n < 2:
+        raise ValueError("need at least 2 classes to disagree")
+    logp = log_softmax_rows(logits)
+    rows = np.arange(b)
+    losses = -(logp.sum(axis=1) - logp[rows, targets]) / (n - 1)
+    grads = softmax_rows(logits) - 1.0 / (n - 1)
+    grads[rows, targets] += 1.0 / (n - 1)
+    return losses, grads
+
+
+def reference_cdc_batch_loss(logits, labels, weights, disagree, lam):
+    """The combined agree/disagree batch objective, each side computed on
+    its own masked rows; returns (loss, normalized d loss / d logits)."""
+    logits = np.asarray(logits, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    weights = np.asarray(weights, dtype=np.float64)
+    disagree = np.asarray(disagree, dtype=bool)
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
+    if logits.shape[0] == 0:
+        raise ValueError("empty batch")
+    if np.any(weights <= 0):
+        raise ValueError("weights must be positive")
+
+    losses = np.empty(logits.shape[0])
+    grads = np.empty_like(logits)
+    agree = ~disagree
+    if agree.any():
+        l_a, g_a = reference_cross_entropy_batch(logits[agree], labels[agree])
+        losses[agree] = l_a
+        grads[agree] = g_a
+    if disagree.any():
+        l_d, g_d = reference_disagreement_cross_entropy_batch(
+            logits[disagree], labels[disagree])
+        losses[disagree] = lam * l_d
+        grads[disagree] = lam * g_d
+
+    total_w = weights.sum()
+    loss = float((weights * losses).sum() / total_w)
+    grads *= (weights / total_w)[:, None]
+    return loss, grads
+
+
+class ReferenceAdam:
+    """Adam with moments per weight and bias array, each array updated in
+    its own loop pass."""
+    B1, B2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, weights, biases, lr):
+        self.lr = lr
+        self.t = 0
+        self.m_w = [np.zeros_like(W) for W in weights]
+        self.v_w = [np.zeros_like(W) for W in weights]
+        self.m_b = [np.zeros_like(b) for b in biases]
+        self.v_b = [np.zeros_like(b) for b in biases]
+
+    def step(self, weights, biases, grads_w, grads_b):
+        self.t += 1
+        bc1 = 1.0 - self.B1 ** self.t
+        bc2 = 1.0 - self.B2 ** self.t
+        for i in range(len(weights)):
+            for param, grad, m, v in (
+                    (weights[i], grads_w[i], self.m_w[i], self.v_w[i]),
+                    (biases[i], grads_b[i], self.m_b[i], self.v_b[i])):
+                m *= self.B1
+                m += (1.0 - self.B1) * grad
+                v *= self.B2
+                v += (1.0 - self.B2) * grad * grad
+                param -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)

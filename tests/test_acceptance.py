@@ -18,7 +18,14 @@ import numpy as np
 import pytest
 
 from conftest import small_gbt_config, small_mlp_config
-from oracles import beta_mc_prob_q_gt_p, enumerate_binom_sf, enumerate_ks_pvalue
+from oracles import (
+    DisagreementTarget,
+    beta_mc_prob_q_gt_p,
+    cross_entropy,
+    disagreement_cross_entropy,
+    enumerate_binom_sf,
+    enumerate_ks_pvalue,
+)
 from shiftguard.cdc import CdcTrainSpec, build_ensemble
 from shiftguard.data import ShiftTaskSpec, partition, synth_generate, uci_prepare
 from shiftguard.detectron import (
@@ -33,12 +40,7 @@ from shiftguard.detectron import (
     prepare_task,
 )
 from shiftguard.learners import LearnerConfig, GbtConfig, fit
-from shiftguard.losses import (
-    DisagreementTarget,
-    cross_entropy,
-    disagreement_cross_entropy,
-    replicate_for_disagreement,
-)
+from shiftguard.losses import logit_grads, replicate_for_disagreement
 from shiftguard.detectron import test_both as run_both_tests
 from shiftguard.numerics import rng_stream, softmax
 from shiftguard.stats import (
@@ -136,7 +138,12 @@ def _beta_draws(k: int, size: int, pairs: int, rng, chunk=200_000):
 
 
 def test_criterion_3_dce_correctness():
-    """Gradients, constrained region minima, and replication identity."""
+    """Gradients, constrained region minima, and replication identity.
+
+    The gradient under test is ``losses.logit_grads``, which the MLP
+    learner trains on, for a one-row disagree batch at lam = 1; finite
+    differences come from the per-sample DCE oracle.  The minima are
+    found by descent on that gradient."""
     rng = np.random.default_rng(0)
     cases = 0
     for n in (2, 3, 5, 10):
@@ -144,7 +151,8 @@ def test_criterion_3_dce_correctness():
             logits = rng.normal(size=n) * 3.0
             t = int(rng.integers(n))
             target = DisagreementTarget(t, n)
-            _, grad = disagreement_cross_entropy(logits, target)
+            grad = logit_grads(logits[None, :], np.array([t]),
+                               np.array([True]))[0]
             fd = np.empty(n)
             h = 1e-5
             for i in range(n):
@@ -179,11 +187,12 @@ def _constrained_minimum(n, t, region, iters=8000, lr=0.5):
     region where the argmax is (or is not) uniquely the target."""
     best = math.inf
     others = [i for i in range(n) if i != t]
+    target, disagree = np.array([t]), np.array([True])
     rng = np.random.default_rng(n)
     for _ in range(3):
         z = rng.normal(size=n)
         for _ in range(iters):
-            _, grad = disagreement_cross_entropy(z, DisagreementTarget(t, n))
+            grad = logit_grads(z[None, :], target, disagree)[0]
             z = z - lr * grad
             m = max(z[i] for i in others)
             if region == "not_target":

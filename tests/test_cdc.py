@@ -11,8 +11,6 @@ from shiftguard.cdc import (
     CdcTrainSpec,
     build_ensemble,
     cdc_entropy,
-    ensemble_from_doc,
-    ensemble_to_doc,
     pseudo_label,
     train_cdc,
 )
@@ -264,20 +262,6 @@ class TestCdcEntropy:
         values = cdc_entropy(ens, rng_stream(27, 2).normal((1000, 2)) * 5)
         assert np.all(values >= -1e-12)
         assert np.all(values <= math.log(f.num_classes) + 1e-12)
-
-
-class TestEnsembleSerialization:
-    def test_round_trip(self, blob_models, tmp_path):
-        config, f, p_train, p_val = blob_models["gbt"]
-        Xq = rng_stream(28, 0).normal((10, 2)) + 6.0
-        ens = build_ensemble(config, p_train, p_val, Xq, f, CdcTrainSpec(),
-                             rng_stream(28, 1))
-        doc = ensemble_to_doc(ens)
-        back = ensemble_from_doc(doc)
-        probe = rng_stream(28, 2).normal((30, 2))
-        np.testing.assert_array_equal(cdc_entropy(ens, probe),
-                                      cdc_entropy(back, probe))
-        assert back.per_round_phi == ens.per_round_phi
 
 
 class TestSpecValidation:

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import separable_blob, small_gbt_config, small_mlp_config
 from oracles import (
+    ReferenceAdam,
     add_node,
     central_difference_grad,
     reference_build_tree,
@@ -35,8 +36,14 @@ from shiftguard.learners.gbt import (
     _walk_trees,
     gbt_from_doc,
 )
-from shiftguard.learners.mlp import MlpModel, _backward, _forward_train
-from shiftguard.losses import cross_entropy_batch, lambda_weight
+from shiftguard.learners.mlp import (
+    MlpModel,
+    _Adam,
+    _backward,
+    _flat_params,
+    _forward_train,
+)
+from shiftguard.losses import cross_entropy_batch, lambda_weight, logit_grads
 from shiftguard.numerics import rng_stream
 
 ALL_CONFIGS = [small_mlp_config(), small_gbt_config()]
@@ -190,14 +197,10 @@ class TestMlpInternals:
         weights = [rng.normal((3, 5)) * 0.5, rng.normal((5, 3)) * 0.5]
         biases = [rng.normal(5) * 0.1, rng.normal(3) * 0.1]
 
+        params, ws, bs = _flat_params(weights, biases)
+
         def loss_at(flat):
-            ws, bs, k = [], [], 0
-            for W in weights:
-                ws.append(flat[k:k + W.size].reshape(W.shape))
-                k += W.size
-            for b in biases:
-                bs.append(flat[k:k + b.size])
-                k += b.size
+            params[:] = flat
             logits, _, _ = _forward_train(X, ws, bs, 0.0, rng_stream(0, 0))
             losses, _ = cross_entropy_batch(logits, y)
             return float(losses.mean())
@@ -205,14 +208,51 @@ class TestMlpInternals:
         logits, acts, masks = _forward_train(X, weights, biases, 0.0,
                                              rng_stream(0, 0))
         _, grads = cross_entropy_batch(logits, y)
-        g_w, g_b = _backward(grads / X.shape[0], acts, masks, weights, 0.0)
-        flat = np.concatenate([w.ravel() for w in weights]
-                              + [b.ravel() for b in biases])
-        fd = central_difference_grad(loss_at, flat)
-        analytic = np.concatenate([g.ravel() for g in g_w]
-                                  + [g.ravel() for g in g_b])
+        analytic = _backward(grads / X.shape[0], acts, masks, weights, 0.0)
+        fd = central_difference_grad(loss_at, params.copy())
         err = np.abs(analytic - fd) / np.maximum(np.abs(fd), 1e-3)
         assert err.max() < 1e-4
+
+    def test_flat_adam_matches_per_array_adam_bytes(self):
+        """20 steps with l2 > 0, the last 10 after a warm restart through
+        clone, against Adam run one weight or bias array at a time."""
+        rng = rng_stream(8, 1)
+        dims = [3, 6, 5, 3]
+        weights = [rng.normal((a, b)) for a, b in zip(dims[:-1], dims[1:])]
+        biases = [rng.normal(b) * 0.1 for b in dims[1:]]
+        model = MlpModel(weights, biases, np.zeros(3), np.ones(3), 3, 3,
+                         (0, 0)).clone()
+        model._opt_state = _Adam(model._params, 0.05)
+        ref_w = [W.copy() for W in weights]
+        ref_b = [b.copy() for b in biases]
+        reference = ReferenceAdam(ref_w, ref_b, 0.05)
+        for step in range(20):
+            if step == 10:
+                before, kept = model, model._params.copy()
+                model = model.clone()
+            X = rng.normal((7, 3))
+            y = rng.integers(3, 7)
+            logits, acts, masks = _forward_train(
+                X, model.weights, model.biases, 0.2, rng)
+            grad = _backward(logit_grads(logits, y) / 7, acts, masks,
+                             model.weights, 1e-2)
+            model._opt_state.step(model._params, grad)
+            sizes = [a.size for pair in zip(ref_w, ref_b) for a in pair]
+            pieces = np.split(grad, np.cumsum(sizes)[:-1])
+            reference.step(ref_w, ref_b,
+                           [g.reshape(W.shape) for g, W
+                            in zip(pieces[0::2], ref_w)],
+                           [g.reshape(b.shape) for g, b
+                            in zip(pieces[1::2], ref_b)])
+            for got, want in zip(model.weights + model.biases,
+                                 ref_w + ref_b):
+                assert got.tobytes() == want.tobytes()
+        assert model._opt_state.t == reference.t == 20
+        # the restart copied the parameters and moments: stepping the
+        # clone left the model it came from at step 10
+        assert before._opt_state.t == 10
+        assert before._params.tobytes() == kept.tobytes()
+        assert not np.shares_memory(before._opt_state.m, model._opt_state.m)
 
 
 class TestWeightedFitting:
@@ -531,6 +571,21 @@ class TestFitDisagreeing:
                             (parts["Q"], base.predict_labels(Xv[:4])),
                             lam=0.1, rng=rng_stream(3, 1))
 
+    @pytest.mark.parametrize("config", ALL_CONFIGS, ids=["mlp", "gbt"])
+    @pytest.mark.parametrize("where,label", [
+        ("P_train", -1), ("P_train", 2), ("Q pseudo", -1), ("Q pseudo", 2)])
+    def test_out_of_range_labels_refused(self, config, blob, where, label):
+        X, y = blob
+        Xt, yt, Xv, yv = split_blob(X, y)
+        base = fit(config, Xt, yt, Xv, yv, rng_stream(3, 0))
+        labels = {"P_train": yt.copy(),
+                  "Q pseudo": base.predict_labels(Xv[:4])}
+        labels[where][1] = label
+        with pytest.raises(ValueError,
+                           match=rf"{where} labels outside \[0, 2\)"):
+            fit_disagreeing(config, base, (Xt, labels["P_train"]), (Xv, yv),
+                            (Xv[:4], labels["Q pseudo"]),
+                            lam=0.1, rng=rng_stream(3, 1))
 
 class TestSerialization:
     def test_round_trip_preserves_predictions(self, fitted, tmp_path):

@@ -3,13 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from oracles import central_difference_grad
-from shiftguard.losses import (
+from oracles import (
     DisagreementTarget,
-    cdc_batch_loss,
+    central_difference_grad,
     cross_entropy,
     disagreement_cross_entropy,
+    reference_cdc_batch_loss,
+    reference_cross_entropy_batch,
+    reference_disagreement_cross_entropy_batch,
+)
+from shiftguard.losses import (
+    cdc_batch_grad,
+    cdc_batch_loss,
+    cross_entropy_batch,
+    disagreement_cross_entropy_batch,
     lambda_weight,
+    logit_grads,
     replicate_for_disagreement,
 )
 from shiftguard.numerics import softmax
@@ -244,3 +253,71 @@ class TestReplication:
             replicate_for_disagreement(np.zeros((2, 1)), [0], 3)
         with pytest.raises(ValueError, match="2 classes"):
             replicate_for_disagreement(np.zeros((1, 1)), [0], 1)
+
+
+def _seeded_batches(count=324):
+    """Batches over C in {2, 3, 5}, B in 1..130, random agree/disagree
+    splits (all-agree and all-disagree included), three lambdas, logits
+    from near-tied to far apart, and non-uniform positive weights."""
+    rng = np.random.default_rng(20)
+    for i in range(count):
+        c = (2, 3, 5)[i % 3]
+        lam = (1e-3, 0.1, 1.0)[(i // 3) % 3]
+        b = int(rng.integers(1, 131))
+        scale = float(10.0 ** rng.uniform(-2, 1.5))
+        logits = rng.normal(size=(b, c)) * scale
+        labels = rng.integers(c, size=b)
+        split = i % 4
+        if split == 0:
+            disagree = rng.uniform(size=b) < 0.5
+        elif split == 1:
+            disagree = np.arange(b) >= int(rng.integers(0, b + 1))
+        else:
+            disagree = np.full(b, split == 3)
+        weights = rng.uniform(0.1, 3.0, size=b)
+        yield logits, labels, disagree, lam, weights
+
+
+class TestGradientBytes:
+    """The gradient the learners train on, byte for byte against the batch
+    code it replaced, which took each side's gradient on its own masked
+    rows next to a loss value."""
+
+    def test_cdc_batch_grad_unit_weights(self):
+        for logits, labels, disagree, lam, _ in _seeded_batches():
+            _, expected = reference_cdc_batch_loss(
+                logits, labels, np.ones(len(labels)), disagree, lam)
+            got = cdc_batch_grad(logits, labels, disagree, lam)
+            assert got.tobytes() == expected.tobytes()
+
+    def test_cdc_batch_grad_weighted_agree(self):
+        # the base fit: cross-entropy gradients scaled by w / sum(w)
+        for logits, labels, _, _, weights in _seeded_batches():
+            _, grads = reference_cross_entropy_batch(logits, labels)
+            expected = grads * (weights / weights.sum())[:, None]
+            got = cdc_batch_grad(logits, labels, None, 1.0, weights)
+            assert got.tobytes() == expected.tobytes()
+
+    def test_logit_grads_over_batch_size(self):
+        # continued training with an empty Q divides by the batch size
+        for logits, labels, _, _, _ in _seeded_batches():
+            _, grads = reference_cross_entropy_batch(logits, labels)
+            got = logit_grads(logits, labels) / len(labels)
+            assert got.tobytes() == (grads / len(labels)).tobytes()
+
+    def test_batch_losses_and_gradients(self):
+        for logits, labels, disagree, lam, weights in _seeded_batches():
+            for fn, ref in (
+                    (cross_entropy_batch, reference_cross_entropy_batch),
+                    (disagreement_cross_entropy_batch,
+                     reference_disagreement_cross_entropy_batch)):
+                losses, grads = fn(logits, labels)
+                ref_losses, ref_grads = ref(logits, labels)
+                assert losses.tobytes() == ref_losses.tobytes()
+                assert grads.tobytes() == ref_grads.tobytes()
+            loss, grads = cdc_batch_loss(logits, labels, weights, disagree,
+                                         lam)
+            ref_loss, ref_grads = reference_cdc_batch_loss(
+                logits, labels, weights, disagree, lam)
+            assert loss == ref_loss
+            assert grads.tobytes() == ref_grads.tobytes()
