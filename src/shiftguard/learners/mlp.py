@@ -264,7 +264,7 @@ def fit_disagreeing_mlp(config: LearnerConfig, base: MlpModel, X_p, y_p,
             if max_steps is not None and steps >= max_steps:
                 return model
             idx = order[start:start + fill]
-            Xb = np.vstack([Xs_p[idx], Xs_q])
+            Xb = np.concatenate([Xs_p[idx], Xs_q])
             labels = np.concatenate([y_p[idx], pseudo])
             dis = disagree[fill - idx.size:] if idx.size < fill else disagree
             logits, acts, masks = _forward_train(

@@ -17,7 +17,6 @@ __all__ = [
     "softmax_rows",
     "log_softmax_rows",
     "regularized_incomplete_beta",
-    "hypergeometric_3f2_terminating",
     "RngStream",
     "rng_stream",
 ]
@@ -229,19 +228,6 @@ def _log_3f2_terminating(a1: float, a2: float, a3: float,
     if total == 0.0:
         return 0, -math.inf
     return (1 if total > 0 else -1), m + math.log(abs(total))
-
-
-def hypergeometric_3f2_terminating(a1: float, a2: float, a3: float,
-                                   b1: float, b2: float) -> float:
-    """3F2(a1, a2, a3; b1, b2; 1) for non-positive integer a2.
-
-    The series has exactly |a2| + 1 terms; terms are accumulated in
-    log-magnitude with explicit sign tracking.
-    """
-    sign, log_abs = _log_3f2_terminating(a1, a2, a3, b1, b2)
-    if sign == 0:
-        return 0.0
-    return sign * math.exp(log_abs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,24 @@
 """Exact and asymptotic statistics behind the shift tests.
 
-Two-sample Kolmogorov-Smirnov with exact small-sample p-values, binomial
-tail tests in closed form, the empirical-quantile convention used for
-permutation calibration, the p*(n) disagreement bound, and the Bayesian
-posterior P[q > p] for two observed disagreement counts.  Each closed form
-is paired in the test suite with an enumeration or Monte-Carlo oracle.
+Two-sample Kolmogorov-Smirnov with exact small-sample p-values (surviving
+lattice paths counted in integers, then one correctly rounded division),
+binomial tail tests in closed form, the empirical-quantile convention used
+for permutation calibration, the p*(n) disagreement bound, and the
+Bayesian posterior P[q > p] for two observed disagreement counts.  Each
+closed form is paired in the test suite with an enumeration or Monte-Carlo
+oracle.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .numerics import (
-    RngStream,
-    _log_3f2_terminating,
-    regularized_incomplete_beta,
-)
+from .numerics import _log_3f2_terminating, regularized_incomplete_beta
 
 __all__ = [
     "KsResult",
@@ -28,13 +28,12 @@ __all__ = [
     "empirical_quantile",
     "disagreement_bound_pstar",
     "posterior_prob_shift",
-    "mc_disagreement_oracle",
-    "binomial_draws",
 ]
 
-# exact lattice DP at or below this n*m; on tie-free samples one call costs
-# about 4 ms at n=10, m=990 and 2 ms at n=20, m=380 (2-core Xeon), and its
-# band holds at most (n + m)(min(n, m) + 1) cells, about 20k at the cap
+# exact lattice counting at or below this n*m; on tie-free samples one call
+# costs about 0.5 ms at n=10, m=990 and at n=20, m=380, and 1.4-1.7 ms at
+# n=1, m=10,000 or the reverse (2-core Xeon); its grid holds
+# (min(n, m) + 1) x (max(n, m) + 2) cells, about 20k at the cap
 EXACT_KS_MAX_NM = 10_000
 
 
@@ -81,90 +80,63 @@ def _tie_counts(pooled: np.ndarray) -> np.ndarray:
     return np.diff(np.append(starts, pooled.size))
 
 
-def _ks_band(counts: np.ndarray, n: int, m: int, d: float):
-    """Each tie group's live states: the x-counts i in its reachable window
-    [max(0, c - m), min(n, c)] after c pooled values whose running CDF gap
-    |i/n - (c - i)/m| stays below d - 1e-12.
-
-    Int/int true division rounds correctly in numpy as in Python, so the
-    mask is the scalar comparison's.  Rounding keeps i/n non-decreasing
-    and (c - i)/m non-increasing in i, so the rounded gap falls then rises
-    across a window and the live states of a group are one run.  Returns
-    each group's first live i and run length (0 when none).  The flat
-    window arrays hold at most (n + m)(min(n, m) + 1) cells.
-    """
-    consumed = np.cumsum(counts)
-    lo = np.maximum(0, consumed - m)
-    width = np.minimum(n, consumed) - lo + 1
-    starts = np.cumsum(width) - width
-    i = np.repeat(lo - starts, width)
-    i += np.arange(i.size)
-    gap = (np.repeat(consumed, width) - i) / m
-    np.subtract(i / n, gap, out=gap)
-    live = np.abs(gap, out=gap) < d - 1e-12
-    first = np.minimum.reduceat(np.where(live, i, n + 1), starts)
-    return first, np.add.reduceat(live, starts)
-
-
 def _ks_exact_pvalue(counts: np.ndarray, n: int, m: int, d: float) -> float:
     """P(D >= d) under the permutation null by lattice-path counting.
 
-    ``counts`` are the tie-group sizes of the sorted pooled sample.  A
-    state is the number of x's consumed so far.  Assignments whose running
-    CDF gap stays strictly below d at every group boundary are the
-    survivors; everything else attains D >= d.  Counts are binomially
-    weighted within tie groups so tied pooled values are handled exactly.
+    ``counts`` are the tie-group sizes of the sorted pooled sample.  An
+    assignment is a path from (0, 0) to (n, m) that steps along i on an x
+    and along j on a y.  It dies at a point where i + j ends a tie group
+    and the CDF gap |i/n - j/m| is not below d - 1e-12; the survivors are
+    the assignments whose gap stays below d, and every other one attains
+    D >= d.  Points inside a tie group are never checked, so a group of
+    size s is crossed in C(s, k) ways: ties are weighted exactly.
 
-    The walk runs on plain floats with math.exp/math.log in a fixed term
-    order, so p-values (and the calibration digests built on them) are the
-    same bits on every machine; numpy's vectorized exp and log may differ
-    in the last ulp between CPUs.
+    Paths are counted in Python ints, one row of the smaller sample at a
+    time.  A run of live points in a row takes the running sum of the row
+    below; runs outside that row's nonzero span are skipped.  numpy's
+    int/int true division rounds like Python's, so the grid holds the
+    scalar test's floats, and the gap is the same float with the samples
+    swapped (x - y is -(y - x) exactly).
+    ``(total - survivors) / total`` is int/int true division, which rounds
+    correctly, so the p-value is the same bits on every machine.
     """
-    log_fact = np.concatenate(
-        ([0.0], np.cumsum(np.log(np.arange(1, n + m + 1))))).tolist()
-    first, n_live = _ks_band(counts, n, m, d)
+    a, b = min(n, m), max(n, m)
+    ends = np.zeros(n + m + 1, dtype=bool)
+    ends[np.cumsum(counts)] = True
+    rows, cols = np.arange(a + 1), np.arange(b + 1)
+    # the grid plus one dead column per row, so no run spans two rows
+    live = np.zeros((a + 1, b + 2), dtype=bool)
+    np.less(np.abs(np.subtract.outer(rows / a, cols / b)), d - 1e-12,
+            out=live[:, :-1])
+    live[:, :-1] |= ~ends[np.add.outer(rows, cols)]
+    edges = np.flatnonzero(np.diff(live.ravel(), prepend=False))
+    row, col = np.divmod(edges[::2], b + 2)
+    starts, stops = col.tolist(), (col + edges[1::2] - edges[::2]).tolist()
+    # row r's runs, in column order, are those from cuts[r] to cuts[r + 1]
+    cuts = np.searchsorted(row, np.arange(a + 2)).tolist()
 
-    # ways[i]: log of the number of assignments with i x's consumed that have
-    # stayed strictly below d so far; dead states are absent
-    ways = {0: 0.0}
-    for size, lo, run in zip(counts.tolist(), first.tolist(),
-                              n_live.tolist()):
-        cells = range(lo, lo + run)
-        new_ways = {}
-        if size == 1:
-            # the general step with C(1, k) = 1, whose log is exactly 0: one
-            # live parent p gives p + log(exp(p - p)) = p; two give
-            # mx + log(exp(a - mx) + exp(b - mx)), where exp(mx - mx) = 1
-            for i in cells:
-                a = ways.get(i - 1)
-                b = ways.get(i)
-                if a is None:
-                    if b is not None:
-                        new_ways[i] = b
-                elif b is None:
-                    new_ways[i] = a
-                elif b > a:
-                    new_ways[i] = b + math.log(math.exp(a - b) + 1.0)
-                else:
-                    new_ways[i] = a + math.log(1.0 + math.exp(b - a))
-        else:
-            # i x's consumed now; previous state j contributed C(size, i - j)
-            row = [log_fact[size] - log_fact[k] - log_fact[size - k]
-                   for k in range(size + 1)]
-            for i in cells:
-                terms = [p + row[i - j]
-                         for j in range(max(0, i - size), i + 1)
-                         if (p := ways.get(j)) is not None]
-                if terms:
-                    mx = max(terms)
-                    new_ways[i] = mx + math.log(
-                        sum(math.exp(t - mx) for t in terms))
-        ways = new_ways
-    if n not in ways:
-        return 1.0
-    log_total = log_fact[n + m] - log_fact[n] - log_fact[m]
-    surviving = math.exp(ways[n] - log_total)
-    return min(1.0, max(0.0, 1.0 - surviving))
+    # ways[k]: surviving paths into column lo + k of the last row counted;
+    # the row below row 0 holds the one path into (0, 0)
+    lo, ways = 0, [1]
+    for k0, k1 in zip(cuts, cuts[1:]):
+        hi = lo + len(ways)
+        new_lo, new = 0, []
+        for k in range(bisect_right(stops, lo, k0, k1), k1):
+            start, stop = starts[k], stops[k]
+            if start >= hi:
+                break
+            first = max(start, lo)
+            if new:
+                new += [0] * (first - new_lo - len(new))
+            else:
+                new_lo = first
+            new += accumulate(ways[first - lo:min(stop, hi) - lo])
+            if stop > hi:
+                new += [new[-1]] * (stop - hi)
+        lo, ways = new_lo, new
+    survivors = ways[b - lo] if lo + len(ways) > b else 0
+    total = math.comb(n + m, n)
+    return (total - survivors) / total
 
 
 def _ks_asymptotic_pvalue(d: float, n: int, m: int) -> float:
@@ -310,43 +282,3 @@ def posterior_prob_shift(inputs: PosteriorInputs) -> float:
             f"posterior evaluation left [0, 1] by {overshoot:.3e}; "
             "refusing to clamp")
     return min(1.0, max(0.0, value))
-
-
-# ---------------------------------------------------------------------------
-# Monte-Carlo oracles
-# ---------------------------------------------------------------------------
-
-def binomial_draws(n: int, p: float, count: int, rng: RngStream) -> np.ndarray:
-    """count draws from Bin(n, p) by inverse-CDF lookup on the stream."""
-    if p <= 0.0:
-        return np.zeros(count, dtype=np.int64)
-    if p >= 1.0:
-        return np.full(count, n, dtype=np.int64)
-    # pmf by the stable multiplicative recurrence
-    pmf = np.empty(n + 1)
-    log_p, log_q = math.log(p), math.log1p(-p)
-    log_pmf0 = n * log_q
-    pmf[0] = math.exp(log_pmf0)
-    ratio = p / (1.0 - p)
-    for k in range(1, n + 1):
-        pmf[k] = pmf[k - 1] * ratio * (n - k + 1) / k
-    cdf = np.cumsum(pmf)
-    cdf[-1] = 1.0
-    u = rng.uniform(count)
-    return np.searchsorted(cdf, u, side="right").astype(np.int64)
-
-
-def mc_disagreement_oracle(n: int, p: float, trials: int,
-                           rng: RngStream) -> tuple[float, float]:
-    """Simulated P(X > Y) for X, Y iid Bin(n, p).
-
-    Returns (estimate, standard error) with std err = sqrt(v / trials)
-    where v is the sample variance of the exceedance indicator.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    xs = binomial_draws(n, p, trials, rng)
-    ys = binomial_draws(n, p, trials, rng)
-    est = float(np.mean(xs > ys))
-    std_err = math.sqrt(est * (1.0 - est) / trials)
-    return est, std_err

@@ -2,13 +2,16 @@
 
 Everything here deliberately avoids the library's own code paths:
 enumeration uses exact integer combinatorics, ECDFs are brute-force mean
-comparisons, Monte Carlo goes through order statistics rather than any
-closed form under test, the exact-KS reference visits every state of
-every tie group one numpy-scalar term at a time, and the GBT references
-grow, walk and sum trees one node and one tree at a time.  The loss
-oracles are per-sample, or batch code that takes each loss and gradient
-through its own log-softmax and masks; the Adam reference updates one
-parameter array at a time.
+comparisons, Monte Carlo goes through order statistics or an inverse-CDF
+binomial sampler rather than any closed form under test, the exact-KS
+reference visits every state of every tie group one numpy-scalar term at
+a time, the integer exact-KS walk counts paths group by group with
+binomial tie weights, and the GBT references grow, walk and sum trees
+one node and one tree at a time.  The loss oracles are per-sample, or
+batch code that takes each loss and gradient through its own log-softmax
+and masks; the Adam reference updates one parameter array at a time.
+``hypergeometric_3f2_terminating`` is no oracle: it is the float form of
+the library's signed-log 3F2, kept here because only its tests call it.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import numpy as np
 from shiftguard.learners.gbt import _MIN_GAIN, _leaf_value, _Tree
 from shiftguard.numerics import (
     RngStream,
+    _log_3f2_terminating,
     log_softmax_rows,
     log_sum_exp,
     softmax,
@@ -98,6 +102,35 @@ def reference_ks_exact_pvalue(xs: np.ndarray, ys: np.ndarray,
     return min(1.0, max(0.0, 1.0 - surviving))
 
 
+def integer_ks_pvalue(xs, ys, d: float) -> float:
+    """P(D >= d) under the permutation null, counted exactly in ints.
+
+    Walk the pooled sorted values in tie groups; a state is the number of
+    x's consumed so far, and a group of size s moves state j to i in
+    C(s, i - j) ways.  A state whose CDF gap is not below d - 1e-12 at the
+    group's end is dropped.  The surviving count over C(n+m, n) is one
+    int/int division, so the result is the correctly rounded p-value.
+    """
+    n, m = len(xs), len(ys)
+    ways = {0: 1}
+    consumed = 0
+    for _, group in itertools.groupby(sorted([*map(float, xs),
+                                              *map(float, ys)])):
+        size = len(list(group))
+        consumed += size
+        new_ways = {}
+        for i in range(max(0, consumed - m), min(n, consumed) + 1):
+            if not abs(i / n - (consumed - i) / m) < d - 1e-12:
+                continue
+            count = sum(w * math.comb(size, i - j)
+                        for j, w in ways.items() if 0 <= i - j <= size)
+            if count:
+                new_ways[i] = count
+        ways = new_ways
+    total = math.comb(n + m, n)
+    return (total - ways.get(n, 0)) / total
+
+
 def enumerate_ks_pvalue(xs, ys) -> float:
     """P(D >= observed D) over all C(n+m, n) label assignments of the
     pooled sample."""
@@ -149,6 +182,55 @@ def beta_mc_prob_q_gt_p(n: int, N: int, m: int, M: int, pairs: int,
         hits += int(np.sum(q_draws > p_draws))
         done += c
     return hits / pairs
+
+
+def binomial_draws(n: int, p: float, count: int, rng: RngStream) -> np.ndarray:
+    """count draws from Bin(n, p) by inverse-CDF lookup on the stream."""
+    if p <= 0.0:
+        return np.zeros(count, dtype=np.int64)
+    if p >= 1.0:
+        return np.full(count, n, dtype=np.int64)
+    # pmf by the stable multiplicative recurrence
+    pmf = np.empty(n + 1)
+    log_p, log_q = math.log(p), math.log1p(-p)
+    log_pmf0 = n * log_q
+    pmf[0] = math.exp(log_pmf0)
+    ratio = p / (1.0 - p)
+    for k in range(1, n + 1):
+        pmf[k] = pmf[k - 1] * ratio * (n - k + 1) / k
+    cdf = np.cumsum(pmf)
+    cdf[-1] = 1.0
+    u = rng.uniform(count)
+    return np.searchsorted(cdf, u, side="right").astype(np.int64)
+
+
+def mc_disagreement_oracle(n: int, p: float, trials: int,
+                           rng: RngStream) -> tuple[float, float]:
+    """Simulated P(X > Y) for X, Y iid Bin(n, p).
+
+    Returns (estimate, standard error) with std err = sqrt(v / trials)
+    where v is the sample variance of the exceedance indicator.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    xs = binomial_draws(n, p, trials, rng)
+    ys = binomial_draws(n, p, trials, rng)
+    est = float(np.mean(xs > ys))
+    std_err = math.sqrt(est * (1.0 - est) / trials)
+    return est, std_err
+
+
+def hypergeometric_3f2_terminating(a1: float, a2: float, a3: float,
+                                   b1: float, b2: float) -> float:
+    """3F2(a1, a2, a3; b1, b2; 1) for non-positive integer a2.
+
+    The series has exactly |a2| + 1 terms; terms are accumulated in
+    log-magnitude with explicit sign tracking.
+    """
+    sign, log_abs = _log_3f2_terminating(a1, a2, a3, b1, b2)
+    if sign == 0:
+        return 0.0
+    return sign * math.exp(log_abs)
 
 
 def central_difference_grad(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

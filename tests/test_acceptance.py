@@ -25,6 +25,7 @@ from oracles import (
     disagreement_cross_entropy,
     enumerate_binom_sf,
     enumerate_ks_pvalue,
+    mc_disagreement_oracle,
 )
 from shiftguard.cdc import CdcTrainSpec, build_ensemble
 from shiftguard.data import ShiftTaskSpec, partition, synth_generate, uci_prepare
@@ -48,7 +49,6 @@ from shiftguard.stats import (
     binomial_pvalue,
     disagreement_bound_pstar,
     ks_two_sample,
-    mc_disagreement_oracle,
     posterior_prob_shift,
 )
 

@@ -237,11 +237,11 @@ class TestTestCommand:
         assert model_fingerprint(f) == snapshot["model_fingerprint"]
 
     @pytest.mark.parametrize("shifted, digest", [
-        (True, "c62732e1854750ea87f57e5d92e80598"
-               "e4afbba079d552d04861c14b2aaefd4c"),
-        (False, "1ac18c34e2eb262c006c5c2cc800eae7"
-                "2051be11fe62fd74c7c113d5ec1b441e"),
-    ])
+        (True, "2582d95dc634d92b84194ad6fa4f4aa5"
+               "15e04c4896da0067f2cc10c0433ea3d9"),
+        (False, "78c2e7caefcec9b2f6e48509e8dafdc6"
+                "380fa840895237c3677c4a28fff30738"),
+    ], ids=["shifted", "unshifted"])
     def test_no_fit_same_verdicts_as_refit(self, calibrated, capsys,
                                            monkeypatch, shifted, digest):
         """The verdicts, apart from wall_time_ms, that test gave when it

@@ -25,20 +25,20 @@ GBT_SPEC = CdcTrainSpec(ensemble_max=3, max_opt_steps=3)
 GBT_N = 10
 GBT_K = 20
 GBT_CALIBRATION_SHA256 = (
-    "7d6085d05b2356092024364970f84dca2880e8cdd569697194e4bb9fd8c38f34")
+    "3440b55959a2cc9b880aa203795dd1343b6d64ce4eb63603a7aede4d47b580dc")
 
 # depth 6 and 10 rounds: trees reach the deep levels the 3-round golden
 # above never grows, and every CDC may take five boosting rounds
 GBT_DEEP = small_gbt_config()
 GBT_DEEP_SPEC = CdcTrainSpec(max_opt_steps=5)
 GBT_DEEP_CALIBRATION_SHA256 = (
-    "267a26a9638637557fa1665826c23aa64f836f8283afc50c884aed37bb26797f")
+    "b99d84853f33171fe4bc6a9ba12239b3412e5dcd382a2dfe12ae5b0012a8eace")
 
 # colsample 0.6 on 5 features keeps 3: every tree of every class draws
 # its own column subset, which no golden above does
 GBT_COLS = small_gbt_config(num_rounds=3, max_depth=3, colsample=0.6)
 GBT_COLS_CALIBRATION_SHA256 = (
-    "361f7be2181cfeab2199a6e9276b4ccc3c646c1e66ee80be039285a7479e3f45")
+    "8adbd8604bea1df7119e04061fde451ccf2eb6f6a2eb226fc9aa8e0e10b65401")
 
 # l2 and dropout on; batch 8 <= N, so a CDC batch holds one P row while
 # Q is whole; 210 training rows leave a short last batch in every epoch
@@ -46,7 +46,7 @@ MLP3 = small_mlp_config(hidden_sizes=(8, 8), batch_size=8, l2=1e-3,
                         max_epochs=20, patience=5)
 MLP3_SPEC = CdcTrainSpec(ensemble_max=3, max_opt_steps=40)
 MLP3_CALIBRATION_SHA256 = (
-    "dda10df349c4a0c24b300325e71f705ae3818caf4fa666cf13276ab63f4af087")
+    "ea420e1b08dd8f49759aff39c811a8d18ea2784d394117e420cc32c6227d1370")
 
 
 def calibration_sha256(record) -> str:

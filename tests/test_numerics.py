@@ -8,9 +8,9 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import hypergeometric_3f2_terminating
 from shiftguard.numerics import (
     RngStream,
-    hypergeometric_3f2_terminating,
     log_sum_exp,
     regularized_incomplete_beta,
     rng_stream,

@@ -13,6 +13,8 @@ from oracles import (
     enumerate_binom_sf,
     enumerate_binom_two_sided,
     enumerate_ks_pvalue,
+    integer_ks_pvalue,
+    mc_disagreement_oracle,
     reference_ks_exact_pvalue,
 )
 from shiftguard import stats
@@ -23,7 +25,6 @@ from shiftguard.stats import (
     disagreement_bound_pstar,
     empirical_quantile,
     ks_two_sample,
-    mc_disagreement_oracle,
     posterior_prob_shift,
 )
 
@@ -38,18 +39,18 @@ class TestKsTwoSample:
         res = ks_two_sample([1.0, 2.0], [3.0, 4.0])
         assert res.statistic == pytest.approx(1.0)
         # 2 of the C(4,2)=6 assignments attain D = 1
-        assert res.p_value == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert res.p_value == 1.0 / 3.0
         assert res.method == "exact"
 
     def test_exact_matches_enumeration_small_samples(self):
+        # both are correctly rounded ratios of integer counts
         rng = np.random.default_rng(0)
-        for n in range(1, 8):
-            for m in range(1, 9 - n):
+        for n in range(1, 10):
+            for m in range(1, 11 - n):
                 xs = rng.normal(size=n)
                 ys = rng.normal(size=m) + rng.uniform(-1, 1)
                 res = ks_two_sample(xs, ys)
-                assert res.p_value == pytest.approx(
-                    enumerate_ks_pvalue(xs, ys), abs=1e-10), (n, m)
+                assert res.p_value == enumerate_ks_pvalue(xs, ys), (n, m)
 
     def test_exact_matches_enumeration_with_ties(self):
         cases = [
@@ -60,8 +61,7 @@ class TestKsTwoSample:
         ]
         for xs, ys in cases:
             res = ks_two_sample(xs, ys)
-            assert res.p_value == pytest.approx(
-                enumerate_ks_pvalue(xs, ys), abs=1e-10), (xs, ys)
+            assert res.p_value == enumerate_ks_pvalue(xs, ys), (xs, ys)
 
     def test_exact_matches_scipy(self):
         rng = np.random.default_rng(1)
@@ -110,7 +110,7 @@ def _exact_pvalue(xs, ys, d):
 
 def _lattice_ds(rng, n, m):
     """A lattice value |i/n - k/m| > 0 of the CDF gap, the values 1e-13
-    either side of it, which straddle the DP's 1e-12 band tolerance, and
+    either side of it, which straddle the counter's 1e-12 tolerance, and
     the value 1e-12 above it, where d - 1e-12 can land on the gap itself."""
     d = 0.0
     while d == 0.0:
@@ -151,8 +151,9 @@ def _bit_cases(family: str):
 
 
 class TestKsExactBits:
-    """The lattice DP returns the reference walk's float bits exactly:
-    calibration p-values, thresholds and verdict digests depend on them."""
+    """The lattice count is exact: every p-value is the correctly rounded
+    (total - survivors) / total of the integer group walk, and stays within
+    1e-9 of the float log-space walk the library used before."""
 
     @pytest.mark.parametrize("family", ["tie_free", "integer_ties",
                                         "cross_ties", "shapes"])
@@ -163,18 +164,19 @@ class TestKsExactBits:
             res = ks_two_sample(xs, ys)
             assert res.method == "exact"
             if res.statistic > 0.0:
-                want = reference_ks_exact_pvalue(xs, ys, res.statistic)
+                want = integer_ks_pvalue(xs, ys, res.statistic)
                 assert res.p_value.hex() == want.hex(), (n, m, res.statistic)
             for d in [res.statistic, *_lattice_ds(rng, n, m)]:
-                want = reference_ks_exact_pvalue(xs, ys, d)
+                want = integer_ks_pvalue(xs, ys, d)
                 got = _exact_pvalue(xs, ys, d)
                 assert got.hex() == want.hex(), (n, m, d.hex())
+                assert abs(got - reference_ks_exact_pvalue(xs, ys, d)) <= 1e-9
 
     @pytest.mark.parametrize("n, m", [(1, 10000), (10000, 1)])
     def test_band_is_window_sized(self, n, m):
-        # the windows hold at most (n + m)(min(n, m) + 1) = 20,002 cells;
-        # a full (n + m) x (n + 1) grid at (10000, 1) would be 10^8 cells,
-        # 95 MiB even as booleans
+        # the live-point grid holds (min(n, m) + 1)(max(n, m) + 2) = 20,004
+        # cells; a full (n + m) x (n + 1) grid at (10000, 1) would be 10^8
+        # cells, 95 MiB even as booleans
         rng = np.random.default_rng(n)
         xs, ys = rng.normal(size=n), rng.normal(size=m)
         ks_two_sample(xs, ys)
@@ -185,8 +187,10 @@ class TestKsExactBits:
         finally:
             tracemalloc.stop()
         assert res.method == "exact" and res.statistic > 0.0
-        assert res.p_value.hex() == reference_ks_exact_pvalue(
+        assert res.p_value.hex() == integer_ks_pvalue(
             xs, ys, res.statistic).hex()
+        assert abs(res.p_value - reference_ks_exact_pvalue(
+            xs, ys, res.statistic)) <= 1e-9
         assert peak < 8 * 2**20
 
     def test_case_count(self):
@@ -203,7 +207,15 @@ class TestKsExactBits:
         xs, ys = np.arange(3.0), np.arange(3.0) + 10.0
         for d in (0.0, 1e-14, 0.3):
             assert _exact_pvalue(xs, ys, d).hex() == \
-                reference_ks_exact_pvalue(xs, ys, d).hex() == (1.0).hex()
+                integer_ks_pvalue(xs, ys, d).hex() == (1.0).hex()
+
+    def test_separated_samples_keep_their_tail(self):
+        # only the two fully separated orders reach D = 1; the float walk's
+        # 1 - exp(log survivors - log total) rounded this to 0.0
+        xs, ys = np.arange(10.0), np.arange(990.0) + 10.0
+        want = 2 / math.comb(1000, 10)
+        assert ks_two_sample(xs, ys).p_value == want
+        assert ks_two_sample(ys, xs).p_value == want
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -216,8 +228,12 @@ class TestKsExactBits:
         ys = np.array(ys, dtype=float)
         if d is None:
             d = ks_two_sample(xs, ys).statistic
-        assert _exact_pvalue(xs, ys, d).hex() == \
-            reference_ks_exact_pvalue(xs, ys, d).hex()
+            if xs.size + ys.size <= 10:
+                assert ks_two_sample(xs, ys).p_value == \
+                    enumerate_ks_pvalue(xs, ys)
+        got = _exact_pvalue(xs, ys, d)
+        assert got.hex() == integer_ks_pvalue(xs, ys, d).hex()
+        assert abs(got - reference_ks_exact_pvalue(xs, ys, d)) <= 1e-9
 
 
 class TestBinomialPvalue:
