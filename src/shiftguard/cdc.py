@@ -98,15 +98,12 @@ class CdcEnsemble:
 
 def pseudo_label(f: Model, X_q: np.ndarray) -> np.ndarray:
     """Label every target row with the base model's predicted class."""
-    X_q = np.asarray(X_q, dtype=np.float64)
-    if X_q.shape[0] == 0:
-        return np.empty(0, dtype=np.int64)
-    return f.predict_labels(X_q)
+    return f.predict_labels(np.asarray(X_q, dtype=np.float64))
 
 
 def train_cdc(config: LearnerConfig, P_train, P_val, Q_pseudo, f: Model,
               spec: CdcTrainSpec, rng: RngStream) -> Model:
-    """One constrained disagreement classifier.
+    """One constrained disagreement classifier on a nonempty Q.
 
     Trains for at most max_epochs_per_cdc epochs (rounds for trees) and
     stops the moment the validation metric falls more than val_tolerance
@@ -117,37 +114,24 @@ def train_cdc(config: LearnerConfig, P_train, P_val, Q_pseudo, f: Model,
     if f.val_score is None:
         raise ValueError("base validation metric unavailable")
     m0 = f.val_score
-    eps = spec.val_tolerance
     X_val, y_val = P_val
-    X_q = np.asarray(Q_pseudo[0], dtype=np.float64)
-    n_q = X_q.shape[0]
-    n_p = np.asarray(P_train[0]).shape[0]
-
-    if n_q == 0:
-        lam = 1.0
-        steps_per_epoch = 1
-    else:
-        bpe = batches_per_epoch(config, n_p, n_q)
-        lam = lambda_weight(n_q, bpe)
-        steps_per_epoch = bpe if config.kind == "mlp" else 1
+    n_q = np.asarray(Q_pseudo[0]).shape[0]
+    bpe = batches_per_epoch(config, np.asarray(P_train[0]).shape[0], n_q)
+    lam = lambda_weight(n_q, bpe)
 
     budget = spec.max_opt_steps
-    current = f
-    last_good, last_metric = f, m0
+    current = last_good = f
     for _ in range(spec.max_epochs_per_cdc):
         if budget is not None and budget <= 0:
             break
-        current = fit_disagreeing(
-            config, current, P_train, P_val, Q_pseudo, lam, rng,
-            epochs=1, max_steps=budget)
+        current = fit_disagreeing(config, current, P_train, P_val, Q_pseudo,
+                                  lam, rng, max_steps=budget)
         if budget is not None:
-            budget -= min(steps_per_epoch, budget)
+            budget -= bpe
         metric = evaluate_metric(current, X_val, y_val, config.val_metric)
-        if metric < m0 - eps:
+        if metric < m0 - spec.val_tolerance:
             break
-        last_good, last_metric = current, metric
-    if last_metric < m0 - eps:
-        raise RuntimeError("CDC violates its validation constraint")
+        last_good = current
     return last_good
 
 

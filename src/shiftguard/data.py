@@ -137,19 +137,13 @@ def _parse_cell(raw: str, row: int, col: str,
         ) from None
 
 
-def load_csv(path, feature_columns=None, label_column="y",
-             missing="error", medians=None, name=None) -> Dataset:
+def load_csv(path, label_column="y") -> Dataset:
     """Load a header-carrying CSV of numeric features.
 
-    ``missing`` policy: "error" rejects any missing cell; "median" fills a
-    missing cell with the column median, taken from ``medians`` when given
-    (so imputation can be fit on training rows only) and computed from the
-    observed rows of this file otherwise.  Missing cells are encoded as
-    empty or "?".  The label column is optional: unlabeled files simply
-    omit it.
+    Every column but ``label_column`` is a feature.  A missing cell
+    (empty or "?") is refused.  The label column is optional: unlabeled
+    files simply omit it.
     """
-    if missing not in ("error", "median"):
-        raise ValueError(f"unknown missing-value policy {missing!r}")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -159,12 +153,8 @@ def load_csv(path, feature_columns=None, label_column="y",
         header = [h.strip() for h in header]
         rows = [row for row in reader if row]
 
-    if feature_columns is None:
-        feature_columns = [h for h in header if h != label_column]
-    missing_cols = [c for c in feature_columns if c not in header]
-    if missing_cols:
-        raise ValueError(f"{path}: missing feature columns {missing_cols}")
-    has_label = label_column is not None and label_column in header
+    feature_columns = [h for h in header if h != label_column]
+    has_label = label_column in header
     col_idx = {h: i for i, h in enumerate(header)}
 
     n = len(rows)
@@ -185,26 +175,10 @@ def load_csv(path, feature_columns=None, label_column="y",
 
     nan_mask = np.isnan(X)
     if nan_mask.any():
-        if missing == "error":
-            r, j = np.argwhere(nan_mask)[0]
-            raise ValueError(
-                f"{path}: missing value at row {int(r) + 2}, "
-                f"column {feature_columns[int(j)]!r} (policy=error)")
-        for j, c in enumerate(feature_columns):
-            col_nan = nan_mask[:, j]
-            if not col_nan.any():
-                continue
-            if medians is not None and c in medians:
-                fill = float(medians[c])
-            else:
-                observed = X[~col_nan, j]
-                if observed.size == 0:
-                    raise ValueError(
-                        f"{path}: column {c!r} has no observed values")
-                fill = float(np.median(observed))
-            X[col_nan, j] = fill
-
-    return Dataset(X, y, name=name or os.path.basename(str(path)))
+        r, j = np.argwhere(nan_mask)[0]
+        raise ValueError(f"{path}: missing value at row {int(r) + 2}, "
+                         f"column {feature_columns[int(j)]!r}")
+    return Dataset(X, y, name=os.path.basename(str(path)))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -96,17 +96,7 @@ class TestVerdict:
     flags: tuple = ()
 
     def to_json_dict(self) -> dict:
-        return {
-            "test": self.test,
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-            "shift_detected": self.shift_detected,
-            "sample_size": self.sample_size,
-            "seeds": dict(self.seeds),
-            "wall_time_ms": self.wall_time_ms,
-            "config_hash": self.config_hash,
-            "flags": list(self.flags),
-        }
+        return {**asdict(self), "flags": list(self.flags)}
 
 
 @dataclass(frozen=True)
@@ -548,7 +538,7 @@ def disagreement_curve(config: LearnerConfig, data: PartitionedData,
             g = fit_disagreeing(
                 config, g, data.train_pair(), data.val_pair(),
                 (target_X[surviving], pseudo[surviving]), lam, rng,
-                epochs=1, max_steps=1)
+                max_steps=1)
             preds = g.predict_labels(target_X[surviving])
             surviving = surviving[preds == pseudo[surviving]]
         curve[t] = 1.0 - surviving.size / n_q

@@ -195,7 +195,10 @@ def _finite_features(X, name: str) -> np.ndarray:
     return X
 
 
-def _validate_training_inputs(X, y, sample_weight):
+def fit(config: LearnerConfig, X, y, X_val, y_val, rng) -> Model:
+    """Train a classifier on classes 0..y.max(); records the validation
+    score used later as the disagreement-training constraint.  X and
+    X_val must be finite."""
     X = _finite_features(X, "training")
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -204,34 +207,16 @@ def _validate_training_inputs(X, y, sample_weight):
         raise ValueError("labels must align with feature rows")
     if y.min() < 0:
         raise ValueError("labels must be non-negative class indices")
-    if sample_weight is None:
-        w = np.ones(X.shape[0])
-    else:
-        w = np.asarray(sample_weight, dtype=np.float64)
-        if w.shape != (X.shape[0],):
-            raise ValueError("sample_weight must align with rows")
-        if np.any(w <= 0):
-            raise ValueError("sample weights must be positive")
-    return X, y, w
-
-
-def fit(config: LearnerConfig, X, y, X_val, y_val, rng,
-        sample_weight=None, num_classes: int | None = None) -> Model:
-    """Train a classifier; records the validation score used later as the
-    disagreement-training constraint.  X and X_val must be finite."""
-    X, y, w = _validate_training_inputs(X, y, sample_weight)
-    n_classes = int(num_classes if num_classes is not None else y.max() + 1)
-    if y.max() >= n_classes:
-        raise ValueError("label out of range")
+    n_classes = int(y.max() + 1)
     if config.val_metric == "auc" and n_classes != 2:
         raise ValueError("auc metric requires binary classification")
     X_val = _finite_features(X_val, "validation")
     y_val = np.asarray(y_val, dtype=np.int64)
     if config.kind == "mlp":
         from . import mlp
-        return mlp.fit_mlp(config, X, y, w, X_val, y_val, n_classes, rng)
+        return mlp.fit_mlp(config, X, y, X_val, y_val, n_classes, rng)
     from . import gbt
-    return gbt.fit_gbt(config, X, y, w, X_val, y_val, n_classes, rng)
+    return gbt.fit_gbt(config, X, y, X_val, y_val, n_classes, rng)
 
 
 def predict_proba(model: Model, x) -> np.ndarray:
@@ -253,36 +238,37 @@ def batches_per_epoch(config: LearnerConfig, n_train: int, n_q: int) -> int:
 
 
 def fit_disagreeing(config: LearnerConfig, base: Model, P_train, P_val,
-                    Q, lam: float, rng, epochs: int = 1,
-                    max_steps: int | None = None) -> Model:
-    """Continue training ``base`` to agree on P and disagree on Q.
+                    Q, lam: float, rng, max_steps: int | None = None) -> Model:
+    """Continue training ``base`` for one epoch (one boosting round) to
+    agree on P and disagree on a nonempty Q.
 
     P_train/P_val are (X, y) pairs with true labels; Q is (X, pseudo)
     where pseudo labels are the base model's own predictions.  MLP path:
     warm-started gradient descent on the combined agree/disagree batch
-    loss, every batch containing all of Q.  GBT path: replicas of each Q
-    sample (one per non-pseudo class, weights lam * |P_train| *
-    disagree_scale / (N-1)) appended to P, boosting continued from the
-    base model's trees.  A round's class trees grow together, one depth
-    at a time, with one split search per depth over every class's nodes;
-    each search sorts by integer ranks of the feature values, taken once
-    per call.  The returned GBT model carries its margins on P_train, Q
-    and P_val: the next warm-started round, and a validation check on
-    P_val, add only that round's trees, walked level by level, instead
-    of re-running every earlier one.  Empty Q degenerates to plain
-    continued training on P only.  Features of P_train, P_val and Q must
-    be finite, and P_train labels and Q pseudo-labels must lie in
-    [0, base.num_classes).
+    loss, every batch containing all of Q, stopping after ``max_steps``
+    batches when set.  GBT path: replicas of each Q sample (one per
+    non-pseudo class, weights lam * |P_train| * disagree_scale / (N-1))
+    appended to P, one boosting round continued from the base model's
+    trees.  A round's class trees grow together, one depth at a time,
+    with one split search per depth over every class's nodes; each search
+    sorts by integer ranks of the feature values.  The returned GBT model
+    carries its margins on P_train, Q and P_val: the next warm-started
+    round, and a validation check on P_val, add only that round's trees,
+    walked level by level, instead of re-running every earlier one.
+    Features of P_train, P_val and Q must be finite, and P_train labels
+    and Q pseudo-labels must lie in [0, base.num_classes).
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
+    if max_steps is not None and max_steps < 1:
+        raise ValueError("max_steps must be >= 1 when set")
     X_p = _finite_features(P_train[0], "P_train")
     y_p = np.asarray(P_train[1], np.int64)
     X_val = _finite_features(P_val[0], "P_val")
     X_q = _finite_features(Q[0], "Q")
     pseudo = np.asarray(Q[1], dtype=np.int64)
+    if X_q.shape[0] == 0:
+        raise ValueError("Q must be nonempty")
     if X_q.shape[0] != pseudo.shape[0]:
         raise ValueError("pseudo labels must align with Q rows")
     for name, labels in (("P_train", y_p), ("Q pseudo", pseudo)):
@@ -293,12 +279,10 @@ def fit_disagreeing(config: LearnerConfig, base: Model, P_train, P_val,
     if config.kind == "mlp":
         from . import mlp
         return mlp.fit_disagreeing_mlp(
-            config, base, X_p, y_p, X_q, pseudo, lam, rng,
-            epochs=epochs, max_steps=max_steps)
+            config, base, X_p, y_p, X_q, pseudo, lam, rng, max_steps)
     from . import gbt
     return gbt.fit_disagreeing_gbt(
-        config, base, X_p, y_p, X_val, X_q, pseudo, lam, rng,
-        epochs=epochs, max_steps=max_steps)
+        config, base, X_p, y_p, X_val, X_q, pseudo, lam, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,11 @@ sorts each node's rows by integer ranks of the feature values, ranked
 once per boosting call, so equal values (-0.0 and 0.0 among them) fall
 in one run; features must therefore be finite.  Prediction walks every
 row, and every tree of a batch, down one level per step.  Margins start
-at the weighted log class priors, so an untrained model predicts the
-training class frequencies.  Disagreement training continues boosting
-from the base model's trees on a replica-weighted dataset; each
-warm-started round carries its base's margins on the training, target
-and validation rows and adds only its own trees to them.
+at the log class priors, so an untrained model predicts the training
+class frequencies.  Disagreement training adds one boosting round to
+the base model's trees on a replica-weighted dataset; each warm-started
+round carries its base's margins on the training, target and
+validation rows and adds only its own trees to them.
 """
 
 from __future__ import annotations
@@ -361,20 +361,19 @@ def _boost_rounds(model: GbtModel, X, y, w, margins, cfg, rng: RngStream,
         _add_rounds(margins, X, model.rounds[-1:])
 
 
-def _log_prior(y, w, n_classes):
-    totals = np.zeros(n_classes)
-    np.add.at(totals, y, w)
-    freq = np.clip(totals / totals.sum(), 1e-12, None)
-    return np.log(freq)
+def _log_prior(y, n_classes):
+    freq = np.bincount(y, minlength=n_classes) / y.size
+    return np.log(np.clip(freq, 1e-12, None))
 
 
-def fit_gbt(config: LearnerConfig, X, y, w, X_val, y_val, n_classes,
+def fit_gbt(config: LearnerConfig, X, y, X_val, y_val, n_classes,
             rng: RngStream) -> GbtModel:
     cfg = config.gbt
-    model = GbtModel(_log_prior(y, w, n_classes), [], n_classes, X.shape[1],
+    model = GbtModel(_log_prior(y, n_classes), [], n_classes, X.shape[1],
                      (rng.base_seed, rng.stream_id))
     margins = model.margins(X)
-    _boost_rounds(model, X, y, w, margins, cfg, rng, cfg.num_rounds)
+    _boost_rounds(model, X, y, np.ones(X.shape[0]), margins, cfg, rng,
+                  cfg.num_rounds)
     model._remember(X, margins)
     model._remember(X_val, model.margins(X_val))
     model.val_score = evaluate_metric(model, X_val, y_val, config.val_metric)
@@ -382,39 +381,28 @@ def fit_gbt(config: LearnerConfig, X, y, w, X_val, y_val, n_classes,
 
 
 def fit_disagreeing_gbt(config: LearnerConfig, base: GbtModel, X_p, y_p,
-                        X_val, X_q, pseudo, lam, rng: RngStream, epochs=1,
-                        max_steps=None) -> GbtModel:
+                        X_val, X_q, pseudo, lam, rng: RngStream) -> GbtModel:
     cfg = config.gbt
     model = base.clone_shallow()
-    rounds = epochs if max_steps is None else min(epochs, max_steps)
-    if rounds <= 0:
-        return model
+    n_p, n_rep = X_p.shape[0], model.num_classes - 1
+    # boosting sees all of P every round while the gradient path's
+    # lambda is per-batch; rescale by |P_train| so one round's Q
+    # exposure matches one epoch of batch-filled updates
+    X_rep, y_rep, w_rep = replicate_for_disagreement(
+        X_q, pseudo, model.num_classes, lam * n_p * cfg.disagree_scale)
     # rows are independent, so the margins of stacked rows are the
     # stacked margins: start from the base's margins on P and on Q (one
     # copy per replica), which a warm-started base carries from its own
     # training, and add only the new trees to them
-    n_p, n_q = X_p.shape[0], X_q.shape[0]
-    margins = base.margins(X_p)
-    if n_q == 0:
-        X_all, y_all, w_all = X_p, y_p, np.ones(n_p)
-    else:
-        # boosting sees all of P every round while the gradient path's
-        # lambda is per-batch; rescale by |P_train| so one round's Q
-        # exposure matches one epoch of batch-filled updates
-        X_rep, y_rep, w_rep = replicate_for_disagreement(
-            X_q, pseudo, model.num_classes,
-            lam * n_p * cfg.disagree_scale)
-        X_all = np.vstack([X_p, X_rep])
-        y_all = np.concatenate([y_p, y_rep])
-        w_all = np.concatenate([np.ones(n_p), w_rep])
-        margins = np.vstack([margins, np.repeat(
-            base.margins(X_q), model.num_classes - 1, axis=0)])
-    _boost_rounds(model, X_all, y_all, w_all, margins, cfg, rng, rounds)
+    margins = np.vstack([base.margins(X_p),
+                         np.repeat(base.margins(X_q), n_rep, axis=0)])
+    _boost_rounds(model, np.vstack([X_p, X_rep]),
+                  np.concatenate([y_p, y_rep]),
+                  np.concatenate([np.ones(n_p), w_rep]), margins, cfg, rng, 1)
     val = base.margins(X_val)
-    _add_rounds(val, X_val, model.rounds[len(base.rounds):])
+    _add_rounds(val, X_val, model.rounds[-1:])
     model._remember(X_p, margins[:n_p], base)
-    if n_q:
-        model._remember(X_q, margins[n_p::model.num_classes - 1], base)
+    model._remember(X_q, margins[n_p::n_rep], base)
     model._remember(X_val, val, base)
     return model
 

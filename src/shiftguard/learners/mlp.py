@@ -4,18 +4,18 @@ ReLU hidden layers with inverted dropout, feature standardization fit on
 the training rows, snapshot selection by validation score with patience
 early stopping.  Dropout is disabled at prediction time.
 
-A training step computes only d loss / d logits (``losses.cdc_batch_grad``
-or ``losses.logit_grads``), never the loss value.  While a model trains,
-its weights and biases are views into one flat parameter vector, and Adam
-updates that vector with one set of elementwise operations; the update is
-elementwise, so its bits are those of a per-array update.
+A training step computes only d loss / d logits (``losses.cdc_batch_grad``),
+never the loss value.  While a model trains, its weights and biases are
+views into one flat parameter vector, and Adam updates that vector with
+one set of elementwise operations; the update is elementwise, so its bits
+are those of a per-array update.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..losses import cdc_batch_grad, cross_entropy_batch, logit_grads
+from ..losses import cdc_batch_grad, cross_entropy_batch
 from ..numerics import RngStream, softmax_rows
 from . import (
     LearnerConfig,
@@ -177,7 +177,7 @@ def _val_ce(model: MlpModel, X_val, y_val) -> float:
     return float(losses.mean())
 
 
-def fit_mlp(config: LearnerConfig, X, y, w, X_val, y_val, n_classes,
+def fit_mlp(config: LearnerConfig, X, y, X_val, y_val, n_classes,
             rng: RngStream) -> MlpModel:
     cfg = config.mlp
     n, d = X.shape
@@ -200,7 +200,7 @@ def fit_mlp(config: LearnerConfig, X, y, w, X_val, y_val, n_classes,
             idx = order[start:start + cfg.batch_size]
             logits, acts, masks = _forward_train(
                 Xs[idx], weights, biases, cfg.dropout_rate, rng)
-            dlogits = cdc_batch_grad(logits, y[idx], None, 1.0, w[idx])
+            dlogits = cdc_batch_grad(logits, y[idx], None, 1.0)
             optimizer.step(
                 params, _backward(dlogits, acts, masks, weights, cfg.l2))
         score = evaluate_metric(model, X_val, y_val, config.val_metric)
@@ -222,7 +222,7 @@ def fit_mlp(config: LearnerConfig, X, y, w, X_val, y_val, n_classes,
 
 
 def fit_disagreeing_mlp(config: LearnerConfig, base: MlpModel, X_p, y_p,
-                        X_q, pseudo, lam, rng: RngStream, epochs=1,
+                        X_q, pseudo, lam, rng: RngStream,
                         max_steps=None) -> MlpModel:
     cfg = config.mlp
     model = base.clone()
@@ -234,45 +234,24 @@ def fit_disagreeing_mlp(config: LearnerConfig, base: MlpModel, X_p, y_p,
         model._opt_state.lr = cfg.learning_rate
     optimizer = model._opt_state
 
-    n_p = X_p.shape[0]
     n_q = X_q.shape[0]
     Xs_p = (X_p - model.mean) / model.std
-    steps = 0
-    if n_q == 0:
-        # degenerate input: plain continued training on P only
-        for _ in range(epochs):
-            order = rng.permutation(n_p)
-            for start in range(0, n_p, cfg.batch_size):
-                if max_steps is not None and steps >= max_steps:
-                    return model
-                idx = order[start:start + cfg.batch_size]
-                logits, acts, masks = _forward_train(
-                    Xs_p[idx], weights, biases, cfg.dropout_rate, rng)
-                dlogits = logit_grads(logits, y_p[idx]) / idx.size
-                optimizer.step(
-                    params, _backward(dlogits, acts, masks, weights, cfg.l2))
-                steps += 1
-        return model
-
     Xs_q = (X_q - model.mean) / model.std
     fill = max(cfg.batch_size - n_q, 1)
     disagree = np.concatenate(
         [np.zeros(fill, dtype=bool), np.ones(n_q, dtype=bool)])
-    for _ in range(epochs):
-        order = rng.permutation(n_p)
-        for start in range(0, n_p, fill):
-            if max_steps is not None and steps >= max_steps:
-                return model
-            idx = order[start:start + fill]
-            Xb = np.concatenate([Xs_p[idx], Xs_q])
-            labels = np.concatenate([y_p[idx], pseudo])
-            dis = disagree[fill - idx.size:] if idx.size < fill else disagree
-            logits, acts, masks = _forward_train(
-                Xb, weights, biases, cfg.dropout_rate, rng)
-            dlogits = cdc_batch_grad(logits, labels, dis, lam)
-            optimizer.step(
-                params, _backward(dlogits, acts, masks, weights, cfg.l2))
-            steps += 1
+    order = rng.permutation(X_p.shape[0])
+    # one epoch, cut after max_steps batches when set
+    for start in range(0, X_p.shape[0], fill)[:max_steps]:
+        idx = order[start:start + fill]
+        Xb = np.concatenate([Xs_p[idx], Xs_q])
+        labels = np.concatenate([y_p[idx], pseudo])
+        dis = disagree[fill - idx.size:] if idx.size < fill else disagree
+        logits, acts, masks = _forward_train(
+            Xb, weights, biases, cfg.dropout_rate, rng)
+        dlogits = cdc_batch_grad(logits, labels, dis, lam)
+        optimizer.step(
+            params, _backward(dlogits, acts, masks, weights, cfg.l2))
     return model
 
 

@@ -71,9 +71,9 @@ class TestPseudoLabel:
         agree = np.mean(pseudo_label(f, X) == y)
         assert agree >= 0.99
 
-    def test_empty_input(self):
-        f = constant_stub([0.0, 1.0], 2)
-        assert pseudo_label(f, np.empty((0, 2))).size == 0
+    def test_empty_input(self, blob_models):
+        for _, f, _, _ in blob_models.values():
+            assert pseudo_label(f, np.empty((0, 2))).size == 0
 
 
 class TestTrainCdc:

@@ -79,8 +79,7 @@ class TestFit:
         rng = rng_stream(3, 0)
         X = rng.normal((60, 3))
         y = np.full(60, 2, dtype=np.int64)
-        model = fit(config, X, y, X[:10], y[:10], rng_stream(3, 1),
-                    num_classes=4)
+        model = fit(config, X, y, X[:10], y[:10], rng_stream(3, 1))
         probe = rng.normal((40, 3))
         assert np.all(model.predict_labels(probe) == 2)
 
@@ -100,18 +99,12 @@ class TestFit:
                 np.zeros((1, 2)), np.zeros(1, np.int64), rng_stream(0, 0))
 
     def test_label_out_of_range_errors(self, blob):
+        # the classes are 0..y.max(), so only a negative label is outside
         X, y = blob
-        with pytest.raises(ValueError):
-            fit(small_gbt_config(), X, y, X, y, rng_stream(0, 0),
-                num_classes=1)
-
-    def test_nonpositive_weight_errors(self, blob):
-        X, y = blob
-        w = np.ones(len(y))
-        w[3] = 0.0
-        with pytest.raises(ValueError):
-            fit(small_gbt_config(), X, y, X, y, rng_stream(0, 0),
-                sample_weight=w)
+        y = y.copy()
+        y[3] = -1
+        with pytest.raises(ValueError, match="non-negative class indices"):
+            fit(small_gbt_config(), X, y, X, y, rng_stream(0, 0))
 
     @pytest.mark.parametrize("config", ALL_CONFIGS, ids=["mlp", "gbt"])
     @pytest.mark.parametrize("where", ["X", "X_val"])
@@ -156,7 +149,7 @@ class TestPredictProba:
         from shiftguard.learners.gbt import _log_prior
         y = np.array([0] * 30 + [1] * 10)
         prior = np.array([0.75, 0.25])  # class frequencies of the set
-        model = GbtModel(_log_prior(y, np.ones(40), 2), [], 2, 2, (0, 0))
+        model = GbtModel(_log_prior(y, 2), [], 2, 2, (0, 0))
         probe = rng_stream(6, 0).normal((20, 2))
         np.testing.assert_allclose(
             model.predict_proba_matrix(probe),
@@ -256,6 +249,16 @@ class TestMlpInternals:
 
 
 class TestWeightedFitting:
+    """Replica weights reach the trees through ``_boost_rounds``, the
+    boosting loop both ``fit`` and disagreement training run."""
+
+    @staticmethod
+    def boost(X, y, w, config, seed, prior=(0.0, 0.0)):
+        model = GbtModel(np.array(prior), [], 2, X.shape[1], (seed, 0))
+        gbt._boost_rounds(model, X, y, w, model.margins(X), config.gbt,
+                          rng_stream(seed, 0), config.gbt.num_rounds)
+        return model
+
     def test_gbt_weight_k_equals_k_duplicates(self):
         rng = rng_stream(9, 0)
         X = rng.normal((40, 3))
@@ -265,21 +268,21 @@ class TestWeightedFitting:
         y_dup = np.concatenate([y, y[:5]])
         w = np.ones(40)
         w[:5] = 2.0
-        a = fit(config, X_dup, y_dup, X[:10], y[:10], rng_stream(10, 0))
-        b = fit(config, X, y, X[:10], y[:10], rng_stream(10, 0),
-                sample_weight=w)
+        a = self.boost(X_dup, y_dup, np.ones(45), config, 10)
+        b = self.boost(X, y, w, config, 10)
         probe = rng.normal((25, 3))
         np.testing.assert_allclose(a.predict_proba_matrix(probe),
                                    b.predict_proba_matrix(probe), atol=1e-8)
 
     def test_gbt_unit_weights_match_unweighted(self):
+        # fit is the log class prior plus num_rounds unit-weight rounds
         rng = rng_stream(11, 0)
         X = rng.normal((50, 2))
         y = (X[:, 0] > 0).astype(np.int64)
         config = small_gbt_config()
         a = fit(config, X, y, X[:10], y[:10], rng_stream(12, 0))
-        b = fit(config, X, y, X[:10], y[:10], rng_stream(12, 0),
-                sample_weight=np.ones(50))
+        b = self.boost(X, y, np.ones(50), config, 12,
+                       prior=gbt._log_prior(y, 2))
         probe = rng.normal((25, 2))
         np.testing.assert_array_equal(a.predict_proba_matrix(probe),
                                       b.predict_proba_matrix(probe))
@@ -488,17 +491,24 @@ class TestTreePredict:
 
 class TestFitDisagreeing:
     @pytest.mark.parametrize("config", ALL_CONFIGS, ids=["mlp", "gbt"])
-    def test_empty_q_stays_agreeing(self, config, blob):
+    def test_empty_q_refused(self, config, blob):
         X, y = blob
         Xt, yt, Xv, yv = split_blob(X, y)
         base = fit(config, Xt, yt, Xv, yv, rng_stream(13, 0))
-        probe, _ = separable_blob(n=200, seed=13)  # fresh in-distribution draw
-        refit = fit_disagreeing(
-            config, base, (Xt, yt), (Xv, yv),
-            (np.empty((0, 2)), np.empty(0, np.int64)),
-            lam=0.1, rng=rng_stream(13, 2), epochs=3)
-        agree = np.mean(refit.predict_labels(probe) == base.predict_labels(probe))
-        assert agree >= 0.99
+        with pytest.raises(ValueError, match="Q must be nonempty"):
+            fit_disagreeing(config, base, (Xt, yt), (Xv, yv),
+                            (np.empty((0, 2)), np.empty(0, np.int64)),
+                            lam=0.1, rng=rng_stream(13, 2))
+
+    @pytest.mark.parametrize("config", ALL_CONFIGS, ids=["mlp", "gbt"])
+    def test_zero_max_steps_refused(self, config, blob):
+        X, y = blob
+        Xt, yt, Xv, yv = split_blob(X, y)
+        base = fit(config, Xt, yt, Xv, yv, rng_stream(13, 0))
+        with pytest.raises(ValueError, match="max_steps must be >= 1"):
+            fit_disagreeing(config, base, (Xt, yt), (Xv, yv),
+                            (Xv[:4], base.predict_labels(Xv[:4])),
+                            lam=0.1, rng=rng_stream(13, 2), max_steps=0)
 
     @pytest.mark.parametrize("config", ALL_CONFIGS, ids=["mlp", "gbt"])
     def test_far_shifted_q_learns_disagreement(self, config, blob):
@@ -512,8 +522,11 @@ class TestFitDisagreeing:
         Xq[:, 1] += 10.0
         pseudo = base.predict_labels(Xq)
         lam = lambda_weight(10, batches_per_epoch(config, len(yt), 10))
-        cdc = fit_disagreeing(config, base, (Xt, yt), (Xv, yv), (Xq, pseudo),
-                              lam=lam, rng=rng_stream(1, 2), epochs=10)
+        rng = rng_stream(1, 2)
+        cdc = base
+        for _ in range(10):
+            cdc = fit_disagreeing(config, cdc, (Xt, yt), (Xv, yv),
+                                  (Xq, pseudo), lam=lam, rng=rng)
         disagreement = np.mean(cdc.predict_labels(Xq) != pseudo)
         val_acc = np.mean(cdc.predict_labels(Xv) == yv)
         assert disagreement >= 0.9
@@ -529,8 +542,11 @@ class TestFitDisagreeing:
         Xq = rng_stream(2, 1).normal((8, 2)) + 4.0
         pseudo = base.predict_labels(Xq)
         lam = lambda_weight(8, 1)
-        cdc = fit_disagreeing(config, base, (Xt, yt), (Xv, yv), (Xq, pseudo),
-                              lam=lam, rng=rng_stream(2, 2), epochs=4)
+        rng = rng_stream(2, 2)
+        cdc = base
+        for _ in range(4):
+            cdc = fit_disagreeing(config, cdc, (Xt, yt), (Xv, yv),
+                                  (Xq, pseudo), lam=lam, rng=rng)
 
         from shiftguard.learners.gbt import _boost_rounds
         manual = base.clone_shallow()
@@ -543,7 +559,7 @@ class TestFitDisagreeing:
         probe = rng_stream(2, 3).normal((40, 2)) * 3
         np.testing.assert_array_equal(cdc.predict_proba_matrix(probe),
                                       manual.predict_proba_matrix(probe))
-        # four rounds in one call: the carried margins took all of them
+        # four chained rounds: the carried margins took all of them
         for rows in (Xt, Xv, Xq):
             assert (cdc.margins(rows).tobytes()
                     == reference_margins(cdc, rows).tobytes())

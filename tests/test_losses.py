@@ -291,7 +291,7 @@ class TestGradientBytes:
             assert got.tobytes() == expected.tobytes()
 
     def test_cdc_batch_grad_weighted_agree(self):
-        # the base fit: cross-entropy gradients scaled by w / sum(w)
+        # weighted agree rows: cross-entropy gradients scaled by w / sum(w)
         for logits, labels, _, _, weights in _seeded_batches():
             _, grads = reference_cross_entropy_batch(logits, labels)
             expected = grads * (weights / weights.sum())[:, None]
@@ -299,7 +299,7 @@ class TestGradientBytes:
             assert got.tobytes() == expected.tobytes()
 
     def test_logit_grads_over_batch_size(self):
-        # continued training with an empty Q divides by the batch size
+        # per-row gradients over the batch size, bit for bit
         for logits, labels, _, _, _ in _seeded_batches():
             _, grads = reference_cross_entropy_batch(logits, labels)
             got = logit_grads(logits, labels) / len(labels)
