@@ -79,7 +79,7 @@ def ensemble_disagreement_stat(models, ref_X, Q_X) -> tuple[float, tuple]:
         p_hat = (ref_dis.sum() + 1.0) / (ref_dis.size + 2.0)
         flags = ("smoothed_rate",)
     x = int(_disagreement_mask(models, Q_X).sum())
-    return binomial_pvalue(x, Q_X.shape[0], p_hat, "greater"), flags
+    return binomial_pvalue(x, Q_X.shape[0], p_hat), flags
 
 
 def ensemble_entropy_stat(models, ref_X, Q_X) -> tuple[float, tuple]:
@@ -129,7 +129,7 @@ def ctst_stat(config: LearnerConfig, source_X, Q_X,
                              np.ones(n_q - half, np.int64)])
     clf = fit(config, X_train, y_train, X_train, y_train, rng.split(17))
     x = int(np.sum(clf.predict_labels(X_test) == y_test))
-    return binomial_pvalue(x, y_test.size, 0.5, "greater"), ()
+    return binomial_pvalue(x, y_test.size, 0.5), ()
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +162,7 @@ def _verdict(detector_id, p_value, calib, n, rng, flags,
 def make_baseline_detector(detector_id: str, config: LearnerConfig,
                            data: PartitionedData, f: Model, N: int,
                            K: int, alpha: float, rng: RngStream,
-                           ensemble_spec: EnsembleSpec | None = None,
-                           ref_size: int = DEFAULT_REF_SIZE):
+                           ensemble_spec: EnsembleSpec | None = None):
     """Calibrate one baseline; returns verdict_fn(Q_X, rng).
 
     The held-out pool is split (deterministically per rng) into a
@@ -174,7 +173,7 @@ def make_baseline_detector(detector_id: str, config: LearnerConfig,
     holdout_X = data.holdout.features
     n_holdout = holdout_X.shape[0]
     perm = rng.split(0).permutation(n_holdout)
-    n_ref = min(ref_size, n_holdout // 2)
+    n_ref = min(DEFAULT_REF_SIZE, n_holdout // 2)
     ref_X = holdout_X[perm[:n_ref]]
     null_pool = holdout_X[perm[n_ref:]]
     if null_pool.shape[0] < N:

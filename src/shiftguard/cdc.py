@@ -74,23 +74,12 @@ class CdcEnsemble:
     base: Model
     members: list = field(default_factory=list)
     per_round_phi: list = field(default_factory=list)
-    surviving_indices: np.ndarray = None
-    target_size: int = 0
 
     @property
     def phi_final(self) -> float:
         if not self.per_round_phi:
             return 0.0
         return self.per_round_phi[-1]
-
-    def phi_at(self, size: int) -> float:
-        """Disagreement rate after the first ``size`` members (rates
-        freeze once the surviving set empties)."""
-        if size < 1:
-            raise ValueError("size must be >= 1")
-        if not self.per_round_phi:
-            return 0.0
-        return self.per_round_phi[min(size, len(self.per_round_phi)) - 1]
 
     def all_models(self) -> list:
         return [self.base, *self.members]
@@ -151,8 +140,7 @@ def build_ensemble(config: LearnerConfig, P_train, P_val, target_X,
         raise ValueError("target set must be nonempty")
     pseudo = pseudo_label(f, target_X)
     surviving = np.arange(n_q)
-    ensemble = CdcEnsemble(base=f, surviving_indices=surviving,
-                           target_size=n_q)
+    ensemble = CdcEnsemble(base=f)
     while surviving.size > 0 and len(ensemble.members) < spec.ensemble_max:
         g = train_cdc(config, P_train, P_val,
                       (target_X[surviving], pseudo[surviving]),
@@ -161,20 +149,17 @@ def build_ensemble(config: LearnerConfig, P_train, P_val, target_X,
         surviving = surviving[preds == pseudo[surviving]]
         ensemble.members.append(g)
         ensemble.per_round_phi.append(1.0 - surviving.size / n_q)
-    ensemble.surviving_indices = surviving
     return ensemble
 
 
-def cdc_entropy(ensemble: CdcEnsemble, X):
-    """Prediction entropy of the ensemble-mean class probabilities.
+def cdc_entropy(ensemble: CdcEnsemble, X) -> np.ndarray:
+    """Prediction entropy of the ensemble-mean class probabilities, one
+    value per row of the (n, d) matrix X.
 
     p_hat averages the base model and every member; entropy is natural-log
-    and lies in [0, log N].  Accepts a single row or a matrix.
+    and lies in [0, log N].
     """
     X = np.asarray(X, dtype=np.float64)
-    single = X.ndim == 1
-    if single:
-        X = X[None, :]
     models = ensemble.all_models()
     p_hat = models[0].predict_proba_matrix(X)
     for m in models[1:]:
@@ -182,5 +167,4 @@ def cdc_entropy(ensemble: CdcEnsemble, X):
     p_hat /= len(models)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p_hat > 0.0, p_hat * np.log(p_hat), 0.0)
-    ent = -terms.sum(axis=1)
-    return float(ent[0]) if single else ent
+    return -terms.sum(axis=1)

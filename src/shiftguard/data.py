@@ -55,14 +55,6 @@ class Dataset:
         return self.features.shape[0]
 
     @property
-    def n_rows(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.features.shape[1]
-
-    @property
     def num_classes(self) -> int:
         if self.labels is None:
             raise ValueError(f"dataset {self.name!r} is unlabeled")
@@ -202,7 +194,7 @@ def partition(dataset: Dataset, fractions=(0.7, 0.1, 0.2),
     if rng is None:
         rng = RngStream(0, 0)
 
-    n = dataset.n_rows
+    n = len(dataset)
     labels = dataset.labels
     classes, class_counts = np.unique(labels, return_counts=True)
     for c, count in zip(classes, class_counts):

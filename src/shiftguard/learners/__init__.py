@@ -240,7 +240,7 @@ def batches_per_epoch(config: LearnerConfig, n_train: int, n_q: int) -> int:
 def fit_disagreeing(config: LearnerConfig, base: Model, P_train, P_val,
                     Q, lam: float, rng, max_steps: int | None = None) -> Model:
     """Continue training ``base`` for one epoch (one boosting round) to
-    agree on P and disagree on a nonempty Q.
+    agree on a nonempty P_train and disagree on a nonempty Q.
 
     P_train/P_val are (X, y) pairs with true labels; Q is (X, pseudo)
     where pseudo labels are the base model's own predictions.  MLP path:
@@ -267,6 +267,8 @@ def fit_disagreeing(config: LearnerConfig, base: Model, P_train, P_val,
     X_val = _finite_features(P_val[0], "P_val")
     X_q = _finite_features(Q[0], "Q")
     pseudo = np.asarray(Q[1], dtype=np.int64)
+    if X_p.shape[0] == 0:
+        raise ValueError("P_train must be nonempty")
     if X_q.shape[0] == 0:
         raise ValueError("Q must be nonempty")
     if X_q.shape[0] != pseudo.shape[0]:

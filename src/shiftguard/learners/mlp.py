@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..losses import cdc_batch_grad, cross_entropy_batch
-from ..numerics import RngStream, softmax_rows
+from ..losses import cdc_batch_grad
+from ..numerics import RngStream, log_softmax_rows, softmax_rows
 from . import (
     LearnerConfig,
     Model,
@@ -173,8 +173,8 @@ def _standardizer(X):
 
 
 def _val_ce(model: MlpModel, X_val, y_val) -> float:
-    losses, _ = cross_entropy_batch(model.logits(X_val), y_val)
-    return float(losses.mean())
+    logp = log_softmax_rows(model.logits(X_val))
+    return float((-logp[np.arange(logp.shape[0]), y_val]).mean())
 
 
 def fit_mlp(config: LearnerConfig, X, y, X_val, y_val, n_classes,

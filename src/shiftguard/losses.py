@@ -10,25 +10,21 @@ consume gradients.
 
 Training needs only d loss / d logits.  ``logit_grads`` computes it per
 row from one row-wise softmax over the whole batch, and
-``cdc_batch_grad`` normalizes it by batch weight; the learners call
-these and never compute a loss value.  The loss-returning batch
-functions take their gradients from the same two functions, so a test of
-them checks the code that training runs.
+``cdc_batch_grad`` takes its batch mean; the learners call these and
+never compute a loss value.  The loss values themselves live with the
+test oracles, which check these gradients against them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .numerics import log_softmax_rows, softmax_rows
+from .numerics import softmax_rows
 
 __all__ = [
     "logit_grads",
     "cdc_batch_grad",
-    "cross_entropy_batch",
-    "disagreement_cross_entropy_batch",
     "lambda_weight",
-    "cdc_batch_loss",
     "replicate_for_disagreement",
 ]
 
@@ -62,53 +58,16 @@ def logit_grads(logits: np.ndarray, labels: np.ndarray, disagree=None,
 
 
 def cdc_batch_grad(logits: np.ndarray, labels: np.ndarray, disagree,
-                   lam: float, weights=None) -> np.ndarray:
-    """d cdc_batch_loss / d logits, without the loss value.
+                   lam: float) -> np.ndarray:
+    """d loss / d logits of the batch-mean agree/disagree objective.
 
-    Each row of ``logit_grads`` is scaled by weight / total weight;
-    ``weights`` None means unit weights, whose scale is 1/B.  Weights
-    must be positive; they are not checked here.
+    Agree rows contribute cross_entropy(l, label); disagree rows contribute
+    lam * DCE(l, label-as-target).  Each row of ``logit_grads`` is scaled
+    by 1/B.
     """
     grads = logit_grads(logits, labels, disagree, lam)
-    if weights is None:
-        grads *= 1.0 / grads.shape[0]
-    else:
-        grads *= (weights / weights.sum())[:, None]
+    grads *= 1.0 / grads.shape[0]
     return grads
-
-
-def _ce_losses(logp: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    return -logp[np.arange(logp.shape[0]), labels]
-
-
-def _dce_losses(logp: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    rows = np.arange(logp.shape[0])
-    return -(logp.sum(axis=1) - logp[rows, targets]) / (logp.shape[1] - 1)
-
-
-def cross_entropy_batch(logits: np.ndarray,
-                        labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized cross-entropy over an (B, N) logit matrix.
-
-    Returns per-row losses (B,) and gradients (B, N).
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    return (_ce_losses(log_softmax_rows(logits), labels),
-            logit_grads(logits, labels))
-
-
-def disagreement_cross_entropy_batch(
-        logits: np.ndarray,
-        targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized DCE over an (B, N) logit matrix (targets are the classes
-    to avoid)."""
-    logits = np.asarray(logits, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.int64)
-    if logits.shape[1] < 2:
-        raise ValueError("need at least 2 classes to disagree")
-    return (_dce_losses(log_softmax_rows(logits), targets),
-            logit_grads(logits, targets, np.ones(logits.shape[0], bool)))
 
 
 def lambda_weight(q_size: int, batches_per_epoch: int = 1) -> float:
@@ -123,38 +82,6 @@ def lambda_weight(q_size: int, batches_per_epoch: int = 1) -> float:
     if batches_per_epoch < 1:
         raise ValueError("batches_per_epoch must be >= 1")
     return 1.0 / ((q_size + 1) * batches_per_epoch)
-
-
-def cdc_batch_loss(logits: np.ndarray, labels: np.ndarray,
-                   weights: np.ndarray, disagree: np.ndarray,
-                   lam: float) -> tuple[float, np.ndarray]:
-    """Combined agree/disagree objective over a batch.
-
-    Agree rows contribute weight * cross_entropy(l, label); disagree rows
-    contribute weight * lam * DCE(l, label-as-target).  The batch is
-    normalized by total weight, which coincides with the plain batch mean
-    when all weights are 1 and makes "weight k" identical to "k copies".
-    Returns (loss, d loss / d logits) with gradients already normalized.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    weights = np.asarray(weights, dtype=np.float64)
-    disagree = np.asarray(disagree, dtype=bool)
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    if logits.shape[0] == 0:
-        raise ValueError("empty batch")
-    if np.any(weights <= 0):
-        raise ValueError("weights must be positive")
-
-    if not disagree.any():
-        disagree = None         # plain cross-entropy, for any class count
-    logp = log_softmax_rows(logits)
-    losses = _ce_losses(logp, labels)
-    if disagree is not None:
-        losses = np.where(disagree, lam * _dce_losses(logp, labels), losses)
-    loss = float((weights * losses).sum() / weights.sum())
-    return loss, cdc_batch_grad(logits, labels, disagree, lam, weights)
 
 
 def replicate_for_disagreement(X, targets, num_classes: int,

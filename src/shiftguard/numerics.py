@@ -1,8 +1,9 @@
 """Deterministic numeric kernels shared by every other module.
 
-Stable softmax / log-sum-exp, the regularized incomplete beta function,
-a terminating 3F2 hypergeometric series, and a counter-based splittable
-random number stream.  Everything here is pure given its inputs.
+Row-wise softmax and log-softmax, the regularized incomplete beta
+function, an exact terminating 3F2 hypergeometric series over integer
+parameters, and a counter-based splittable random number stream.
+Everything here is pure given its inputs.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "log_sum_exp",
-    "softmax",
     "softmax_rows",
     "log_softmax_rows",
     "regularized_incomplete_beta",
@@ -36,33 +35,6 @@ _U64_31 = np.uint64(31)
 # ---------------------------------------------------------------------------
 # softmax family
 # ---------------------------------------------------------------------------
-
-def log_sum_exp(logits) -> float:
-    """log(sum(exp(l_i))) computed with max-subtraction so huge logits do
-    not overflow.  Exact for a single entry."""
-    arr = np.asarray(logits, dtype=np.float64).ravel()
-    if arr.size == 0:
-        raise ValueError("empty input")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("logits must be finite")
-    if arr.size == 1:
-        return float(arr[0])
-    m = float(arr.max())
-    return m + math.log(float(np.exp(arr - m).sum()))
-
-
-def softmax(logits) -> np.ndarray:
-    """Probability vector exp(l_i - log_sum_exp(l)); invariant under adding
-    a constant to every logit."""
-    arr = np.asarray(logits, dtype=np.float64).ravel()
-    if arr.size == 0:
-        raise ValueError("empty input")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("logits must be finite")
-    shifted = arr - arr.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax for an (n, N) logit matrix."""
@@ -153,81 +125,42 @@ def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
 # terminating 3F2
 # ---------------------------------------------------------------------------
 
-def _is_integral(x: float) -> bool:
-    return abs(x - round(x)) < 1e-9
-
-
-def _validate_3f2(a2: float, b1: float, b2: float) -> int:
-    if a2 > 0 or not _is_integral(a2):
+def _validate_3f2(a2: int, b1: int, b2: int) -> int:
+    if a2 > 0:
         raise ValueError("series does not terminate")
-    n_terms = int(round(-a2)) + 1
+    n_terms = -a2 + 1
     for b in (b1, b2):
-        if b <= 0 and _is_integral(b) and -round(b) < n_terms - 1:
+        if b <= 0 and -b < n_terms - 1:
             raise ValueError(
                 "lower parameter hits a non-positive integer inside the sum")
     return n_terms
 
 
-def _log_3f2_terminating(a1: float, a2: float, a3: float,
-                         b1: float, b2: float) -> tuple[int, float]:
-    """Signed log evaluation of 3F2(a1, a2, a3; b1, b2; 1) when a2 is a
-    non-positive integer.  Returns (sign, log|value|).
+def _log_3f2_terminating(a1: int, a2: int, a3: int,
+                         b1: int, b2: int) -> tuple[int, float]:
+    """Signed log evaluation of 3F2(a1, a2, a3; b1, b2; 1) over integer
+    parameters with a2 <= 0.  Returns (sign, log|value|).
 
-    Integral parameters (the posterior's case) are summed exactly in
-    rational arithmetic: the (a2)_k factor alternates sign and the series
-    cancels catastrophically in floating point once |a2| is large, while
-    exact summation is immune and cheap at |a2| + 1 terms.  Non-integral
-    parameters fall back to per-term log-magnitude + sign accumulation,
-    which avoids overflow near |a2| ~ 100 where naive products blow up.
+    The |a2| + 1 terms are summed exactly in rational arithmetic: the
+    (a2)_k factor alternates sign and the series cancels catastrophically
+    in floating point once |a2| is large, while exact summation is immune
+    and cheap.
     """
-    n_terms = _validate_3f2(a2, b1, b2)
-
-    if all(_is_integral(v) for v in (a1, a2, a3, b1, b2)):
-        from fractions import Fraction
-        ia = (int(round(a1)), int(round(a2)), int(round(a3)))
-        ib = (int(round(b1)), int(round(b2)))
-        total = Fraction(0)
-        term = Fraction(1)
-        for k in range(n_terms):
-            if k > 0:
-                num = (ia[0] + k - 1) * (ia[1] + k - 1) * (ia[2] + k - 1)
-                den = (ib[0] + k - 1) * (ib[1] + k - 1) * k
-                if num == 0:
-                    break
-                term *= Fraction(num, den)
-            total += term
-        if total == 0:
-            return 0, -math.inf
-        sign = 1 if total > 0 else -1
-        num, den = abs(total.numerator), total.denominator
-        # log of a big rational without overflowing float conversion
-        log_abs = (math.log2(num) - math.log2(den)) * math.log(2.0)
-        return sign, log_abs
-
-    log_terms = [0.0]
-    signs = [1]
-    log_t, sign = 0.0, 1
-    for k in range(1, n_terms):
-        num_factors = (a1 + k - 1, a2 + k - 1, a3 + k - 1)
-        den_factors = (b1 + k - 1, b2 + k - 1, float(k))
-        if any(f == 0.0 for f in num_factors):
-            break  # a numerator pochhammer hit zero: series ends early
-        for f in num_factors:
-            log_t += math.log(abs(f))
-            sign *= 1 if f > 0 else -1
-        for f in den_factors:
-            log_t -= math.log(abs(f))
-            sign *= 1 if f > 0 else -1
-        log_terms.append(log_t)
-        signs.append(sign)
-
-    log_terms_arr = np.array(log_terms)
-    signs_arr = np.array(signs, dtype=np.float64)
-    m = float(log_terms_arr.max())
-    total = float((signs_arr * np.exp(log_terms_arr - m)).sum())
-    if total == 0.0:
+    from fractions import Fraction
+    total = term = Fraction(1)
+    for k in range(1, _validate_3f2(a2, b1, b2)):
+        num = (a1 + k - 1) * (a2 + k - 1) * (a3 + k - 1)
+        if num == 0:
+            break
+        term *= Fraction(num, (b1 + k - 1) * (b2 + k - 1) * k)
+        total += term
+    if total == 0:
         return 0, -math.inf
-    return (1 if total > 0 else -1), m + math.log(abs(total))
+    sign = 1 if total > 0 else -1
+    num, den = abs(total.numerator), total.denominator
+    # log of a big rational without overflowing float conversion
+    log_abs = (math.log2(num) - math.log2(den)) * math.log(2.0)
+    return sign, log_abs
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,12 @@
 
 Two-sample Kolmogorov-Smirnov with exact small-sample p-values (surviving
 lattice paths counted in integers, then one correctly rounded division),
-binomial tail tests in closed form, the empirical-quantile convention used
-for permutation calibration, the p*(n) disagreement bound, and the
-Bayesian posterior P[q > p] for two observed disagreement counts.  Each
-closed form is paired in the test suite with an enumeration or Monte-Carlo
-oracle.
+the one-sided binomial tail P(X >= x) in closed form, the
+empirical-quantile convention used for permutation calibration, the
+p*(n) disagreement bound, and the Bayesian posterior P[q > p] for two
+observed disagreement counts, evaluated through an exact rational 3F2
+sum.  Each closed form is paired in the test suite with an enumeration
+or Monte-Carlo oracle.
 """
 
 from __future__ import annotations
@@ -54,6 +55,9 @@ class PosteriorInputs:
     M: int
 
     def __post_init__(self):
+        counts = (self.n, self.N, self.m, self.M)
+        if any(type(v) is not int for v in counts):
+            raise TypeError(f"counts must be int, got {counts!r}")
         if self.N < 1 or self.M < 1:
             raise ValueError("sample sizes must be >= 1")
         if not 0 <= self.n <= self.N:
@@ -185,33 +189,16 @@ def ks_two_sample(xs, ys) -> KsResult:
 # binomial test
 # ---------------------------------------------------------------------------
 
-def _binom_sf(x: int, n: int, p0: float) -> float:
-    """P(X >= x) for X ~ Bin(n, p0), via the incomplete beta identity."""
-    if x <= 0:
-        return 1.0
-    if x > n:
-        return 0.0
-    return regularized_incomplete_beta(p0, x, n - x + 1)
-
-
-def binomial_pvalue(x: int, n: int, p0: float,
-                    sided: str = "greater") -> float:
-    """Closed-form binomial test p-value.
-
-    "greater": P(X >= x).  "two_sided": doubled smaller tail, clamped at 1
-    (the raw doubled expression exceeds 1 near the mode).
-    """
+def binomial_pvalue(x: int, n: int, p0: float) -> float:
+    """One-sided binomial test p-value P(X >= x) for X ~ Bin(n, p0), via
+    the incomplete beta identity P(X >= x) = I_p0(x, n - x + 1)."""
     if not 0 <= x <= n:
         raise ValueError(f"need 0 <= x <= n, got x={x}, n={n}")
     if not 0.0 < p0 < 1.0:
         raise ValueError(f"p0 must be in (0, 1), got {p0}")
-    upper = _binom_sf(x, n, p0)
-    if sided == "greater":
-        return upper
-    if sided == "two_sided":
-        lower = 1.0 - _binom_sf(x + 1, n, p0)
-        return min(1.0, 2.0 * min(upper, lower))
-    raise ValueError(f"unknown sided {sided!r}")
+    if x == 0:
+        return 1.0
+    return regularized_incomplete_beta(p0, x, n - x + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +258,7 @@ def posterior_prob_shift(inputs: PosteriorInputs) -> float:
         - math.lgamma(M - m + 1) - math.lgamma(m + N + 3)
     )
     sign, log_f = _log_3f2_terminating(
-        m + 1.0, float(m - M), m + n + 2.0, m + 2.0, m + N + 3.0)
+        m + 1, m - M, m + n + 2, m + 2, m + N + 3)
     if sign == 0:
         value = 1.0
     else:

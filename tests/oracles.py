@@ -7,11 +7,10 @@ binomial sampler rather than any closed form under test, the exact-KS
 reference visits every state of every tie group one numpy-scalar term at
 a time, the integer exact-KS walk counts paths group by group with
 binomial tie weights, and the GBT references grow, walk and sum trees
-one node and one tree at a time.  The loss oracles are per-sample, or
-batch code that takes each loss and gradient through its own log-softmax
-and masks; the Adam reference updates one parameter array at a time.
-``hypergeometric_3f2_terminating`` is no oracle: it is the float form of
-the library's signed-log 3F2, kept here because only its tests call it.
+one node and one tree at a time.  The loss oracles are per-sample, on a
+scalar log-sum-exp and softmax that live here, or batch code that takes
+each loss and gradient through its own log-softmax and masks; the Adam
+reference updates one parameter array at a time.
 """
 
 from __future__ import annotations
@@ -23,14 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from shiftguard.learners.gbt import _MIN_GAIN, _leaf_value, _Tree
-from shiftguard.numerics import (
-    RngStream,
-    _log_3f2_terminating,
-    log_softmax_rows,
-    log_sum_exp,
-    softmax,
-    softmax_rows,
-)
+from shiftguard.numerics import RngStream, log_softmax_rows, softmax_rows
 
 
 def brute_ks_statistic(xs, ys) -> float:
@@ -158,12 +150,6 @@ def enumerate_binom_sf(x: int, n: int, p: float) -> float:
         for k in range(x, n + 1)))
 
 
-def enumerate_binom_two_sided(x: int, n: int, p: float) -> float:
-    upper = enumerate_binom_sf(x, n, p)
-    lower = 1.0 - enumerate_binom_sf(x + 1, n, p)
-    return min(1.0, 2.0 * min(upper, lower))
-
-
 def beta_mc_prob_q_gt_p(n: int, N: int, m: int, M: int, pairs: int,
                         rng: RngStream, chunk: int = 200_000) -> float:
     """Monte-Carlo P(q > p) with p ~ Beta(n+1, N-n+1), q ~ Beta(m+1, M-m+1).
@@ -218,19 +204,6 @@ def mc_disagreement_oracle(n: int, p: float, trials: int,
     est = float(np.mean(xs > ys))
     std_err = math.sqrt(est * (1.0 - est) / trials)
     return est, std_err
-
-
-def hypergeometric_3f2_terminating(a1: float, a2: float, a3: float,
-                                   b1: float, b2: float) -> float:
-    """3F2(a1, a2, a3; b1, b2; 1) for non-positive integer a2.
-
-    The series has exactly |a2| + 1 terms; terms are accumulated in
-    log-magnitude with explicit sign tracking.
-    """
-    sign, log_abs = _log_3f2_terminating(a1, a2, a3, b1, b2)
-    if sign == 0:
-        return 0.0
-    return sign * math.exp(log_abs)
 
 
 def central_difference_grad(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -360,6 +333,33 @@ class DisagreementTarget:
             raise ValueError(
                 f"target_class {self.target_class} outside "
                 f"[0, {self.num_classes})")
+
+
+def log_sum_exp(logits) -> float:
+    """log(sum(exp(l_i))) computed with max-subtraction so huge logits do
+    not overflow.  Exact for a single entry."""
+    arr = np.asarray(logits, dtype=np.float64).ravel()
+    if arr.size == 0:
+        raise ValueError("empty input")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("logits must be finite")
+    if arr.size == 1:
+        return float(arr[0])
+    m = float(arr.max())
+    return m + math.log(float(np.exp(arr - m).sum()))
+
+
+def softmax(logits) -> np.ndarray:
+    """Probability vector exp(l_i - log_sum_exp(l)); invariant under adding
+    a constant to every logit."""
+    arr = np.asarray(logits, dtype=np.float64).ravel()
+    if arr.size == 0:
+        raise ValueError("empty input")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("logits must be finite")
+    shifted = arr - arr.max()
+    e = np.exp(shifted)
+    return e / e.sum()
 
 
 def cross_entropy(logits, y: int) -> tuple[float, np.ndarray]:

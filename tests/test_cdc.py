@@ -166,13 +166,13 @@ class TestBuildEnsemble:
         assert len(ens.per_round_phi) == len(ens.members)
         phi = ens.per_round_phi
         assert all(a <= b + 1e-12 for a, b in zip(phi, phi[1:]))
-        assert ens.phi_final == pytest.approx(
-            1.0 - ens.surviving_indices.size / 30)
-        # surviving samples really are agreed on by every member
-        for g in ens.members:
-            agreed = g.predict_labels(Xq[ens.surviving_indices])
-            np.testing.assert_array_equal(
-                agreed, pseudo_label(f, Xq[ens.surviving_indices]))
+        # each round's phi is the share of Q that some member so far
+        # disagrees on, recomputed from the members
+        pseudo = pseudo_label(f, Xq)
+        agreed = np.ones(30, dtype=bool)
+        for g, phi in zip(ens.members, ens.per_round_phi):
+            agreed &= g.predict_labels(Xq) == pseudo
+            assert phi == pytest.approx(1.0 - agreed.sum() / 30)
 
     @pytest.mark.parametrize("n_classes", [2, 3])
     def test_gbt_member_margins_equal_tree_sums(self, n_classes):
@@ -221,15 +221,14 @@ class TestBuildEnsemble:
                              CdcTrainSpec(), rng_stream(26, 0))
         assert len(ens.members) == 1
         assert ens.phi_final == 1.0
-        assert ens.surviving_indices.size == 0
+        assert np.all(ens.members[0].predict_labels(Xq)
+                      != pseudo_label(f, Xq))
 
     def test_phi_arithmetic(self):
         ens = CdcEnsemble(base=constant_stub([0.0, 1.0], 2),
-                          per_round_phi=[0.4, 0.76],
-                          surviving_indices=np.arange(12), target_size=50)
+                          per_round_phi=[0.4, 0.76])
         assert ens.phi_final == pytest.approx(0.76)
-        assert ens.phi_at(1) == pytest.approx(0.4)
-        assert ens.phi_at(5) == pytest.approx(0.76)
+        assert CdcEnsemble(base=ens.base).phi_final == 0.0
 
     def test_empty_target_errors(self, blob_models):
         config, f, p_train, p_val = blob_models["gbt"]
@@ -242,16 +241,15 @@ class TestCdcEntropy:
     def test_unanimous_one_hot_is_zero(self):
         base = constant_stub([40.0, 0.0], 2)
         member = constant_stub([40.0, 0.0], 2)
-        ens = CdcEnsemble(base=base, members=[member],
-                          surviving_indices=np.arange(0), target_size=1)
-        assert cdc_entropy(ens, np.zeros(2)) == pytest.approx(0.0, abs=1e-12)
+        ens = CdcEnsemble(base=base, members=[member])
+        assert cdc_entropy(ens, np.zeros((1, 2)))[0] == pytest.approx(
+            0.0, abs=1e-12)
 
     def test_perfect_split_gives_log_two(self):
         base = constant_stub([60.0, 0.0], 2)      # (1, 0)
         member = constant_stub([0.0, 60.0], 2)    # (0, 1)
-        ens = CdcEnsemble(base=base, members=[member],
-                          surviving_indices=np.arange(0), target_size=1)
-        assert cdc_entropy(ens, np.zeros(2)) == pytest.approx(
+        ens = CdcEnsemble(base=base, members=[member])
+        assert cdc_entropy(ens, np.zeros((1, 2)))[0] == pytest.approx(
             math.log(2.0), abs=1e-12)
 
     def test_bounded_by_log_n(self, blob_models):

@@ -123,7 +123,7 @@ class TestSynthGenerate:
         spec = ShiftTaskSpec(generator="null_resample",
                              n_source=10_000, n_target=10_000, seed=4)
         source, target, _ = synth_generate(spec)
-        for j in range(source.n_features):
+        for j in range(source.features.shape[1]):
             res = ks_two_sample(source.features[:, j], target.features[:, j])
             assert res.p_value > 0.01, f"feature {j}"
 
@@ -202,7 +202,7 @@ class TestUciPrepare:
         source, target = uci_prepare(tmp_path)
         assert len(source) == 5    # cleveland + hungary
         assert len(target) == 4    # switzerland + va
-        assert source.n_features == len(UCI_FEATURES) == 9
+        assert source.features.shape[1] == len(UCI_FEATURES) == 9
         np.testing.assert_array_equal(source.labels, [0, 1, 0, 0, 1])
         np.testing.assert_array_equal(target.labels, [1, 1, 1, 0])
 

@@ -92,7 +92,7 @@ def test_three_class_mlp_calibration_digest():
     """The DCE's 1/(C-1) terms, the l2 term and one-P-row batches all
     reach the record."""
     data, rng = three_class_data()
-    assert data.train.n_rows % MLP3.mlp.batch_size != 0
+    assert len(data.train) % MLP3.mlp.batch_size != 0
     f = fit(MLP3, data.train.features, data.train.labels,
             data.val.features, data.val.labels, rng.split(4))
     calib = calibrate(data, MLP3, f, GBT_N, GBT_K, MLP3_SPEC, 0.05,

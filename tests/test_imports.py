@@ -1,6 +1,7 @@
 """Import hygiene of the package sources, checked with ``ast``: no module
-keeps a top-level import it never uses, and every ``__all__`` name exists
-on its module.  Deleting code tends to leave both behind.  A fresh
+keeps a top-level import it never uses, every ``__all__`` name exists on
+its module, and every module-level private function is used somewhere in
+the package.  Deleting code tends to leave all three behind.  A fresh
 interpreter checks what ``import shiftguard.cli`` loads, which every CLI
 process pays for."""
 
@@ -60,6 +61,25 @@ def test_all_names_resolve(path):
     module = importlib.import_module(module_name(path))
     missing = [n for n in names if not hasattr(module, n)]
     assert not missing, f"{module_name(path)}: __all__ names {missing}"
+
+
+def test_private_functions_are_referenced():
+    """A ``_private`` helper that no package code names is reached only by
+    tests, if at all; the deletion that stranded it should take it too."""
+    defined, used = [], set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined += [(module_name(path), node.name) for node in tree.body
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                used.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                used.add(n.attr)
+    stranded = [f"{mod}.{name}" for mod, name in defined if name not in used]
+    assert not stranded, f"private functions no package code uses: {stranded}"
 
 
 def test_cli_import_leaves_out_process_pools():

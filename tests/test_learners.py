@@ -9,6 +9,7 @@ from oracles import (
     add_node,
     central_difference_grad,
     reference_build_tree,
+    reference_cross_entropy_batch,
     reference_margins,
     reference_tree_predict,
 )
@@ -43,7 +44,7 @@ from shiftguard.learners.mlp import (
     _flat_params,
     _forward_train,
 )
-from shiftguard.losses import cross_entropy_batch, lambda_weight, logit_grads
+from shiftguard.losses import lambda_weight, logit_grads
 from shiftguard.numerics import rng_stream
 
 ALL_CONFIGS = [small_mlp_config(), small_gbt_config()]
@@ -195,12 +196,12 @@ class TestMlpInternals:
         def loss_at(flat):
             params[:] = flat
             logits, _, _ = _forward_train(X, ws, bs, 0.0, rng_stream(0, 0))
-            losses, _ = cross_entropy_batch(logits, y)
+            losses, _ = reference_cross_entropy_batch(logits, y)
             return float(losses.mean())
 
         logits, acts, masks = _forward_train(X, weights, biases, 0.0,
                                              rng_stream(0, 0))
-        _, grads = cross_entropy_batch(logits, y)
+        _, grads = reference_cross_entropy_batch(logits, y)
         analytic = _backward(grads / X.shape[0], acts, masks, weights, 0.0)
         fd = central_difference_grad(loss_at, params.copy())
         err = np.abs(analytic - fd) / np.maximum(np.abs(fd), 1e-3)
@@ -498,6 +499,17 @@ class TestFitDisagreeing:
         with pytest.raises(ValueError, match="Q must be nonempty"):
             fit_disagreeing(config, base, (Xt, yt), (Xv, yv),
                             (np.empty((0, 2)), np.empty(0, np.int64)),
+                            lam=0.1, rng=rng_stream(13, 2))
+
+    @pytest.mark.parametrize("config", ALL_CONFIGS, ids=["mlp", "gbt"])
+    def test_empty_p_train_refused(self, config, blob):
+        X, y = blob
+        Xt, yt, Xv, yv = split_blob(X, y)
+        base = fit(config, Xt, yt, Xv, yv, rng_stream(13, 0))
+        with pytest.raises(ValueError, match="P_train must be nonempty"):
+            fit_disagreeing(config, base,
+                            (np.empty((0, 2)), np.empty(0, np.int64)),
+                            (Xv, yv), (Xv[:4], base.predict_labels(Xv[:4])),
                             lam=0.1, rng=rng_stream(13, 2))
 
     @pytest.mark.parametrize("config", ALL_CONFIGS, ids=["mlp", "gbt"])

@@ -11,17 +11,14 @@ from oracles import (
     reference_cdc_batch_loss,
     reference_cross_entropy_batch,
     reference_disagreement_cross_entropy_batch,
+    softmax,
 )
 from shiftguard.losses import (
     cdc_batch_grad,
-    cdc_batch_loss,
-    cross_entropy_batch,
-    disagreement_cross_entropy_batch,
     lambda_weight,
     logit_grads,
     replicate_for_disagreement,
 )
-from shiftguard.numerics import softmax
 
 
 def eq2_reference(probs: np.ndarray, t: int) -> float:
@@ -134,12 +131,15 @@ class TestLambdaWeight:
 
 
 class TestCdcBatchLoss:
+    """The batch objective's values, on the oracle; its gradient, on the
+    code that training runs."""
+
     def test_all_agree_equals_mean_cross_entropy(self):
         rng = np.random.default_rng(4)
         logits = rng.normal(size=(6, 4))
         labels = rng.integers(4, size=6)
-        loss, _ = cdc_batch_loss(logits, labels, np.ones(6),
-                                 np.zeros(6, dtype=bool), lam=0.37)
+        loss, _ = reference_cdc_batch_loss(logits, labels, np.ones(6),
+                                           np.zeros(6, dtype=bool), lam=0.37)
         expected = np.mean([cross_entropy(l, y)[0]
                             for l, y in zip(logits, labels)])
         assert loss == pytest.approx(expected, abs=1e-12)
@@ -148,8 +148,8 @@ class TestCdcBatchLoss:
         rng = np.random.default_rng(5)
         logits = rng.normal(size=(5, 3))
         targets = rng.integers(3, size=5)
-        loss, _ = cdc_batch_loss(logits, targets, np.ones(5),
-                                 np.ones(5, dtype=bool), lam=1.0)
+        loss, _ = reference_cdc_batch_loss(logits, targets, np.ones(5),
+                                           np.ones(5, dtype=bool), lam=1.0)
         expected = np.mean([
             disagreement_cross_entropy(l, DisagreementTarget(int(t), 3))[0]
             for l, t in zip(logits, targets)])
@@ -162,7 +162,8 @@ class TestCdcBatchLoss:
         weights = np.array([1.0, 2.0, 1.0, 0.5])
         disagree = np.array([False, False, True, True])
         lam = 0.25
-        loss, _ = cdc_batch_loss(logits, labels, weights, disagree, lam)
+        loss, _ = reference_cdc_batch_loss(logits, labels, weights, disagree,
+                                           lam)
         terms = [
             weights[0] * cross_entropy(logits[0], 0)[0],
             weights[1] * cross_entropy(logits[1], 2)[0],
@@ -177,27 +178,17 @@ class TestCdcBatchLoss:
         rng = np.random.default_rng(7)
         logits = rng.normal(size=(4, 3))
         labels = np.array([0, 2, 1, 1])
-        weights = np.array([1.0, 2.0, 1.0, 0.5])
         disagree = np.array([False, True, False, True])
-        _, grad = cdc_batch_loss(logits, labels, weights, disagree, 0.25)
+        grad = cdc_batch_grad(logits, labels, disagree, 0.25)
         fd = central_difference_grad(
-            lambda v: cdc_batch_loss(v.reshape(4, 3), labels, weights,
-                                     disagree, 0.25)[0],
+            lambda v: reference_cdc_batch_loss(v.reshape(4, 3), labels,
+                                               np.ones(4), disagree, 0.25)[0],
             logits.ravel()).reshape(4, 3)
         np.testing.assert_allclose(grad, fd, atol=1e-6)
 
-    def test_weight_k_equals_k_copies(self):
-        logits = np.array([[0.3, -0.2, 1.0], [2.0, 0.1, -1.0]])
-        weighted, _ = cdc_batch_loss(
-            logits, [0, 1], [3.0, 1.0], [False, True], lam=0.5)
-        duplicated, _ = cdc_batch_loss(
-            np.vstack([logits[0]] * 3 + [logits[1]]),
-            [0, 0, 0, 1], np.ones(4), [False, False, False, True], lam=0.5)
-        assert weighted == pytest.approx(duplicated, abs=1e-14)
-
     def test_empty_batch_errors(self):
         with pytest.raises(ValueError, match="empty batch"):
-            cdc_batch_loss(np.empty((0, 3)), [], [], [], 0.5)
+            reference_cdc_batch_loss(np.empty((0, 3)), [], [], [], 0.5)
 
 
 class TestReplication:
@@ -290,14 +281,6 @@ class TestGradientBytes:
             got = cdc_batch_grad(logits, labels, disagree, lam)
             assert got.tobytes() == expected.tobytes()
 
-    def test_cdc_batch_grad_weighted_agree(self):
-        # weighted agree rows: cross-entropy gradients scaled by w / sum(w)
-        for logits, labels, _, _, weights in _seeded_batches():
-            _, grads = reference_cross_entropy_batch(logits, labels)
-            expected = grads * (weights / weights.sum())[:, None]
-            got = cdc_batch_grad(logits, labels, None, 1.0, weights)
-            assert got.tobytes() == expected.tobytes()
-
     def test_logit_grads_over_batch_size(self):
         # per-row gradients over the batch size, bit for bit
         for logits, labels, _, _, _ in _seeded_batches():
@@ -306,18 +289,13 @@ class TestGradientBytes:
             assert got.tobytes() == (grads / len(labels)).tobytes()
 
     def test_batch_losses_and_gradients(self):
-        for logits, labels, disagree, lam, weights in _seeded_batches():
-            for fn, ref in (
-                    (cross_entropy_batch, reference_cross_entropy_batch),
-                    (disagreement_cross_entropy_batch,
-                     reference_disagreement_cross_entropy_batch)):
-                losses, grads = fn(logits, labels)
-                ref_losses, ref_grads = ref(logits, labels)
-                assert losses.tobytes() == ref_losses.tobytes()
-                assert grads.tobytes() == ref_grads.tobytes()
-            loss, grads = cdc_batch_loss(logits, labels, weights, disagree,
-                                         lam)
-            ref_loss, ref_grads = reference_cdc_batch_loss(
-                logits, labels, weights, disagree, lam)
-            assert loss == ref_loss
-            assert grads.tobytes() == ref_grads.tobytes()
+        # per-row cross-entropy and DCE gradients, unscaled, against the
+        # batch code that took them next to its loss values
+        for logits, labels, _, _, _ in _seeded_batches():
+            _, ce_grads = reference_cross_entropy_batch(logits, labels)
+            _, dce_grads = reference_disagreement_cross_entropy_batch(
+                logits, labels)
+            all_disagree = np.ones(len(labels), dtype=bool)
+            assert logit_grads(logits, labels).tobytes() == ce_grads.tobytes()
+            assert (logit_grads(logits, labels, all_disagree).tobytes()
+                    == dce_grads.tobytes())

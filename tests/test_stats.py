@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from oracles import (
     beta_mc_prob_q_gt_p,
     enumerate_binom_sf,
-    enumerate_binom_two_sided,
     enumerate_ks_pvalue,
     integer_ks_pvalue,
     mc_disagreement_oracle,
@@ -237,33 +236,24 @@ class TestKsExactBits:
 
 
 class TestBinomialPvalue:
-    def test_all_heads_two_sided(self):
-        assert binomial_pvalue(10, 10, 0.5, "two_sided") == pytest.approx(
-            2.0 * 2.0 ** -10, rel=1e-12)
-
-    def test_mode_clamps_to_one(self):
-        assert binomial_pvalue(5, 10, 0.5, "two_sided") == 1.0
-
     def test_zero_successes_greater(self):
-        assert binomial_pvalue(0, 17, 0.3, "greater") == 1.0
+        assert binomial_pvalue(0, 17, 0.3) == 1.0
 
     def test_matches_enumeration_all_n_up_to_30(self):
         for n in (1, 2, 5, 13, 30):
             for p0 in (0.123, 0.5, 0.87):
                 for x in range(n + 1):
-                    assert binomial_pvalue(x, n, p0, "greater") == pytest.approx(
+                    assert binomial_pvalue(x, n, p0) == pytest.approx(
                         enumerate_binom_sf(x, n, p0), abs=1e-12)
-                    assert binomial_pvalue(x, n, p0, "two_sided") == pytest.approx(
-                        enumerate_binom_two_sided(x, n, p0), abs=1e-12)
 
     def test_matches_scipy(self):
         for x, n, p0 in [(3, 20, 0.1), (12, 15, 0.5), (1, 9, 0.77)]:
-            assert binomial_pvalue(x, n, p0, "greater") == pytest.approx(
+            assert binomial_pvalue(x, n, p0) == pytest.approx(
                 scipy.stats.binomtest(x, n, p0, alternative="greater").pvalue,
                 abs=1e-12)
 
     def test_monotone_in_x(self):
-        vals = [binomial_pvalue(x, 25, 0.4, "greater") for x in range(26)]
+        vals = [binomial_pvalue(x, 25, 0.4) for x in range(26)]
         assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
 
     def test_domain_errors(self):
@@ -273,8 +263,6 @@ class TestBinomialPvalue:
             binomial_pvalue(6, 5, 0.5)
         with pytest.raises(ValueError):
             binomial_pvalue(2, 5, 0.0)
-        with pytest.raises(ValueError):
-            binomial_pvalue(2, 5, 0.5, sided="less")
 
 
 class TestEmpiricalQuantile:
@@ -387,3 +375,12 @@ class TestPosteriorProbShift:
             PosteriorInputs(2, 1, 0, 1)
         with pytest.raises(ValueError):
             PosteriorInputs(0, 0, 0, 1)
+
+    @pytest.mark.parametrize("bad", [2.5, True])
+    def test_non_int_counts_refused(self, bad):
+        # each field in turn: the exact 3F2 sums over int parameters only
+        for i in range(4):
+            counts = [2, 5, 2, 5]
+            counts[i] = bad
+            with pytest.raises(TypeError, match="counts must be int"):
+                PosteriorInputs(*counts)
