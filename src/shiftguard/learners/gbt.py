@@ -283,6 +283,10 @@ class GbtModel(Model):
         # margins() call on equal rows gets a copy instead of re-running
         # every tree.  Filled once, when training ends.
         self._known = ()
+        # (rows, their column ranks) of the disagreement round that made
+        # this model: the CDC's next round boosts on equal stacked rows
+        # and takes the ranks instead of ranking every column again
+        self._ranks = None
 
     def margins(self, X: np.ndarray) -> np.ndarray:
         X = self._check_matrix(X)
@@ -331,17 +335,17 @@ def _add_rounds(margins, X, rounds) -> None:
             margins[:, c] += next(values)
 
 
-def _boost_rounds(model: GbtModel, X, y, w, margins, cfg, rng: RngStream,
-                  n_rounds: int) -> None:
+def _boost_rounds(model: GbtModel, X, ranks, y, w, margins, cfg,
+                  rng: RngStream, n_rounds: int) -> None:
     """Append n_rounds of trees to ``model`` fit on (X, y, w), starting
-    from and updating ``margins``, the model's margins on X."""
+    from and updating ``margins``, the model's margins on X; ``ranks``
+    are ``_column_ranks(X)``."""
     n, d = X.shape
     n_classes = model.num_classes
     onehot = np.zeros((n, n_classes))
     onehot[np.arange(n), y] = 1.0
     n_sub = max(1, int(round(cfg.subsample * n)))
     n_col = max(1, int(round(cfg.colsample * d)))
-    ranks = _column_ranks(X)
     for _ in range(n_rounds):
         p = softmax_rows(margins)
         grad = w[:, None] * (p - onehot)
@@ -372,8 +376,8 @@ def fit_gbt(config: LearnerConfig, X, y, X_val, y_val, n_classes,
     model = GbtModel(_log_prior(y, n_classes), [], n_classes, X.shape[1],
                      (rng.base_seed, rng.stream_id))
     margins = model.margins(X)
-    _boost_rounds(model, X, y, np.ones(X.shape[0]), margins, cfg, rng,
-                  cfg.num_rounds)
+    _boost_rounds(model, X, _column_ranks(X), y, np.ones(X.shape[0]),
+                  margins, cfg, rng, cfg.num_rounds)
     model._remember(X, margins)
     model._remember(X_val, model.margins(X_val))
     model.val_score = evaluate_metric(model, X_val, y_val, config.val_metric)
@@ -396,7 +400,11 @@ def fit_disagreeing_gbt(config: LearnerConfig, base: GbtModel, X_p, y_p,
     # training, and add only the new trees to them
     margins = np.vstack([base.margins(X_p),
                          np.repeat(base.margins(X_q), n_rep, axis=0)])
-    _boost_rounds(model, np.vstack([X_p, X_rep]),
+    X_all = np.vstack([X_p, X_rep])
+    model._ranks = base._ranks
+    if model._ranks is None or not np.array_equal(model._ranks[0], X_all):
+        model._ranks = (X_all, _column_ranks(X_all))
+    _boost_rounds(model, X_all, model._ranks[1],
                   np.concatenate([y_p, y_rep]),
                   np.concatenate([np.ones(n_p), w_rep]), margins, cfg, rng, 1)
     val = base.margins(X_val)

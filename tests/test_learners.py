@@ -256,8 +256,9 @@ class TestWeightedFitting:
     @staticmethod
     def boost(X, y, w, config, seed, prior=(0.0, 0.0)):
         model = GbtModel(np.array(prior), [], 2, X.shape[1], (seed, 0))
-        gbt._boost_rounds(model, X, y, w, model.margins(X), config.gbt,
-                          rng_stream(seed, 0), config.gbt.num_rounds)
+        gbt._boost_rounds(model, X, _column_ranks(X), y, w, model.margins(X),
+                          config.gbt, rng_stream(seed, 0),
+                          config.gbt.num_rounds)
         return model
 
     def test_gbt_weight_k_equals_k_duplicates(self):
@@ -566,8 +567,8 @@ class TestFitDisagreeing:
         X_all = np.vstack([Xt, Xq])
         y_all = np.concatenate([yt, 1 - pseudo])
         w_all = np.concatenate([np.ones(len(yt)), np.full(8, w_q)])
-        _boost_rounds(manual, X_all, y_all, w_all, manual.margins(X_all),
-                      config.gbt, rng_stream(2, 2), 4)
+        _boost_rounds(manual, X_all, _column_ranks(X_all), y_all, w_all,
+                      manual.margins(X_all), config.gbt, rng_stream(2, 2), 4)
         probe = rng_stream(2, 3).normal((40, 2)) * 3
         np.testing.assert_array_equal(cdc.predict_proba_matrix(probe),
                                       manual.predict_proba_matrix(probe))
@@ -575,6 +576,30 @@ class TestFitDisagreeing:
         for rows in (Xt, Xv, Xq):
             assert (cdc.margins(rows).tobytes()
                     == reference_margins(cdc, rows).tobytes())
+
+    def test_gbt_ranks_once_per_stacked_rows(self, blob, monkeypatch):
+        # a CDC's chained rounds stack equal P + replica rows: the first
+        # ranks them and the later ones take its ranks; a new Q re-ranks
+        X, y = blob
+        Xt, yt, Xv, yv = split_blob(X, y)
+        config = small_gbt_config()
+        base = fit(config, Xt, yt, Xv, yv, rng_stream(4, 0))
+        ranked = []
+        monkeypatch.setattr(gbt, "_column_ranks",
+                            lambda X: ranked.append(X) or _column_ranks(X))
+        Xq = Xv[:6]
+        cdc = base
+        for _ in range(3):
+            cdc = fit_disagreeing(config, cdc, (Xt, yt), (Xv, yv),
+                                  (Xq, base.predict_labels(Xq)), lam=0.1,
+                                  rng=rng_stream(4, 1))
+        assert len(ranked) == 1
+        assert np.array_equal(cdc._ranks[0], np.vstack([Xt, Xq]))
+        assert np.array_equal(cdc._ranks[1], _column_ranks(cdc._ranks[0]))
+        fit_disagreeing(config, cdc, (Xt, yt), (Xv, yv),
+                        (Xq[:3], base.predict_labels(Xq[:3])), lam=0.1,
+                        rng=rng_stream(4, 1))
+        assert len(ranked) == 2
 
     def test_lambda_validation(self, blob):
         X, y = blob
