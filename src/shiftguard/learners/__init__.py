@@ -40,6 +40,12 @@ __all__ = [
 MODEL_FORMAT_VERSION = 1
 
 
+def _refuse_nonfinite(config, names) -> None:
+    for name in names:
+        if not math.isfinite(getattr(config, name)):
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class MlpConfig:
     hidden_sizes: tuple[int, ...] = (16, 16, 16)
@@ -51,6 +57,7 @@ class MlpConfig:
     patience: int = 100
 
     def __post_init__(self):
+        _refuse_nonfinite(self, ("learning_rate", "l2"))
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
         if self.learning_rate <= 0:
@@ -76,6 +83,8 @@ class GbtConfig:
     disagree_scale: float = 1.0
 
     def __post_init__(self):
+        _refuse_nonfinite(self, ("eta", "min_child_weight", "reg_lambda",
+                                 "disagree_scale"))
         if self.eta <= 0:
             raise ValueError("eta must be positive")
         if self.max_depth < 1:

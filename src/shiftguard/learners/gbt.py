@@ -1,20 +1,24 @@
 """Gradient-boosted decision trees with exact per-sample weighting.
 
-One depth-limited regression tree per class per round on the multiclass
-logistic objective (softmax linkage), second-order leaf values, row
-subsampling and per-tree column subsampling.  A round's class trees
-share its rows and softmax gradients and draw no randomness while they
-grow, so they grow together: one depth at a time, with one exact greedy
-split search for every node of every class at that depth.  The search
-sorts each node's rows by integer ranks of the feature values, ranked
-once per boosting call, so equal values (-0.0 and 0.0 among them) fall
-in one run; features must therefore be finite.  Prediction walks every
-row, and every tree of a batch, down one level per step.  Margins start
-at the log class priors, so an untrained model predicts the training
-class frequencies.  Disagreement training adds one boosting round to
-the base model's trees on a replica-weighted dataset; each warm-started
-round carries its base's margins on the training, target and
-validation rows and adds only its own trees to them.
+Depth-limited regression trees on the multiclass logistic objective
+(softmax linkage), second-order leaf values, row subsampling and
+per-tree column subsampling.  A round of C >= 3 classes grows one tree
+per class; the class trees share the round's rows and softmax gradients
+and draw no randomness while they grow, so they grow together: one depth
+at a time, with one exact greedy split search for every node of every
+class at that depth.  A binary round grows class 1's tree only: class
+0's gradient is the negated class-1 gradient and its hessian the same,
+so its tree is stored as class 1's mirror, the same splits with every
+leaf value negated, and the round is walked once.  The search sorts each
+node's rows by integer ranks of the feature values, ranked once per
+boosting call, so equal values (-0.0 and 0.0 among them) fall in one
+run; features must therefore be finite.  Prediction walks every row,
+and every tree of a batch, down one level per step.  Margins start at
+the log class priors, so an untrained model predicts the training class
+frequencies.  Disagreement training adds one boosting round to the base
+model's trees on a replica-weighted dataset; each warm-started round
+carries its base's margins on the training, target and validation rows
+and adds only its own trees to them.
 """
 
 from __future__ import annotations
@@ -41,9 +45,11 @@ _WALK_CELLS = 1 << 16
 class _Tree:
     """Flat-array binary tree: internal nodes carry (feature, threshold),
     leaves carry an additive margin value (shrinkage already applied).
-    Immutable once built: ``_walk_trees`` keeps its arrays in ``_walk``."""
+    Immutable once built: ``_walk_trees`` keeps its arrays in ``_walk``.
+    A binary round's class-0 tree names class 1's as ``mirror_of``."""
 
-    __slots__ = ("feature", "threshold", "left", "right", "value", "_walk")
+    __slots__ = ("feature", "threshold", "left", "right", "value", "_walk",
+                 "mirror_of")
 
     def __init__(self):
         self.feature: list[int] = []
@@ -52,6 +58,32 @@ class _Tree:
         self.right: list[int] = []
         self.value: list[float] = []
         self._walk = None
+        self.mirror_of = None
+
+
+def _mirror(tree: _Tree) -> _Tree:
+    """Class 0's tree of a binary round whose class-1 tree is ``tree``:
+    the same splits, every leaf value negated."""
+    mirror = _Tree()
+    mirror.feature, mirror.threshold = tree.feature, tree.threshold
+    mirror.left, mirror.right = tree.left, tree.right
+    mirror.value = [-v for v in tree.value]
+    mirror.mirror_of = tree
+    return mirror
+
+
+def _is_mirror(tree: _Tree, of: _Tree) -> bool:
+    """Whether walking ``of`` and subtracting gives the bits of walking
+    ``tree`` and adding: equal splits and bitwise-negated leaf values.  A
+    NaN leaf is never mirrored, since x - NaN and x + (-NaN) differ in
+    the sign bit."""
+    value = np.asarray(of.value)
+    return (tree.feature == of.feature and tree.left == of.left
+            and tree.right == of.right
+            and (np.asarray(tree.threshold).tobytes()
+                 == np.asarray(of.threshold).tobytes())
+            and not np.isnan(value).any()
+            and np.asarray(tree.value).tobytes() == (-value).tobytes())
 
 
 def _walk_arrays(tree: _Tree) -> tuple:
@@ -111,8 +143,9 @@ def _column_ranks(X: np.ndarray) -> np.ndarray:
 
 
 def _build_trees(X, ranks, grad, hess, rows, feats, cfg) -> list:
-    """One exact greedy tree per class column of ``grad``/``hess``, tree c
-    on the features ``feats[c]``, all grown on ``rows`` together.
+    """One exact greedy tree per column of ``grad``/``hess``, tree c on
+    the features ``feats[c]``, all grown on ``rows`` together.  The
+    columns are a round's classes, or class 1 alone in a binary round.
 
     Trees grow one depth at a time: ``_best_splits`` searches every node
     of every class at a depth at once, and a node's rows keep the order
@@ -274,7 +307,9 @@ class GbtModel(Model):
     def __init__(self, base_log_prior, rounds, num_classes, feature_dim,
                  training_seed, val_score=None):
         self.base_log_prior = np.asarray(base_log_prior, dtype=np.float64)
-        self.rounds = rounds  # list of rounds; each round: one _Tree per class
+        # list of rounds; each round: one _Tree per class, a binary
+        # round's class-0 tree the mirror of its class-1 tree
+        self.rounds = rounds
         self.num_classes = num_classes
         self.feature_dim = feature_dim
         self.training_seed = tuple(training_seed)
@@ -324,13 +359,23 @@ class GbtModel(Model):
 def _add_rounds(margins, X, rounds) -> None:
     """Add each tree's predictions on X to ``margins``, round by round and
     class by class: the one order every margin sum uses, so a carried sum
-    extended by later rounds has the bytes of a sum from scratch."""
-    trees = [tree for round_trees in rounds for tree in round_trees]
+    extended by later rounds has the bytes of a sum from scratch.  A
+    mirrored binary round is walked once: its class-1 values are added to
+    column 1 and subtracted from column 0, the bits of adding class 0's
+    negated values."""
+    mirrored = [rnd[0].mirror_of is rnd[1] for rnd in rounds]
+    trees = [tree for rnd, mirror in zip(rounds, mirrored)
+             for tree in (rnd[1:] if mirror else rnd)]
     # walk at most about _WALK_CELLS (tree, row) pairs at once
     step = max(1, _WALK_CELLS // max(1, X.shape[0]))
     values = itertools.chain.from_iterable(
         _walk_trees(trees[i:i + step], X) for i in range(0, len(trees), step))
-    for round_trees in rounds:
+    for round_trees, mirror in zip(rounds, mirrored):
+        if mirror:
+            v = next(values)
+            margins[:, 1] += v
+            margins[:, 0] -= v
+            continue
         for c in range(len(round_trees)):
             margins[:, c] += next(values)
 
@@ -354,14 +399,20 @@ def _boost_rounds(model: GbtModel, X, ranks, y, w, margins, cfg,
         # and force huge unsplittable Newton leaves
         hess = w[:, None] * np.maximum(2.0 * p * (1.0 - p), 1e-16)
         # the round's rows, then each class's columns: the draw order
-        # every stored model depends on
+        # every stored model depends on.  A binary round draws class 0's
+        # columns too and grows class 1's tree alone, on its own columns
         rows = (rng.sample_without_replacement(n, n_sub)
                 if n_sub < n else np.arange(n))
         feats = np.array([np.sort(rng.sample_without_replacement(d, n_col))
                           if n_col < d else np.arange(d)
                           for _ in range(n_classes)])
-        model.rounds.append(_build_trees(X, ranks, grad, hess, rows, feats,
-                                         cfg))
+        if n_classes == 2:
+            tree, = _build_trees(X, ranks, grad[:, 1:], hess[:, 1:], rows,
+                                 feats[1:], cfg)
+            model.rounds.append([_mirror(tree), tree])
+        else:
+            model.rounds.append(_build_trees(X, ranks, grad, hess, rows,
+                                             feats, cfg))
         _add_rounds(margins, X, model.rounds[-1:])
 
 
@@ -485,6 +536,10 @@ def gbt_from_doc(doc: dict) -> GbtModel:
                          "per round")
     rounds = [[_tree_from_doc(t, header["feature_dim"]) for t in rnd]
               for rnd in rounds]
+    # link mirrored binary rounds, so a loaded model walks them once too
+    for rnd in rounds:
+        if len(rnd) == 2 and _is_mirror(*rnd):
+            rnd[0].mirror_of = rnd[1]
     return GbtModel(
         prior,
         rounds,

@@ -123,6 +123,14 @@ class TestCalibrateCommand:
         _, err = read_stdout_docs(capsys)
         assert "parse error" in err
 
+    def test_nonfinite_learner_setting_exit_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMOKE_CONFIG + "\n[gbt]\neta = nan\n")
+        assert main(["calibrate", cfg]) == 1
+        out, err = read_stdout_docs(capsys)
+        assert out == []
+        assert err.splitlines() == [
+            "error: invalid learner config: eta must be finite"]
+
     def test_insufficient_holdout_exit_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         text = open(cfg).read().replace("sample_size = 20",

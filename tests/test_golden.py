@@ -28,11 +28,12 @@ GBT_CALIBRATION_SHA256 = (
     "3440b55959a2cc9b880aa203795dd1343b6d64ce4eb63603a7aede4d47b580dc")
 
 # depth 6 and 10 rounds: trees reach the deep levels the 3-round golden
-# above never grows, and every CDC may take five boosting rounds
+# above never grows, and every CDC may take five boosting rounds.  Two
+# classes, so every round grows class 1's tree and mirrors it for class 0
 GBT_DEEP = small_gbt_config()
 GBT_DEEP_SPEC = CdcTrainSpec(max_opt_steps=5)
 GBT_DEEP_CALIBRATION_SHA256 = (
-    "b99d84853f33171fe4bc6a9ba12239b3412e5dcd382a2dfe12ae5b0012a8eace")
+    "54dace99395252f10575287fc11309bda3b318c3e64cf3cff050f253bba6f11d")
 
 # colsample 0.6 on 5 features keeps 3: every tree of every class draws
 # its own column subset, which no golden above does
@@ -100,7 +101,8 @@ def test_three_class_mlp_calibration_digest():
     assert calibration_sha256(calib) == MLP3_CALIBRATION_SHA256
 
 
-def test_deep_binary_gbt_calibration_digest():
+@pytest.fixture(scope="module")
+def deep_binary_env():
     """Two overlapping Gaussian classes plus an integer-valued feature, so
     split searches meet heavily tied values at every depth."""
     rng = rng_stream(71, 0)
@@ -109,11 +111,25 @@ def test_deep_binary_gbt_calibration_digest():
     X[:, 0] += 1.5 * labels
     X[:, 2] = np.round(2.0 * X[:, 2])
     train, val, holdout = partition(Dataset(X, labels), rng=rng.split(1))
+    data = PartitionedData(train, val, holdout)
     f = fit(GBT_DEEP, train.features, train.labels, val.features,
             val.labels, rng.split(2))
-    calib = calibrate(PartitionedData(train, val, holdout), GBT_DEEP, f,
-                      GBT_N, GBT_K, GBT_DEEP_SPEC, 0.05, rng.split(3))
-    assert calibration_sha256(calib) == GBT_DEEP_CALIBRATION_SHA256
+    calib = calibrate(data, GBT_DEEP, f, GBT_N, GBT_K, GBT_DEEP_SPEC, 0.05,
+                      rng.split(3))
+    return {"data": data, "f": f, "calib": calib, "rng": rng}
+
+
+def test_deep_binary_gbt_calibration_digest(deep_binary_env):
+    assert (calibration_sha256(deep_binary_env["calib"])
+            == GBT_DEEP_CALIBRATION_SHA256)
+
+
+def test_deep_binary_gbt_parallel_jobs_match_sequential(deep_binary_env):
+    """The process pool pickles the base model, mirrored rounds and all."""
+    env = deep_binary_env
+    par = calibrate(env["data"], GBT_DEEP, env["f"], GBT_N, GBT_K,
+                    GBT_DEEP_SPEC, 0.05, env["rng"].split(3), jobs=2)
+    assert calibration_sha256(par) == GBT_DEEP_CALIBRATION_SHA256
 
 
 def test_colsample_gbt_calibration_digest():

@@ -640,6 +640,161 @@ class TestFitDisagreeing:
                             (Xv[:4], labels["Q pseudo"]),
                             lam=0.1, rng=rng_stream(3, 1))
 
+def assert_mirrored(model):
+    """Every round of a binary model holds class 1's tree and, for class
+    0, its mirror: equal node arrays and negated leaf values, byte for
+    byte."""
+    for zero, one in model.rounds:
+        assert zero.mirror_of is one
+        for name in ("feature", "threshold", "left", "right"):
+            assert (np.asarray(getattr(zero, name)).tobytes()
+                    == np.asarray(getattr(one, name)).tobytes()), name
+        assert (np.asarray(zero.value).tobytes()
+                == (-np.asarray(one.value)).tobytes())
+
+
+def count_walked_trees(monkeypatch):
+    """The trees passed to ``_walk_trees`` from now on, in order."""
+    walked, walk = [], gbt._walk_trees
+
+    def counted(trees, X):
+        walked.extend(trees)
+        return walk(trees, X)
+
+    monkeypatch.setattr(gbt, "_walk_trees", counted)
+    return walked
+
+
+class TestBinaryMirror:
+    """A binary round grows class 1's tree alone and stores class 0's as
+    its mirror; a round stored as two grown trees is walked as two."""
+
+    @pytest.mark.parametrize("colsample", [1.0, 0.5])
+    def test_fit_and_fit_disagreeing_rounds_mirrored(self, blob, colsample):
+        X, y = blob
+        Xt, yt, Xv, yv = split_blob(X, y)
+        config = small_gbt_config(colsample=colsample)
+        base = fit(config, Xt, yt, Xv, yv, rng_stream(15, 0))
+        assert_mirrored(base)
+        Xq = Xv[:6] + 3.0
+        cdc, rng = base, rng_stream(15, 1)
+        for _ in range(3):
+            cdc = fit_disagreeing(config, cdc, (Xt, yt), (Xv, yv),
+                                  (Xq, base.predict_labels(Xq)), lam=0.1,
+                                  rng=rng)
+        assert len(cdc.rounds) == config.gbt.num_rounds + 3
+        assert_mirrored(cdc)
+        for rows in (Xt, Xv, Xq):
+            assert (cdc.margins(rows).tobytes()
+                    == reference_margins(cdc, rows).tobytes())
+
+    @pytest.mark.parametrize("subsample, colsample",
+                             [(0.9, 0.6), (0.7, 0.4), (1.0, 1.0)])
+    def test_rounds_draw_both_column_subsets(self, subsample, colsample):
+        # class 0's columns are drawn and not used: the stream after a
+        # round is where drawing both subsets leaves it, and class 1's
+        # tree splits only on the second subset
+        rng = rng_stream(16, 0)
+        n, d = 80, 5
+        X = rng.normal((n, d))
+        y = (X[:, 0] + X[:, 3] + 0.5 * rng.normal(n) > 0).astype(np.int64)
+        cfg = small_gbt_config(subsample=subsample,
+                               colsample=colsample).gbt
+        model = GbtModel(np.zeros(2), [], 2, d, (16, 1))
+        stream = rng_stream(16, 1)
+        gbt._boost_rounds(model, X, _column_ranks(X), y, np.ones(n),
+                          model.margins(X), cfg, stream, 6)
+        ref = rng_stream(16, 1)
+        n_sub, n_col = round(subsample * n), round(colsample * d)
+        outside_class_0 = 0
+        for _, tree in model.rounds:
+            if n_sub < n:
+                ref.sample_without_replacement(n, n_sub)
+            cols = [set(ref.sample_without_replacement(d, n_col).tolist())
+                    if n_col < d else set(range(d)) for _ in range(2)]
+            split_on = {f for f in tree.feature if f >= 0}
+            assert split_on and split_on <= cols[1]
+            outside_class_0 += not split_on <= cols[0]
+        assert stream.uniform() == ref.uniform()
+        assert outside_class_0 > 0 or colsample == 1.0
+
+    def test_three_class_rounds_not_mirrored(self):
+        rng = rng_stream(17, 0)
+        y = np.arange(150) % 3
+        X = rng.normal((150, 2))
+        X[:, 0] += 2.0 * y
+        model = fit(small_gbt_config(), X[:120], y[:120], X[120:], y[120:],
+                    rng.split(1))
+        loaded = doc_to_model(model_to_doc(model))
+        for rounds in (model.rounds, loaded.rounds):
+            assert all(len(rnd) == 3 for rnd in rounds)
+            assert all(t.mirror_of is None for rnd in rounds for t in rnd)
+
+    def test_loaded_binary_model_walks_one_tree_per_round(self, blob,
+                                                          monkeypatch):
+        X, y = blob
+        Xt, yt, Xv, yv = split_blob(X, y)
+        loaded = doc_to_model(model_to_doc(
+            fit(small_gbt_config(), Xt, yt, Xv, yv, rng_stream(18, 0))))
+        assert_mirrored(loaded)
+        walked = count_walked_trees(monkeypatch)
+        probe = rng_stream(18, 1).normal((60, 2)) * 4.0
+        margins = loaded.margins(probe)
+        assert walked == [one for _, one in loaded.rounds]
+        # the reference walks class 0's stored tree and adds its values
+        assert margins.tobytes() == reference_margins(loaded, probe).tobytes()
+
+    def test_two_tree_binary_document_walks_both(self, blob, monkeypatch):
+        # binary rounds grown as two classes, as every binary model was
+        # before the mirror: they load unlinked and keep their own bits
+        X, y = blob
+        n, d = X.shape
+        cfg = small_gbt_config().gbt
+        model = GbtModel(gbt._log_prior(y, 2), [], 2, d, (19, 0))
+        rng, onehot = rng_stream(19, 0), np.eye(2)[y]
+        for _ in range(4):
+            p = model.predict_proba_matrix(X)
+            hess = np.maximum(2.0 * p * (1.0 - p), 1e-16)
+            model.rounds.append(_build_trees(
+                X, _column_ranks(X), p - onehot, hess,
+                rng.sample_without_replacement(n, n - 20),
+                np.array([np.arange(d)] * 2), cfg))
+        assert not any(gbt._is_mirror(*rnd) for rnd in model.rounds)
+        loaded = doc_to_model(model_to_doc(model))
+        assert all(t.mirror_of is None for rnd in loaded.rounds for t in rnd)
+        walked = count_walked_trees(monkeypatch)
+        probe = rng_stream(19, 1).normal((60, 2)) * 4.0
+        margins = loaded.margins(probe)
+        assert len(walked) == 2 * len(loaded.rounds)
+        assert margins.tobytes() == reference_margins(loaded, probe).tobytes()
+        assert margins.tobytes() == reference_margins(model, probe).tobytes()
+
+    def test_near_mirrors_not_linked(self, blob):
+        # one leaf a bit off, a -0.0 threshold against 0.0, or a NaN leaf
+        # (x - NaN and x + (-NaN) differ in sign): not mirrors
+        X, y = blob
+        Xt, yt, Xv, yv = split_blob(X, y)
+        doc = model_to_doc(fit(small_gbt_config(), Xt, yt, Xv, yv,
+                               rng_stream(20, 0)))
+
+        def first_round():
+            zero, one = doc_to_model(doc).rounds[0]
+            assert zero.mirror_of is one
+            return zero, one
+
+        zero, one = first_round()
+        zero.value[-1] = float(np.nextafter(zero.value[-1], np.inf))
+        assert not gbt._is_mirror(zero, one)
+        zero, one = first_round()
+        zero.threshold[-1], one.threshold[-1] = -0.0, 0.0
+        assert not gbt._is_mirror(zero, one)
+        zero, one = first_round()
+        one.value[-1], zero.value[-1] = math.nan, -math.nan
+        assert (np.asarray(zero.value).tobytes()
+                == (-np.asarray(one.value)).tobytes())
+        assert not gbt._is_mirror(zero, one)
+
+
 class TestSerialization:
     def test_round_trip_preserves_predictions(self, fitted, tmp_path):
         _, model, _ = fitted
@@ -816,6 +971,15 @@ class TestSerialization:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("config, name", [
+        (MlpConfig, "learning_rate"), (MlpConfig, "l2"),
+        (GbtConfig, "eta"), (GbtConfig, "min_child_weight"),
+        (GbtConfig, "reg_lambda"), (GbtConfig, "disagree_scale")])
+    def test_nonfinite_settings_refused(self, config, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            config(**{name: value})
+
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
             MlpConfig(dropout_rate=1.0)
