@@ -89,10 +89,28 @@ class RunConfig:
         return self.sections[section][key]
 
     def getint(self, section, key):
-        return int(self.get(section, key))
+        return _parse(int, section, key, self.get(section, key))
 
     def getfloat(self, section, key):
-        return float(self.get(section, key))
+        return _parse(float, section, key, self.get(section, key))
+
+
+def _parse(kind, section, key, raw, item=None):
+    """``kind(item)``, item defaulting to ``raw``, the whole value of
+    section.key; a value that does not parse is a CliError naming both."""
+    try:
+        return kind(raw if item is None else item)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        bad = repr(raw) if item is None else f"{item!r} in {raw!r}"
+        raise CliError(f"invalid {section}.{key}: {bad} is not {what}") \
+            from None
+
+
+def _fractions(rc: RunConfig) -> tuple:
+    raw = rc.get("data", "fractions")
+    return tuple(_parse(float, "data", "fractions", raw, x)
+                 for x in raw.split(","))
 
 
 def load_run_config(path) -> RunConfig:
@@ -121,7 +139,7 @@ def load_run_config(path) -> RunConfig:
                 sections["data"][k] = parser.get("data", k).strip()
     seed = None
     if parser.has_option("run", "seed"):
-        seed = parser.getint("run", "seed")
+        seed = _parse(int, "run", "seed", parser.get("run", "seed"))
     return RunConfig(sections=sections, seed=seed, path=str(path))
 
 
@@ -207,7 +225,7 @@ def build_environment(rc: RunConfig, seed: int):
     config).  Data only: the base model is fitted by ``calibrate`` and
     read back from its file by ``test``."""
     d = rc.sections["data"]
-    fractions = tuple(float(x) for x in d["fractions"].split(","))
+    fractions = _fractions(rc)
     target_X = None
     if "source_csv" in d:
         source = load_csv(d["source_csv"])
@@ -335,6 +353,10 @@ def cmd_calibrate(args) -> int:
     rc = load_run_config(args.config)
     seed = resolve_seed(rc, args.seed)
     jobs = args.jobs or rc.getint("run", "jobs")
+    spec = cdc_spec_from_config(rc)
+    N = rc.getint("test", "sample_size")
+    K = rc.getint("test", "K")
+    alpha = rc.getfloat("test", "alpha")
     start = time.perf_counter()
     data, _, config = build_environment(rc, seed)
     try:
@@ -342,10 +364,6 @@ def cmd_calibrate(args) -> int:
                 RngStream(seed, 0).split(2))
     except ValueError as exc:
         raise CliError(f"cannot fit base model: {exc}")
-    spec = cdc_spec_from_config(rc)
-    N = rc.getint("test", "sample_size")
-    K = rc.getint("test", "K")
-    alpha = rc.getfloat("test", "alpha")
     try:
         record = calibrate(data, config, f, N, K, spec, alpha,
                            RngStream(seed, 0).split(3), jobs=jobs)
@@ -428,8 +446,9 @@ def cmd_benchmark(args) -> int:
     for d in detectors:
         if d not in DETECTOR_IDS:
             raise CliError(f"unknown detector id {d!r}")
-    sizes = [int(x) for x in
-             rc.get("benchmark", "sample_sizes").split(",") if x]
+    raw = rc.get("benchmark", "sample_sizes")
+    sizes = [_parse(int, "benchmark", "sample_sizes", raw, x)
+             for x in raw.split(",") if x]
     trials = rc.getint("benchmark", "trials")
     alpha = rc.getfloat("test", "alpha")
     K = rc.getint("test", "K")
@@ -448,8 +467,7 @@ def cmd_benchmark(args) -> int:
     task = BenchmarkTask(
         data_spec=data_spec,
         learner=config, cdc=spec, K=K,
-        fractions=tuple(float(x)
-                        for x in rc.get("data", "fractions").split(",")))
+        fractions=_fractions(rc))
 
     out_dir = rc.get("run", "output_dir")
     os.makedirs(out_dir, exist_ok=True)

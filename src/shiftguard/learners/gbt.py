@@ -9,16 +9,19 @@ at a time, with one exact greedy split search for every node of every
 class at that depth.  A binary round grows class 1's tree only: class
 0's gradient is the negated class-1 gradient and its hessian the same,
 so its tree is stored as class 1's mirror, the same splits with every
-leaf value negated, and the round is walked once.  The search sorts each
-node's rows by integer ranks of the feature values, ranked once per
-boosting call, so equal values (-0.0 and 0.0 among them) fall in one
-run; features must therefore be finite.  Prediction walks every row,
-and every tree of a batch, down one level per step.  Margins start at
-the log class priors, so an untrained model predicts the training class
-frequencies.  Disagreement training adds one boosting round to the base
-model's trees on a replica-weighted dataset; each warm-started round
-carries its base's margins on the training, target and validation rows
-and adds only its own trees to them.
+leaf value negated, and the round is walked once; its gradients and
+hessians are computed for class 1 alone.  The search sorts each node's
+rows by integer ranks of the feature values, ranked once per boosting
+call, so equal values (-0.0 and 0.0 among them) fall in one run;
+features must therefore be finite.  The sort keys take the narrowest
+unsigned type that holds them, and a run of one row is its own run sum.
+Prediction walks every row, and every tree of a batch, down one level
+per step.  Margins start at the log class priors, so an untrained model
+predicts the training class frequencies.  Disagreement training adds one
+boosting round to the base model's trees on a replica-weighted dataset;
+each warm-started round carries its base's margins on the training,
+target and validation rows and adds only its own trees to them, walking
+the round once over all of those rows.
 """
 
 from __future__ import annotations
@@ -159,24 +162,28 @@ def _build_trees(X, ranks, grad, hess, rows, feats, cfg) -> list:
     cls = np.arange(n_classes)                  # class,
     sizes = np.full(n_classes, rows.size)       # and row count
     flat = np.tile(rows, n_classes)             # the nodes' rows in turn
+    # class c's gradients and hessians at [c * n, (c + 1) * n)
+    n = grad.shape[0]
+    grad, hess = grad.T.ravel(), hess.T.ravel()
     for depth in range(cfg.max_depth + 1):
-        flat_cls = np.repeat(cls, sizes)
-        g, h = grad[flat, flat_cls], hess[flat, flat_cls]
+        at = (cls * n).repeat(sizes) + flat
+        g, h = grad[at], hess[at]
         # fsum is exactly rounded, so weight-k rows and k duplicates yield
         # bit-identical node statistics regardless of summation order
-        g_list, h_list = g.tolist(), h.tolist()
-        ends = np.cumsum(sizes).tolist()
-        sums = [(math.fsum(g_list[a:b]), math.fsum(h_list[a:b]))
+        g_rows, h_rows = memoryview(g), memoryview(h)
+        ends = sizes.cumsum().tolist()
+        sums = [(math.fsum(g_rows[a:b]), math.fsum(h_rows[a:b]))
                 for a, b in zip([0] + ends, ends)]
         node_cls, splits = cls.tolist(), {}
         if depth < cfg.max_depth:
             scores = np.array([gs * gs / (hs + cfg.reg_lambda)
                                for gs, hs in sums])
-            split, feature, thr, flat, sizes = _best_splits(
-                X, ranks, flat, sizes, feats[cls], g, h, scores, cfg)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                split, feature, thr, flat, sizes = _best_splits(
+                    X, ranks, flat, sizes, feats[cls], g, h, scores, cfg)
             splits = dict(zip(split.tolist(),
                               zip(feature.tolist(), thr.tolist())))
-            cls = np.repeat(cls[split], 2)
+            cls = cls[split].repeat(2)
         next_ids = []
         for i, (c, node) in enumerate(zip(node_cls, ids)):
             tree = grown[c]
@@ -228,11 +235,17 @@ def _best_splits(X, ranks, flat, sizes, node_feats, g, h, parent_score,
     and hessians are ``g`` and ``h``, and searches the features
     ``node_feats[s]``.  One group per (feature slot, node) pair.  Each
     group's rows are sorted by value, ties kept in the node's row order:
-    one stable sort of the integer keys group * n + rank.  Gradients and
-    hessians are summed per distinct value, so a weight-k row and k
-    duplicate rows give bit-identical statistics (cuts sit between
-    distinct values anyway), then prefix-summed in sequence.  A node takes
-    its first best cut, the earliest feature winning ties.
+    one stable sort of the integer keys group * n + rank, cast to the
+    narrowest unsigned type that holds them, so keys below 2**16 take
+    numpy's radix sort (a stable order is unique: the cast changes no
+    order).  Gradients and hessians are summed per distinct value, so a
+    weight-k row and k duplicate rows give bit-identical statistics (cuts
+    sit between distinct values anyway); where every run holds one row,
+    the rows are the run sums.  The run sums are prefix-summed in
+    sequence, each group along its own zero-padded matrix row, and every
+    cut's gain is then computed run by run.  A node takes its first best
+    cut, the earliest feature winning ties.  Called inside
+    ``np.errstate``: a gain may be 0/0.
     """
     n_nodes, n_feat = node_feats.shape
     n, m = ranks.shape[1], flat.size
@@ -241,64 +254,73 @@ def _best_splits(X, ranks, flat, sizes, node_feats, g, h, parent_score,
                      axis=1)
            + ranks.ravel()[np.repeat(node_feats.T * n, sizes, axis=1) + flat]
            ).ravel()
-    order = np.argsort(key, kind="stable")
+    order = key.astype(np.min_scalar_type(groups * n - 1)).argsort(
+        kind="stable")
     key = key[order]
-    pos = order % m
+    # feature slot i's keys sort into [i * m, (i + 1) * m)
+    slot_lo = np.arange(0, n_feat * m, m)[:, None]
+    pos = (order.reshape(n_feat, m) - slot_lo).ravel()
     new_run = np.empty(key.size, dtype=bool)
     new_run[0] = True
     np.not_equal(key[1:], key[:-1], out=new_run[1:])
-    starts = np.flatnonzero(new_run)
-    n_runs = np.bincount(key[starts] // n, minlength=groups)
+    starts = new_run.nonzero()[0]
+    g_run, h_run = g[pos], h[pos]
+    if starts.size < key.size:
+        g_run = np.add.reduceat(g_run, starts)
+        h_run = np.add.reduceat(h_run, starts)
+    node_end = sizes.cumsum()
+    run_end = starts.searchsorted((slot_lo + node_end).ravel())
+    first = np.concatenate(([0], run_end[:-1]))   # each group's first run
+    n_runs = run_end - first
     # one matrix row per group, zero-padded after its last run: the
-    # prefix sums along a matrix row are the group's own sequential ones.
-    # A group's last run is no cut, so one-run groups find none.
-    width = max(2, int(n_runs.max()))
-    first = np.cumsum(n_runs) - n_runs
+    # prefix sums along a row are the group's own sequential ones, and
+    # its last column is its total (zeros add nothing; a -0.0 total, of
+    # -0.0 runs only, turns to 0.0 and leaves every difference the same)
+    width = int(np.maximum.reduce(n_runs))
     cell = (np.arange(starts.size)
-            + np.repeat(np.arange(groups) * width - first, n_runs))
-    g_run = np.zeros(groups * width)
-    h_run = np.zeros(groups * width)
-    g_run[cell] = np.add.reduceat(g[pos], starts)
-    h_run[cell] = np.add.reduceat(h[pos], starts)
-    g_run = np.cumsum(g_run.reshape(groups, width), axis=1)
-    h_run = np.cumsum(h_run.reshape(groups, width), axis=1)
-    last = n_runs - 1
-    gl, hl = g_run[:, :-1], h_run[:, :-1]
-    gr = g_run[np.arange(groups), last][:, None] - gl
-    hr = h_run[np.arange(groups), last][:, None] - hl
-    cut_ok = ((np.arange(width - 1) < last[:, None])
-              & (np.minimum(hl, hr) >= cfg.min_child_weight))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gains = gl * gl
-        gains /= hl + cfg.reg_lambda
-        gr *= gr
-        gr /= hr + cfg.reg_lambda
-        gains += gr
-        gains.reshape(n_feat, n_nodes, -1)[...] -= parent_score[:, None]
-    gains[~cut_ok] = -np.inf
-    k = np.argmax(gains, axis=1)
-    best = gains[np.arange(groups), k]
+            + (np.arange(0, groups * width, width) - first).repeat(n_runs))
+    prefix = np.zeros((2, groups * width))
+    prefix[0][cell] = g_run
+    prefix[1][cell] = h_run
+    grid = prefix.reshape(2, groups, width)
+    np.add.accumulate(grid, axis=2, out=grid)
+    # the cut after each run: (g/h, left/right, run); a group's last run
+    # is no cut, so one-run groups find none
+    side = np.empty((2, 2, starts.size))
+    prefix.take(cell, axis=1, out=side[:, 0])
+    np.subtract(grid[:, :, -1].repeat(n_runs, axis=1), side[:, 0],
+                out=side[:, 1])
+    g_side, h_side = side
+    cut_ok = np.minimum(*h_side) >= cfg.min_child_weight
+    cut_ok[run_end - 1] = False
+    gains = g_side * g_side
+    gains /= h_side + cfg.reg_lambda
+    gains = gains[0] + gains[1]
+    gains -= np.concatenate([parent_score] * n_feat).repeat(n_runs)
+    gains = np.where(cut_ok, gains, -np.inf)
     # a feature whose first best gain is not above _MIN_GAIN, a NaN (0/0
     # at reg_lambda = 0) included, drops out; the others still compete
-    best[~(best > _MIN_GAIN)] = -np.inf
-    best = best.reshape(n_feat, n_nodes)
-    f_idx = np.argmax(best, axis=0)
-
-    split = np.flatnonzero(best[f_idx, np.arange(n_nodes)] > _MIN_GAIN)
-    f = f_idx[split]
-    j = f * n_nodes + split
-    cut = starts[first[j] + k[j] + 1]
-    # group j spans [lo, lo + sizes[split]) of the sorted order
-    lo = f * m + (np.cumsum(sizes) - sizes)[split]
-    row = flat[pos]
+    best = np.maximum.reduceat(gains, first).reshape(n_feat, n_nodes)
+    best = np.where(best > _MIN_GAIN, best, -np.inf)
+    f = best.argmax(axis=0)
+    split = (np.maximum.reduce(best) > _MIN_GAIN).nonzero()[0]
+    f = f[split]
     feature = node_feats[split, f]
-    thr = 0.5 * (X[row[cut - 1], feature] + X[row[cut], feature])
+    # a split group's first run at its best gain ends its left side
+    at_best = (gains == best.ravel().repeat(n_runs)).nonzero()[0]
+    k = at_best[at_best.searchsorted(first[f * n_nodes + split])]
+    cut = starts[k + 1]
+    # the split group spans [lo, lo + n_rows) of the sorted order
     n_rows = sizes[split]
-    take = (np.arange(n_rows.sum())
-            + np.repeat(lo - (np.cumsum(n_rows) - n_rows), n_rows))
+    lo = f * m + (node_end - sizes)[split]
+    x = X[flat[pos[np.array([cut - 1, cut])]], feature]
+    # an empty piece first, so a depth without splits still concatenates
+    next_flat = flat[np.concatenate(
+        [pos[:0]] + [pos[a:b] for a, b in zip(lo.tolist(),
+                                               (lo + n_rows).tolist())])]
     n_left = cut - lo
-    return (split, feature, thr, row[take],
-            np.stack([n_left, n_rows - n_left], axis=1).ravel())
+    return (split, feature, 0.5 * (x[0] + x[1]), next_flat,
+            np.array([n_left, n_rows - n_left]).T.ravel())
 
 
 class GbtModel(Model):
@@ -382,17 +404,21 @@ def _add_rounds(margins, X, rounds) -> None:
 
 def _boost_rounds(model: GbtModel, X, ranks, y, w, margins, cfg,
                   rng: RngStream, n_rounds: int) -> None:
-    """Append n_rounds of trees to ``model`` fit on (X, y, w), starting
-    from and updating ``margins``, the model's margins on X; ``ranks``
-    are ``_column_ranks(X)``."""
-    n, d = X.shape
+    """Append n_rounds of trees to ``model`` fit on the first len(y) rows
+    of X, weighted w, starting from and updating ``margins``, the model's
+    margins on every row of X; ``ranks`` are ``_column_ranks`` of the fit
+    rows.  Rows after those (validation rows) only ride along: each round
+    walks its trees over all of X in one batch, and as every row is walked
+    on its own, each row's margins get the bytes of a walk of its own."""
+    n, d = y.size, X.shape[1]
     n_classes = model.num_classes
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), y] = 1.0
+    # the classes whose trees a round grows: class 1 alone when binary
+    grown = slice(1, None) if n_classes == 2 else slice(None)
+    onehot = np.eye(n_classes)[y, grown]
     n_sub = max(1, int(round(cfg.subsample * n)))
     n_col = max(1, int(round(cfg.colsample * d)))
     for _ in range(n_rounds):
-        p = softmax_rows(margins)
+        p = softmax_rows(margins[:n])[:, grown]
         grad = w[:, None] * (p - onehot)
         # doubled, floored hessian (the xgboost softmax convention):
         # confident models otherwise starve nodes below min_child_weight
@@ -406,13 +432,10 @@ def _boost_rounds(model: GbtModel, X, ranks, y, w, margins, cfg,
         feats = np.array([np.sort(rng.sample_without_replacement(d, n_col))
                           if n_col < d else np.arange(d)
                           for _ in range(n_classes)])
+        trees = _build_trees(X, ranks, grad, hess, rows, feats[grown], cfg)
         if n_classes == 2:
-            tree, = _build_trees(X, ranks, grad[:, 1:], hess[:, 1:], rows,
-                                 feats[1:], cfg)
-            model.rounds.append([_mirror(tree), tree])
-        else:
-            model.rounds.append(_build_trees(X, ranks, grad, hess, rows,
-                                             feats, cfg))
+            trees.insert(0, _mirror(trees[0]))
+        model.rounds.append(trees)
         _add_rounds(margins, X, model.rounds[-1:])
 
 
@@ -426,11 +449,13 @@ def fit_gbt(config: LearnerConfig, X, y, X_val, y_val, n_classes,
     cfg = config.gbt
     model = GbtModel(_log_prior(y, n_classes), [], n_classes, X.shape[1],
                      (rng.base_seed, rng.stream_id))
-    margins = model.margins(X)
-    _boost_rounds(model, X, _column_ranks(X), y, np.ones(X.shape[0]),
-                  margins, cfg, rng, cfg.num_rounds)
-    model._remember(X, margins)
-    model._remember(X_val, model.margins(X_val))
+    n = X.shape[0]
+    X_all = np.vstack([X, X_val])
+    margins = model.margins(X_all)
+    _boost_rounds(model, X_all, _column_ranks(X), y, np.ones(n), margins,
+                  cfg, rng, cfg.num_rounds)
+    model._remember(X, margins[:n])
+    model._remember(X_val, margins[n:])
     model.val_score = evaluate_metric(model, X_val, y_val, config.val_metric)
     return model
 
@@ -445,24 +470,25 @@ def fit_disagreeing_gbt(config: LearnerConfig, base: GbtModel, X_p, y_p,
     # exposure matches one epoch of batch-filled updates
     X_rep, y_rep, w_rep = replicate_for_disagreement(
         X_q, pseudo, model.num_classes, lam * n_p * cfg.disagree_scale)
+    n = n_p + y_rep.size
     # rows are independent, so the margins of stacked rows are the
-    # stacked margins: start from the base's margins on P and on Q (one
-    # copy per replica), which a warm-started base carries from its own
-    # training, and add only the new trees to them
+    # stacked margins: start from the base's margins on P, on Q (one copy
+    # per replica) and on P_val, which a warm-started base carries from
+    # its own training, and add only the new trees to them
     margins = np.vstack([base.margins(X_p),
-                         np.repeat(base.margins(X_q), n_rep, axis=0)])
-    X_all = np.vstack([X_p, X_rep])
+                         np.repeat(base.margins(X_q), n_rep, axis=0),
+                         base.margins(X_val)])
+    X_all = np.vstack([X_p, X_rep, X_val])
+    X_fit = X_all[:n]
     model._ranks = base._ranks
-    if model._ranks is None or not np.array_equal(model._ranks[0], X_all):
-        model._ranks = (X_all, _column_ranks(X_all))
+    if model._ranks is None or not np.array_equal(model._ranks[0], X_fit):
+        model._ranks = (X_fit, _column_ranks(X_fit))
     _boost_rounds(model, X_all, model._ranks[1],
                   np.concatenate([y_p, y_rep]),
                   np.concatenate([np.ones(n_p), w_rep]), margins, cfg, rng, 1)
-    val = base.margins(X_val)
-    _add_rounds(val, X_val, model.rounds[-1:])
     model._remember(X_p, margins[:n_p], base)
-    model._remember(X_q, margins[n_p::n_rep], base)
-    model._remember(X_val, val, base)
+    model._remember(X_q, margins[n_p:n:n_rep], base)
+    model._remember(X_val, margins[n:], base)
     return model
 
 

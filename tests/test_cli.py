@@ -131,6 +131,31 @@ class TestCalibrateCommand:
         assert err.splitlines() == [
             "error: invalid learner config: eta must be finite"]
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("seed = 5", "seed = five",
+         "invalid run.seed: 'five' is not an integer"),
+        ("K = 20", "K = twenty",
+         "invalid test.K: 'twenty' is not an integer"),
+        ("n_target = 300", "n_target = 300\nfractions = 0.7,zero,0.2",
+         "invalid data.fractions: 'zero' in '0.7,zero,0.2' is not a number"),
+    ])
+    def test_malformed_number_exit_one(self, tmp_path, capsys, old, new,
+                                       message):
+        cfg = write_config(tmp_path, SMOKE_CONFIG.replace(old, new))
+        assert main(["calibrate", cfg]) == 1
+        out, err = read_stdout_docs(capsys)
+        assert out == []
+        assert err.splitlines() == [f"error: {message}"]
+
+    def test_malformed_sample_sizes_exit_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMOKE_CONFIG.replace(
+            "sample_sizes = 20", "sample_sizes = 20,x"))
+        assert main(["benchmark", cfg]) == 1
+        _, err = read_stdout_docs(capsys)
+        assert err.splitlines() == [
+            "error: invalid benchmark.sample_sizes: 'x' in '20,x' is not an "
+            "integer"]
+
     def test_insufficient_holdout_exit_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         text = open(cfg).read().replace("sample_size = 20",

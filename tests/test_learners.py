@@ -415,6 +415,35 @@ class TestTreeBuilder:
         assert_same_tree(tree, ref)
 
 
+class TestSplitSearchKeys:
+    @pytest.mark.parametrize("tied", [False, True], ids=["tie_free", "tied"])
+    def test_wide_keys_match_reference(self, tied, monkeypatch):
+        # 2,000 rows, 3 features, depth 6: the sort keys group * n + rank
+        # fit 16 bits at the root and need 32 by depth 5.  Tie-free
+        # columns give one row per run; rounded columns repeat values
+        rng = rng_stream(12, 42)
+        n, d = 2000, 3
+        X = rng.normal((n, d))
+        if tied:
+            X[:, :2] = np.round(4.0 * X[:, :2])
+        assert all(np.unique(col).size < n for col in X[:, :2].T) == tied
+        g = rng.normal(n)
+        h = 0.5 * rng.uniform(n) + 1e-3
+        rows = rng.sample_without_replacement(n, 1800)
+        cfg = GbtConfig(max_depth=6, min_child_weight=1.0)
+        key_ends = []
+        search = gbt._best_splits
+
+        def recorded(X, ranks, flat, sizes, node_feats, *rest):
+            key_ends.append(node_feats.size * ranks.shape[1])
+            return search(X, ranks, flat, sizes, node_feats, *rest)
+
+        monkeypatch.setattr(gbt, "_best_splits", recorded)
+        case = (X, g, h, rows, np.arange(d), cfg)
+        assert_same_tree(build_tree(*case), reference_build_tree(*case))
+        assert min(key_ends) <= 2 ** 16 < max(key_ends)
+
+
 class TestTreePredict:
     """The level-wise walk against the node-at-a-time stack walk."""
 
@@ -600,6 +629,36 @@ class TestFitDisagreeing:
                         (Xq[:3], base.predict_labels(Xq[:3])), lam=0.1,
                         rng=rng_stream(4, 1))
         assert len(ranked) == 2
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_gbt_round_walked_once(self, blob, n_classes, monkeypatch):
+        # a warm-started round walks its new trees over P, the Q replicas
+        # and P_val in one batch, and carries margins with the bytes of
+        # a sum from scratch
+        X, y = blob
+        if n_classes == 3:
+            y = np.arange(y.size) % 3
+            X = X + 2.0 * y[:, None]
+        Xt, yt, Xv, yv = split_blob(X, y)
+        config = small_gbt_config()
+        base = fit(config, Xt, yt, Xv, yv, rng_stream(14, 0))
+        Xq = Xv[:6] + 1.0
+        q = (Xq, base.predict_labels(Xq))
+        rng = rng_stream(14, 1)
+        cdc = fit_disagreeing(config, base, (Xt, yt), (Xv, yv), q, lam=0.1,
+                              rng=rng)
+        calls, walk = [], gbt._walk_trees
+        monkeypatch.setattr(gbt, "_walk_trees",
+                            lambda trees, X: calls.append(trees)
+                            or walk(trees, X))
+        cdc = fit_disagreeing(config, cdc, (Xt, yt), (Xv, yv), q, lam=0.1,
+                              rng=rng)
+        grown = cdc.rounds[-1][1:] if n_classes == 2 else cdc.rounds[-1]
+        assert calls == [grown]
+        monkeypatch.undo()
+        for rows in (Xt, Xq, Xv):
+            assert (cdc.margins(rows).tobytes()
+                    == reference_margins(cdc, rows).tobytes())
 
     def test_lambda_validation(self, blob):
         X, y = blob
