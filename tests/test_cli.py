@@ -12,11 +12,14 @@ from shiftguard.cli import (
     load_run_config,
     load_schema,
     main,
+    run_key,
     validate_against_schema,
 )
 from shiftguard.data import ShiftTaskSpec, synth_generate
 from shiftguard.learners import load_model, model_fingerprint, save_model
 from shiftguard.numerics import rng_stream
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 SMOKE_CONFIG = """
 [run]
@@ -432,6 +435,18 @@ class TestConfigPlumbing:
         a = canonical_config_text(load_run_config(str(cfg_a)), 3)
         b = canonical_config_text(load_run_config(str(cfg_b)), 3)
         assert a == b
+
+    @pytest.mark.parametrize("name, key", [
+        ("smoke", "7b68093a02b4e673"),
+        ("null_fpr", "8c0c7784db6af22e"),
+        ("gauss_benchmark", "97e0ee2eb28feaa9"),
+    ])
+    def test_shipped_config_run_key(self, name, key):
+        """The effective config of each shipped profile, defaults
+        included, at its own [run] seed: result file names and caches
+        stay where earlier runs put them."""
+        rc = load_run_config(os.path.join(CONFIGS, f"{name}.cfg"))
+        assert run_key(rc, rc.seed) == key
 
     def test_schema_validator_catches_violations(self):
         schema = load_schema("verdict")
