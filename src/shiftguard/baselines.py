@@ -23,7 +23,6 @@ from .stats import binomial_pvalue, empirical_quantile, ks_two_sample
 __all__ = [
     "EnsembleSpec",
     "train_ensemble",
-    "BaselineCalibration",
     "make_baseline_detector",
 ]
 
@@ -32,17 +31,12 @@ DEFAULT_REF_SIZE = 1000  # reference pool cap for iid-assuming baselines
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Deep-ensemble configuration: members vary only by seed."""
+    """Deep-ensemble configuration: members vary only by seed, 0..size-1."""
     size: int = 10
-    seeds: tuple = ()
 
     def __post_init__(self):
-        seeds = self.seeds if self.seeds else tuple(range(self.size))
-        object.__setattr__(self, "seeds", seeds)
         if self.size < 2:
             raise ValueError("ensemble size must be >= 2")
-        if len(set(self.seeds)) != self.size:
-            raise ValueError("need exactly `size` distinct seeds")
 
 
 def train_ensemble(config: LearnerConfig, data: PartitionedData,
@@ -51,7 +45,7 @@ def train_ensemble(config: LearnerConfig, data: PartitionedData,
     X, y = data.train_pair()
     Xv, yv = data.val_pair()
     return [fit(config, X, y, Xv, yv, rng.split(seed))
-            for seed in spec.seeds]
+            for seed in range(spec.size)]
 
 
 # ---------------------------------------------------------------------------
@@ -136,22 +130,13 @@ def ctst_stat(config: LearnerConfig, source_X, Q_X,
 # permutation-calibrated harness
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BaselineCalibration:
-    detector_id: str
-    tau: float
-    alpha: float
-    sample_size: int
-    null_p_values: tuple
-
-
-def _verdict(detector_id, p_value, calib, n, rng, flags,
+def _verdict(detector_id, p_value, tau, n, rng, flags,
              elapsed_ms) -> TestVerdict:
     return TestVerdict(
         test=detector_id,
         statistic=float(p_value),
-        threshold=calib.tau,
-        shift_detected=bool(p_value < calib.tau),
+        threshold=tau,
+        shift_detected=bool(p_value < tau),
         sample_size=n,
         seeds={"base_seed": rng.base_seed, "stream_id": rng.stream_id},
         wall_time_ms=elapsed_ms,
@@ -161,8 +146,7 @@ def _verdict(detector_id, p_value, calib, n, rng, flags,
 
 def make_baseline_detector(detector_id: str, config: LearnerConfig,
                            data: PartitionedData, f: Model, N: int,
-                           K: int, alpha: float, rng: RngStream,
-                           ensemble_spec: EnsembleSpec | None = None):
+                           K: int, alpha: float, rng: RngStream):
     """Calibrate one baseline; returns verdict_fn(Q_X, rng).
 
     The held-out pool is split (deterministically per rng) into a
@@ -182,8 +166,7 @@ def make_baseline_detector(detector_id: str, config: LearnerConfig,
             f"null pool has {null_pool.shape[0]} rows, need {N}")
 
     if detector_id in ("ensemble_disagreement", "ensemble_entropy"):
-        spec = ensemble_spec or EnsembleSpec()
-        models = train_ensemble(config, data, spec, rng.split(1))
+        models = train_ensemble(config, data, EnsembleSpec(), rng.split(1))
         if detector_id == "ensemble_disagreement":
             stat_fn = lambda Q_X, r: ensemble_disagreement_stat(
                 models, ref_X, Q_X)
@@ -201,13 +184,7 @@ def make_baseline_detector(detector_id: str, config: LearnerConfig,
         run_rng = rng.split(100 + i)
         idx = run_rng.sample_without_replacement(null_pool.shape[0], N)
         null_ps.append(stat_fn(null_pool[idx], run_rng)[0])
-    calib = BaselineCalibration(
-        detector_id=detector_id,
-        tau=empirical_quantile(null_ps, alpha),
-        alpha=alpha,
-        sample_size=N,
-        null_p_values=tuple(null_ps),
-    )
+    tau = empirical_quantile(null_ps, alpha)
 
     def verdict_fn(Q_X, verdict_rng: RngStream) -> TestVerdict:
         Q_X = np.asarray(Q_X, dtype=np.float64)
@@ -216,8 +193,7 @@ def make_baseline_detector(detector_id: str, config: LearnerConfig,
         start = time.perf_counter()
         p_value, flags = stat_fn(Q_X, verdict_rng)
         elapsed = (time.perf_counter() - start) * 1000.0
-        return _verdict(detector_id, p_value, calib, N, verdict_rng,
+        return _verdict(detector_id, p_value, tau, N, verdict_rng,
                         flags, elapsed)
 
-    verdict_fn.calibration = calib
     return verdict_fn

@@ -59,14 +59,6 @@ class CdcTrainSpec:
         if self.max_opt_steps is not None and self.max_opt_steps < 1:
             raise ValueError("max_opt_steps must be >= 1 when set")
 
-    def to_dict(self) -> dict:
-        return {
-            "ensemble_max": self.ensemble_max,
-            "val_tolerance": self.val_tolerance,
-            "max_epochs_per_cdc": self.max_epochs_per_cdc,
-            "max_opt_steps": self.max_opt_steps,
-        }
-
 
 @dataclass
 class CdcEnsemble:

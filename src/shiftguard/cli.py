@@ -18,7 +18,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import get_args, get_origin, get_type_hints
 
 from .cdc import CdcTrainSpec
 from .data import ShiftTaskSpec, load_csv, partition, synth_generate, uci_prepare
@@ -46,32 +47,43 @@ from .learners import (
     save_model,
 )
 from .numerics import RngStream
+from .schemas import load_schema, validate_against_schema
 
 __all__ = ["main", "RunConfig", "load_run_config", "canonical_config_text"]
+
+# [section] -> the settings dataclass it builds, one key per field
+_SETTINGS = {"mlp": MlpConfig, "gbt": GbtConfig, "cdc": CdcTrainSpec}
+
+
+def _text(default) -> str:
+    """A setting's default as config text: a comma list for a tuple,
+    empty for None."""
+    if isinstance(default, tuple):
+        return ",".join(map(str, default))
+    return "" if default is None else str(default)
+
 
 _DEFAULTS = {
     "run": {"output_dir": "results", "jobs": "1"},
     "data": {"generator": "gauss_mean_shift", "n_source": "600",
              "n_target": "400", "fractions": "0.7,0.1,0.2"},
     "learner": {"kind": "gbt", "val_metric": "accuracy"},
-    "mlp": {"hidden_sizes": "16,16,16", "dropout_rate": "0.3",
-            "learning_rate": "0.001", "max_epochs": "1000",
-            "batch_size": "64", "l2": "0.0", "patience": "100"},
-    "gbt": {"eta": "0.1", "max_depth": "6", "num_rounds": "10",
-            "subsample": "0.8", "colsample": "0.8",
-            "min_child_weight": "1.0", "reg_lambda": "1.0",
-            "disagree_scale": "1.0"},
-    # the step cap defaults ON: uncapped budgets let null-run disagreement
-    # saturate and drain both tests of power (set empty to disable)
-    "cdc": {"ensemble_max": "5", "val_tolerance": "0.05",
-            "max_epochs_per_cdc": "10", "max_opt_steps": "5"},
+    **{section: {f.name: _text(f.default) for f in fields(cls)}
+       for section, cls in _SETTINGS.items()},
     "test": {"K": "100", "alpha": "0.05", "sample_size": "20",
              "detectors": "detectron_disagreement,detectron_entropy"},
     "benchmark": {"sample_sizes": "10,20,50", "trials": "100",
                   "psi_budget": "0", "psi_runs": "20"},
 }
+# the step cap defaults ON: uncapped budgets let null-run disagreement
+# saturate and drain both tests of power (set empty to disable)
+_DEFAULTS["cdc"]["max_opt_steps"] = "5"
 
 _GENERATOR_PARAM_KEYS = ("mu", "delta", "dim", "theta", "noise")
+# keys a file may set that have no default
+_OPTIONAL_KEYS = {"run": ("seed",),
+                  "data": (*_GENERATOR_PARAM_KEYS, "source_csv", "uci_dir",
+                           "seed")}
 
 
 class CliError(Exception):
@@ -123,20 +135,18 @@ def load_run_config(path) -> RunConfig:
         raise CliError(f"config file not found: {path}")
     except configparser.Error as exc:
         raise CliError(f"config parse error: {exc}")
-    sections = {}
-    for name, defaults in _DEFAULTS.items():
-        merged = dict(defaults)
-        if parser.has_section(name):
-            merged.update({k: v.strip() for k, v in parser.items(name)})
-        sections[name] = merged
-    if parser.has_section("data"):
-        # generator params ride along in [data]
-        for k in _GENERATOR_PARAM_KEYS:
-            if parser.has_option("data", k):
-                sections["data"][k] = parser.get("data", k).strip()
-        for k in ("source_csv", "uci_dir", "seed"):
-            if parser.has_option("data", k):
-                sections["data"][k] = parser.get("data", k).strip()
+    if parser.defaults():
+        # configparser would copy these keys into every section
+        raise CliError(f"unknown config section [{parser.default_section}]")
+    sections = {name: dict(defaults) for name, defaults in _DEFAULTS.items()}
+    for name in parser.sections():
+        if name not in sections:
+            raise CliError(f"unknown config section [{name}]")
+        for key, value in parser.items(name):
+            if (key not in sections[name]
+                    and key not in _OPTIONAL_KEYS.get(name, ())):
+                raise CliError(f"unknown config key {name}.{key}")
+            sections[name][key] = value.strip()
     seed = None
     if parser.has_option("run", "seed"):
         seed = _parse(int, "run", "seed", parser.get("run", "seed"))
@@ -162,45 +172,39 @@ def run_key(rc: RunConfig, seed: int) -> str:
 # config -> objects
 # ---------------------------------------------------------------------------
 
+def _settings(rc: RunConfig, section: str):
+    """The section's settings dataclass, each value parsed as its field's
+    type: a tuple is a comma list with empty items skipped, and an
+    optional field reads an empty value as None."""
+    values = {}
+    for name, hint in get_type_hints(_SETTINGS[section]).items():
+        raw = rc.get(section, name)
+        # int or float: the hint itself, a tuple's item type, or the
+        # type an optional holds
+        kind = (get_args(hint) or (hint,))[0]
+        if get_origin(hint) is tuple:
+            values[name] = tuple(_parse(kind, section, name, raw, x)
+                                 for x in raw.split(",") if x)
+        elif not raw and type(None) in get_args(hint):
+            values[name] = None
+        else:
+            values[name] = _parse(kind, section, name, raw)
+    return _SETTINGS[section](**values)
+
+
 def learner_from_config(rc: RunConfig) -> LearnerConfig:
-    mlp_s, gbt_s = rc.sections["mlp"], rc.sections["gbt"]
     try:
-        mlp = MlpConfig(
-            hidden_sizes=tuple(int(x) for x in
-                               mlp_s["hidden_sizes"].split(",") if x),
-            dropout_rate=float(mlp_s["dropout_rate"]),
-            learning_rate=float(mlp_s["learning_rate"]),
-            max_epochs=int(mlp_s["max_epochs"]),
-            batch_size=int(mlp_s["batch_size"]),
-            l2=float(mlp_s["l2"]),
-            patience=int(mlp_s["patience"]),
-        )
-        gbt = GbtConfig(
-            eta=float(gbt_s["eta"]),
-            max_depth=int(gbt_s["max_depth"]),
-            num_rounds=int(gbt_s["num_rounds"]),
-            subsample=float(gbt_s["subsample"]),
-            colsample=float(gbt_s["colsample"]),
-            min_child_weight=float(gbt_s["min_child_weight"]),
-            reg_lambda=float(gbt_s["reg_lambda"]),
-            disagree_scale=float(gbt_s["disagree_scale"]),
-        )
-        return LearnerConfig(kind=rc.get("learner", "kind"), mlp=mlp, gbt=gbt,
+        return LearnerConfig(kind=rc.get("learner", "kind"),
+                             mlp=_settings(rc, "mlp"),
+                             gbt=_settings(rc, "gbt"),
                              val_metric=rc.get("learner", "val_metric"))
     except ValueError as exc:
         raise CliError(f"invalid learner config: {exc}")
 
 
 def cdc_spec_from_config(rc: RunConfig) -> CdcTrainSpec:
-    s = rc.sections["cdc"]
-    raw_cap = s["max_opt_steps"]
     try:
-        return CdcTrainSpec(
-            ensemble_max=int(s["ensemble_max"]),
-            val_tolerance=float(s["val_tolerance"]),
-            max_epochs_per_cdc=int(s["max_epochs_per_cdc"]),
-            max_opt_steps=int(raw_cap) if raw_cap else None,
-        )
+        return _settings(rc, "cdc")
     except ValueError as exc:
         raise CliError(f"invalid cdc config: {exc}")
 
@@ -294,50 +298,6 @@ def _emit(doc: dict) -> None:
 
 def _log(msg: str) -> None:
     sys.stderr.write(msg + "\n")
-
-
-# ---------------------------------------------------------------------------
-# schema validation (minimal structural checks against shipped schemas)
-# ---------------------------------------------------------------------------
-
-def _schema_path(name: str) -> str:
-    here = os.path.dirname(os.path.abspath(__file__))
-    return os.path.join(here, "schemas", f"{name}.schema.json")
-
-
-def load_schema(name: str) -> dict:
-    with open(_schema_path(name), encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
-          "number": (int, float), "integer": int, "null": type(None)}
-
-
-def validate_against_schema(doc, schema, where="$"):
-    """Small structural validator for the shipped schemas (types,
-    required keys, items, enums)."""
-    stype = schema.get("type")
-    if stype is not None:
-        expected = _TYPES[stype]
-        if stype == "number" and isinstance(doc, bool):
-            raise ValueError(f"{where}: boolean is not a number")
-        if not isinstance(doc, expected):
-            raise ValueError(f"{where}: expected {stype}, "
-                             f"got {type(doc).__name__}")
-    if "enum" in schema and doc not in schema["enum"]:
-        raise ValueError(f"{where}: {doc!r} not in {schema['enum']}")
-    if stype == "object":
-        for key in schema.get("required", ()):
-            if key not in doc:
-                raise ValueError(f"{where}: missing required key {key!r}")
-        for key, sub in schema.get("properties", {}).items():
-            if key in doc:
-                validate_against_schema(doc[key], sub, f"{where}.{key}")
-    if stype == "array" and "items" in schema:
-        for i, item in enumerate(doc):
-            validate_against_schema(item, schema["items"], f"{where}[{i}]")
-    return True
 
 
 def _emit_validated(doc: dict, schema_name: str) -> None:

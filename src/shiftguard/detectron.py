@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .learners import (
     model_fingerprint,
 )
 from .numerics import RngStream
+from .schemas import load_schema, validate_against_schema
 from .stats import empirical_quantile, ks_two_sample
 
 __all__ = [
@@ -113,7 +114,6 @@ class CalibrationRecord:
     config_snapshot: dict
     base_seed: int
     stream_id: int = 0
-    version: int = CALIBRATION_FORMAT_VERSION
 
     def __post_init__(self):
         if len(self.phi_p) != self.K or len(self.entropy_runs) != self.K:
@@ -143,7 +143,7 @@ def config_hash(data: PartitionedData, config: LearnerConfig, f: Model,
 def _config_snapshot(data, config, f, spec, N, K, alpha) -> dict:
     return {
         "learner": config_to_dict(config),
-        "cdc": spec.to_dict(),
+        "cdc": asdict(spec),
         "N": N,
         "K": K,
         "alpha": alpha,
@@ -324,40 +324,27 @@ def test_both(Q_X, calib, data, config, f, spec, rng) -> tuple:
 # persistence
 # ---------------------------------------------------------------------------
 
+# a record's tuples, nested ones too, are lists in its JSON document
+
+def _lists(value):
+    return [_lists(v) for v in value] if isinstance(value, tuple) else value
+
+
+def _tuples(value):
+    if isinstance(value, list):
+        return tuple(_tuples(v) for v in value)
+    return value
+
+
 def calibration_to_doc(calib: CalibrationRecord) -> dict:
-    return {
-        "format_version": calib.version,
-        "config_hash": calib.config_hash,
-        "sample_size": calib.sample_size,
-        "K": calib.K,
-        "alpha": calib.alpha,
-        "phi_p": list(calib.phi_p),
-        "entropy_runs": [list(r) for r in calib.entropy_runs],
-        "calib_p_values": list(calib.calib_p_values),
-        "tau_disagreement": calib.tau_disagreement,
-        "tau_entropy": calib.tau_entropy,
-        "config_snapshot": calib.config_snapshot,
-        "base_seed": calib.base_seed,
-        "stream_id": calib.stream_id,
-    }
+    """The stored document: the format version and every field
+    (schemas/calibration.schema.json)."""
+    return {"format_version": CALIBRATION_FORMAT_VERSION,
+            **{f.name: _lists(getattr(calib, f.name)) for f in fields(calib)}}
 
 
-# every field of a stored record and its JSON type; float also admits an
-# integer, and no field admits a boolean
-_RECORD_FIELDS = {
-    "config_hash": str, "sample_size": int, "K": int, "alpha": float,
-    "phi_p": list, "entropy_runs": list, "calib_p_values": list,
-    "tau_disagreement": float, "tau_entropy": float,
-    "config_snapshot": dict, "base_seed": int, "stream_id": int,
-}
 # slack for rounding in a computed entropy at 0 or at log C
 _ENTROPY_TOL = 1e-12
-
-
-def _has_type(value, kind) -> bool:
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def calibration_from_doc(doc: dict, num_classes: int) -> CalibrationRecord:
@@ -369,20 +356,10 @@ def calibration_from_doc(doc: dict, num_classes: int) -> CalibrationRecord:
     if doc.get("format_version") != CALIBRATION_FORMAT_VERSION:
         raise ValueError(
             f"unsupported calibration format {doc.get('format_version')}")
-    for name, kind in _RECORD_FIELDS.items():
-        if name not in doc:
-            raise ValueError(f"calibration record has no {name!r}")
-        if not _has_type(doc[name], kind):
-            raise ValueError(
-                f"calibration {name!r} is not a JSON {kind.__name__}")
-    runs = doc["entropy_runs"]
-    if not all(isinstance(run, list) for run in runs):
-        raise ValueError("calibration 'entropy_runs' must hold lists")
-    entropies = [e for run in runs for e in run]
+    validate_against_schema(doc, load_schema("calibration"), "calibration")
+    entropies = [e for run in doc["entropy_runs"] for e in run]
     numbers = [doc["alpha"], doc["tau_disagreement"], doc["tau_entropy"],
                *doc["phi_p"], *doc["calib_p_values"], *entropies]
-    if not all(_has_type(v, float) for v in numbers):
-        raise ValueError("calibration arrays must hold numbers")
     if not all(math.isfinite(v) for v in numbers):
         raise ValueError("calibration record holds a non-finite number")
     if doc["K"] < 20:
@@ -398,20 +375,8 @@ def calibration_from_doc(doc: dict, num_classes: int) -> CalibrationRecord:
                for e in entropies):
         raise ValueError(
             f"calibration entropies leave [0, log {num_classes}]")
-    return CalibrationRecord(
-        config_hash=doc["config_hash"],
-        sample_size=doc["sample_size"],
-        K=doc["K"],
-        alpha=doc["alpha"],
-        phi_p=tuple(doc["phi_p"]),
-        entropy_runs=tuple(tuple(r) for r in runs),
-        calib_p_values=tuple(doc["calib_p_values"]),
-        tau_disagreement=doc["tau_disagreement"],
-        tau_entropy=doc["tau_entropy"],
-        config_snapshot=doc["config_snapshot"],
-        base_seed=doc["base_seed"],
-        stream_id=doc["stream_id"],
-    )
+    return CalibrationRecord(**{f.name: _tuples(doc[f.name])
+                                for f in fields(CalibrationRecord)})
 
 
 def save_calibration(calib: CalibrationRecord, path) -> None:

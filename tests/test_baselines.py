@@ -15,7 +15,7 @@ from shiftguard.cdc import CdcTrainSpec
 from shiftguard.data import Dataset, ShiftTaskSpec
 from shiftguard.detectron import (BenchmarkTask, PartitionedData,
                                   evaluate_power, prepare_task)
-from shiftguard.learners import Model
+from shiftguard.learners import Model, fit, model_fingerprint
 from shiftguard.numerics import rng_stream, softmax_rows
 
 
@@ -62,12 +62,7 @@ def rows_at(x0_values):
 
 class TestEnsembleSpec:
     def test_defaults(self):
-        spec = EnsembleSpec(size=10)
-        assert spec.seeds == tuple(range(10))
-
-    def test_duplicate_seeds_rejected(self):
-        with pytest.raises(ValueError, match="distinct"):
-            EnsembleSpec(size=2, seeds=(0, 0))
+        assert EnsembleSpec().size == 10
 
     def test_minimum_size(self):
         with pytest.raises(ValueError):
@@ -107,6 +102,11 @@ class TestEnsembleDisagreement:
                                           b.predict_proba_matrix(probe))
         assert not np.array_equal(models[0].predict_proba_matrix(probe),
                                   models[1].predict_proba_matrix(probe))
+        # member i is the base fit on the stream's split i
+        assert [model_fingerprint(m) for m in models] == [
+            model_fingerprint(fit(small_gbt_config(), *data.train_pair(),
+                                  *data.val_pair(), rng_stream(1, 0).split(i)))
+            for i in range(3)]
 
 
 class TestEnsembleEntropy:
@@ -197,8 +197,7 @@ class TestCalibratedBaselines:
         env = baseline_env
         verdict_fn = make_baseline_detector(
             detector_id, env["task"].learner, env["data"], env["f"], 50,
-            env["task"].K, 0.05, rng_stream(71, 0),
-            ensemble_spec=EnsembleSpec(size=4))
+            env["task"].K, 0.05, rng_stream(71, 0))
         hits = 0
         for t in range(10):
             rng = rng_stream(72, t)
@@ -249,7 +248,7 @@ class TestBaselineStatisticalBehavior:
         env = null_env
         verdict_fn = make_baseline_detector(
             detector_id, env["task"].learner, env["data"], env["f"], 20,
-            100, 0.05, rng_stream(76, 0), ensemble_spec=EnsembleSpec(size=10))
+            100, 0.05, rng_stream(76, 0))
         hits = 0
         for t in range(200):
             rng = rng_stream(77, t)

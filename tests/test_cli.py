@@ -9,15 +9,15 @@ import pytest
 
 from shiftguard.cli import (
     canonical_config_text,
+    cdc_spec_from_config,
     load_run_config,
-    load_schema,
     main,
     run_key,
-    validate_against_schema,
 )
 from shiftguard.data import ShiftTaskSpec, synth_generate
 from shiftguard.learners import load_model, model_fingerprint, save_model
 from shiftguard.numerics import rng_stream
+from shiftguard.schemas import load_schema, validate_against_schema
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -144,6 +144,30 @@ class TestCalibrateCommand:
     ])
     def test_malformed_number_exit_one(self, tmp_path, capsys, old, new,
                                        message):
+        cfg = write_config(tmp_path, SMOKE_CONFIG.replace(old, new))
+        assert main(["calibrate", cfg]) == 1
+        out, err = read_stdout_docs(capsys)
+        assert out == []
+        assert err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("patience = 20", "patience = 20\n[gbt]\nmax_dpeth = 3",
+         "unknown config key gbt.max_dpeth"),
+        ("[cdc]", "[gtb]\nmax_depth = 3\n[cdc]",
+         "unknown config section [gtb]"),
+        ("seed = 5", "seed = 5\nsed = 5", "unknown config key run.sed"),
+        ("[cdc]", "[DEFAULT]\nK = 5\n[cdc]",
+         "unknown config section [DEFAULT]"),
+        ("patience = 20", "patience = 20\n[gbt]\nmax_depth = x",
+         "invalid gbt.max_depth: 'x' is not an integer"),
+        ("hidden_sizes = 16,16", "hidden_sizes = 16,x",
+         "invalid mlp.hidden_sizes: 'x' in '16,x' is not an integer"),
+        ("max_opt_steps = 5", "max_opt_steps = 2.5",
+         "invalid cdc.max_opt_steps: '2.5' is not an integer"),
+    ])
+    def test_bad_setting_exit_one(self, tmp_path, capsys, old, new, message):
+        """A misspelled section or key, or a learner value that does not
+        parse, is refused on one line that names it."""
         cfg = write_config(tmp_path, SMOKE_CONFIG.replace(old, new))
         assert main(["calibrate", cfg]) == 1
         out, err = read_stdout_docs(capsys)
@@ -345,19 +369,11 @@ class TestTestCommand:
 
 class TestBenchmarkAndReport:
     def test_benchmark_stub_detector_row(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path,
-            text=SMOKE_CONFIG.replace(
-                "[benchmark]",
-                "[benchmark2]").replace(
-                "[test]",
-                "[benchmark]\nsample_sizes = 20\ntrials = 40\n\n[test]")
-            + "\ndetectors = always_reject,never_reject\n")
-        # detectors key must land in [test]; rewrite config properly
-        body = open(cfg).read()
-        body = body.replace("sample_size = 20",
-                            "sample_size = 20\ndetectors = always_reject,never_reject")
-        open(cfg, "w").write(body)
+        text = SMOKE_CONFIG.replace(
+            "sample_size = 20",
+            "sample_size = 20\ndetectors = always_reject,never_reject")
+        cfg = write_config(tmp_path, text.replace(
+            "trials = 30\npsi_budget = 8\npsi_runs = 4", "trials = 40"))
         assert main(["benchmark", cfg]) == 0
         docs, err = read_stdout_docs(capsys)
         rows = [d for d in docs if d["kind"] == "benchmark_row"]
@@ -436,6 +452,11 @@ class TestConfigPlumbing:
         b = canonical_config_text(load_run_config(str(cfg_b)), 3)
         assert a == b
 
+    def test_empty_step_cap_is_none(self, tmp_path):
+        cfg = write_config(tmp_path, SMOKE_CONFIG.replace(
+            "max_opt_steps = 5", "max_opt_steps ="))
+        assert cdc_spec_from_config(load_run_config(cfg)).max_opt_steps is None
+
     @pytest.mark.parametrize("name, key", [
         ("smoke", "7b68093a02b4e673"),
         ("null_fpr", "8c0c7784db6af22e"),
@@ -459,6 +480,17 @@ class TestConfigPlumbing:
         bad = dict(good, statistic="high")
         with pytest.raises(ValueError, match="expected number"):
             validate_against_schema(bad, schema)
+
+    @pytest.mark.parametrize("key", ["sample_size", "statistic"])
+    def test_schema_validator_refuses_booleans(self, key):
+        """Python counts True as 1, but JSON's true is neither an integer
+        nor a number."""
+        doc = {"test": "x", "statistic": 0.1, "threshold": 0.2,
+               "shift_detected": False, "sample_size": 3, "seeds": {},
+               "wall_time_ms": 0.5, key: True}
+        with pytest.raises(ValueError, match=rf"\$\.{key}: expected .*, "
+                                             "got bool"):
+            validate_against_schema(doc, load_schema("verdict"))
 
 
 def write_big_uci_dir(tmp_path, n_src=150, n_tgt=80):

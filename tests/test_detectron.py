@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -29,6 +30,7 @@ from shiftguard.detectron import test_disagreement as run_disagreement_test
 from shiftguard.detectron import test_entropy as run_entropy_test
 from shiftguard.learners import fit, load_model, save_model
 from shiftguard.numerics import rng_stream
+from shiftguard.schemas import load_schema
 from shiftguard.stats import empirical_quantile
 
 LEARNER = small_mlp_config()
@@ -237,7 +239,8 @@ class TestPersistence:
     def test_truncated_record_refused(self, task_env, tmp_path):
         doc = calibration_to_doc(task_env["calib"])
         del doc["tau_entropy"], doc["stream_id"]
-        with pytest.raises(ValueError, match="has no 'tau_entropy'"):
+        with pytest.raises(ValueError,
+                           match="missing required key 'tau_entropy'"):
             calibration_from_doc(doc, 2)
         path = tmp_path / "calib.json"
         save_calibration(task_env["calib"], path)
@@ -246,16 +249,28 @@ class TestPersistence:
         with pytest.raises(ValueError):
             load_calibration(path, 2)
 
+    # the type cases keep ids that name the tampering; the message each
+    # matches is the schema validator's
     @pytest.mark.parametrize("tamper, message", [
         (_set("K", 19), "K = 19 is below 20"),
-        (_set("K", 40.0), "'K' is not a JSON int"),
+        pytest.param(_set("K", 40.0), r"calibration\.K: expected integer, "
+                     "got float", id="tamper-'K' is not a JSON int"),
+        (_set("K", True), r"calibration\.K: expected integer, got bool"),
+        (_set("base_seed", False),
+         r"calibration\.base_seed: expected integer, got bool"),
         (_set("alpha", 1.0), r"alpha = 1.0 is not in \(0, 1\)"),
         (_set("alpha", 0.0), r"alpha = 0.0 is not in \(0, 1\)"),
-        (_set("alpha", True), "'alpha' is not a JSON float"),
+        pytest.param(_set("alpha", True),
+                     r"calibration\.alpha: expected number, got bool",
+                     id="tamper-'alpha' is not a JSON float"),
         (_set("sample_size", 0), "sample_size = 0 is below 1"),
-        (_set("config_snapshot", []), "'config_snapshot' is not a JSON dict"),
+        pytest.param(_set("config_snapshot", []),
+                     r"calibration\.config_snapshot: expected object, got "
+                     "list", id="tamper-'config_snapshot' is not a JSON dict"),
         (_nan_phi, "non-finite"),
-        (_entropy("0.1"), "must hold numbers"),
+        pytest.param(_entropy("0.1"),
+                     r"calibration\.entropy_runs\[1\]\[4\]: expected number, "
+                     "got str", id="tamper-must hold numbers"),
         (_entropy(math.log(2.0) + 1e-6), r"leave \[0, log 2\]"),
         (_entropy(-1e-6), r"leave \[0, log 2\]"),
     ])
@@ -268,6 +283,14 @@ class TestPersistence:
         with pytest.raises(ValueError, match=message) as err:
             load_calibration(path, 2)
         assert "\n" not in str(err.value)
+
+    def test_schema_lists_every_field(self):
+        """The record's two descriptions, the dataclass and the shipped
+        schema, name the same fields."""
+        schema = load_schema("calibration")
+        names = {f.name for f in dataclasses.fields(CalibrationRecord)}
+        assert set(schema["required"]) == names | {"format_version"}
+        assert set(schema["properties"]) == set(schema["required"])
 
     def test_entropy_bound_follows_class_count(self, task_env):
         doc = calibration_to_doc(task_env["calib"])
