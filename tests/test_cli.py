@@ -565,3 +565,73 @@ trials = 30
         assert main(["benchmark", str(cfg)]) == 1
         _, err = read_stdout_docs(capsys)
         assert "shifted target source" in err
+
+
+def write_source_csv(tmp_path, n=200):
+    """A labelled two-feature CSV: class 1 sits 1.5 to the right."""
+    X = rng_stream(31, 0).normal((n, 2))
+    labels = np.arange(n) % 2
+    X[:, 0] += 1.5 * labels
+    path = tmp_path / "source.csv"
+    path.write_text("f0,f1,y\n" + "".join(
+        f"{float(x[0])!r},{float(x[1])!r},{y}\n"
+        for x, y in zip(X, labels)))
+    return str(path)
+
+
+SOURCE_TEST_SECTIONS = """
+[learner]
+kind = gbt
+
+[gbt]
+num_rounds = 3
+max_depth = 3
+
+[test]
+K = 20
+alpha = 0.05
+sample_size = 10
+"""
+
+
+class TestCalibrationRecordPins:
+    """The sha256 of the record bytes ``calibrate`` writes, one per data
+    source: a generator, a labelled CSV and the UCI heart files.  A change
+    to how a command reads its data, splits it or fits the base model
+    moves these."""
+
+    def record_sha256(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.setenv("SHIFTGUARD_CACHE", str(tmp_path / "cache"))
+        assert main(["calibrate", *argv]) == 0
+        path = read_stdout_docs(capsys)[0][-1]["path"]
+        return hashlib.sha256(open(path, "rb").read()).hexdigest()
+
+    def test_generator_record(self, tmp_path, capsys, monkeypatch):
+        digest = self.record_sha256(
+            tmp_path, capsys, monkeypatch,
+            [os.path.join(CONFIGS, "smoke.cfg"), "--seed", "5"])
+        assert digest == (
+            "8636183f570228fd7fa157ab4917d791"
+            "00399a3a99a9528b30f6f20d1022525f")
+
+    def test_source_csv_record(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "csv.cfg"
+        cfg.write_text(f"[run]\nseed = 7\n[data]\nsource_csv = "
+                       f"{write_source_csv(tmp_path)}\n"
+                       + SOURCE_TEST_SECTIONS)
+        digest = self.record_sha256(tmp_path, capsys, monkeypatch,
+                                    [str(cfg)])
+        assert digest == (
+            "16832b7a15a75f0b52a601a686612871"
+            "3d777016e1a3ccaa8c91c6501f11ad9b")
+
+    def test_uci_dir_record(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "uci.cfg"
+        cfg.write_text(f"[run]\nseed = 4\n[data]\nuci_dir = "
+                       f"{write_big_uci_dir(tmp_path)}\n"
+                       "fractions = 0.6,0.2,0.2\n" + SOURCE_TEST_SECTIONS)
+        digest = self.record_sha256(tmp_path, capsys, monkeypatch,
+                                    [str(cfg)])
+        assert digest == (
+            "5b26a3d8d6343e8ddf4906e26fa5dcd4"
+            "7413d6e1946d79e2e2cd365c30059ce1")
