@@ -22,16 +22,17 @@ from dataclasses import dataclass, fields
 from typing import get_args, get_origin, get_type_hints
 
 from .cdc import CdcTrainSpec
-from .data import ShiftTaskSpec, load_csv, partition, synth_generate, uci_prepare
+from .data import ShiftTaskSpec, load_csv, uci_prepare
 from .detectron import (
     BenchmarkTask,
     DatasetTask,
-    PartitionedData,
     calibrate,
     disagreement_curve,
     disagreement_statistic_psi,
     evaluate_power,
     load_calibration,
+    prepare_data,
+    prepare_task,
     run_tests,
     save_calibration,
     DETECTOR_IDS,
@@ -41,9 +42,7 @@ from .learners import (
     LearnerConfig,
     MlpConfig,
     Model,
-    fit,
     load_model,
-    model_fingerprint,
     save_model,
 )
 from .numerics import RngStream
@@ -95,7 +94,6 @@ class RunConfig:
     """Effective (defaults-materialized) run configuration."""
     sections: dict
     seed: int | None
-    path: str
 
     def get(self, section: str, key: str) -> str:
         return self.sections[section][key]
@@ -150,7 +148,7 @@ def load_run_config(path) -> RunConfig:
     seed = None
     if parser.has_option("run", "seed"):
         seed = _parse(int, "run", "seed", parser.get("run", "seed"))
-    return RunConfig(sections=sections, seed=seed, path=str(path))
+    return RunConfig(sections=sections, seed=seed)
 
 
 def canonical_config_text(rc: RunConfig, seed: int) -> str:
@@ -211,50 +209,40 @@ def cdc_spec_from_config(rc: RunConfig) -> CdcTrainSpec:
 
 def shift_spec_from_config(rc: RunConfig, seed: int) -> ShiftTaskSpec:
     d = rc.sections["data"]
-    params = {}
-    for k in _GENERATOR_PARAM_KEYS:
-        if k in d:
-            params[k] = float(d[k])
-    return ShiftTaskSpec(
-        generator=d["generator"],
-        n_source=int(d["n_source"]),
-        n_target=int(d["n_target"]),
-        seed=int(d.get("seed", seed)),
-        params=params,
-    )
-
-
-def build_environment(rc: RunConfig, seed: int):
-    """Materialize (partitioned source, target features or None, learner
-    config).  Data only: the base model is fitted by ``calibrate`` and
-    read back from its file by ``test``."""
-    d = rc.sections["data"]
-    fractions = _fractions(rc)
-    target_X = None
-    if "source_csv" in d:
-        source = load_csv(d["source_csv"])
-        if source.labels is None:
-            raise CliError("source CSV must carry a 'y' label column")
-    elif "uci_dir" in d:
-        try:
-            source, target = uci_prepare(d["uci_dir"])
-        except (FileNotFoundError, ValueError) as exc:
-            raise CliError(str(exc))
-        target_X = target.features
-    else:
-        try:
-            spec = shift_spec_from_config(rc, seed)
-        except ValueError as exc:
-            raise CliError(f"invalid data config: {exc}")
-        source, target, _ = synth_generate(spec)
-        target_X = target.features
+    params = {k: _parse(float, "data", k, d[k])
+              for k in _GENERATOR_PARAM_KEYS if k in d}
     try:
-        train, val, holdout = partition(source, fractions,
-                                         RngStream(seed, 0).split(1))
+        return ShiftTaskSpec(
+            generator=d["generator"],
+            n_source=rc.getint("data", "n_source"),
+            n_target=rc.getint("data", "n_target"),
+            seed=rc.getint("data", "seed") if "seed" in d else seed,
+            params=params,
+        )
     except ValueError as exc:
-        raise CliError(f"cannot partition source data: {exc}")
-    return (PartitionedData(train, val, holdout), target_X,
-            learner_from_config(rc))
+        raise CliError(f"invalid data config: {exc}")
+
+
+def task_from_config(rc: RunConfig, seed: int) -> BenchmarkTask:
+    """The run's task.  The data source is ``[data] source_csv`` (a
+    labelled source with no target), ``uci_dir``, or else the generator;
+    every setting is read before any file is."""
+    d = rc.sections["data"]
+    settings = dict(learner=learner_from_config(rc),
+                    cdc=cdc_spec_from_config(rc), K=rc.getint("test", "K"),
+                    fractions=_fractions(rc))
+    if "source_csv" not in d and "uci_dir" not in d:
+        return BenchmarkTask(shift_spec_from_config(rc, seed), **settings)
+    try:
+        if "source_csv" in d:
+            source, target = load_csv(d["source_csv"]), None
+        else:
+            source, target = uci_prepare(d["uci_dir"])
+    except (OSError, ValueError) as exc:
+        raise CliError(str(exc))
+    if source.labels is None:
+        raise CliError("source CSV must carry a 'y' label column")
+    return BenchmarkTask(DatasetTask(source, target), **settings)
 
 
 def resolve_seed(rc: RunConfig, cli_seed) -> int:
@@ -313,20 +301,14 @@ def cmd_calibrate(args) -> int:
     rc = load_run_config(args.config)
     seed = resolve_seed(rc, args.seed)
     jobs = args.jobs or rc.getint("run", "jobs")
-    spec = cdc_spec_from_config(rc)
     N = rc.getint("test", "sample_size")
-    K = rc.getint("test", "K")
     alpha = rc.getfloat("test", "alpha")
     start = time.perf_counter()
-    data, _, config = build_environment(rc, seed)
+    task = task_from_config(rc, seed)
     try:
-        f = fit(config, *data.train_pair(), *data.val_pair(),
-                RngStream(seed, 0).split(2))
-    except ValueError as exc:
-        raise CliError(f"cannot fit base model: {exc}")
-    try:
-        record = calibrate(data, config, f, N, K, spec, alpha,
-                           RngStream(seed, 0).split(3), jobs=jobs)
+        data, _, f = prepare_task(task, RngStream(seed, 0))
+        record = calibrate(data, task.learner, f, N, task.K, task.cdc,
+                           alpha, RngStream(seed, 0).split(3), jobs=jobs)
     except ValueError as exc:
         raise CliError(str(exc))
     out_dir = cache_dir(rc)
@@ -337,7 +319,7 @@ def cmd_calibrate(args) -> int:
     save_model(f, model_path(path))
     save_calibration(record, path)
     elapsed = time.perf_counter() - start
-    _log(f"calibrated K={K} runs at N={N}: "
+    _log(f"calibrated K={record.K} runs at N={N}: "
          f"tau_disagreement={record.tau_disagreement:.6g} "
          f"tau_entropy={record.tau_entropy:.6g} "
          f"({elapsed:.1f}s) -> {path}")
@@ -345,7 +327,7 @@ def cmd_calibrate(args) -> int:
         "kind": "calibration_summary",
         "path": path,
         "config_hash": record.config_hash,
-        "K": K,
+        "K": record.K,
         "sample_size": N,
         "alpha": alpha,
         "tau_disagreement": record.tau_disagreement,
@@ -358,23 +340,23 @@ def cmd_calibrate(args) -> int:
 def cmd_test(args) -> int:
     rc = load_run_config(args.config)
     seed = resolve_seed(rc, args.seed)
-    data, _, config = build_environment(rc, seed)
-    spec = cdc_spec_from_config(rc)
+    task = task_from_config(rc, seed)
+    try:
+        data, _ = prepare_data(task, RngStream(seed, 0))
+    except ValueError as exc:
+        raise CliError(str(exc))
     f = load_base_model(args.calibration)
     try:
         record = load_calibration(args.calibration, f.num_classes)
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot load calibration: {exc}")
-    if model_fingerprint(f) != record.config_snapshot.get("model_fingerprint"):
-        raise CliError(f"base model mismatch: {model_path(args.calibration)} "
-                       "is not the model the calibration was made with")
     q = load_csv(args.q, label_column=None)
     q_digest = int(hashlib.sha256(q.fingerprint.encode()).hexdigest()[:12], 16)
     rng = RngStream(seed, 0).split(4).split(q_digest)
 
     try:
-        verdicts = run_tests(q.features, record, data, config, f, spec, rng,
-                             args.test)
+        verdicts = run_tests(q.features, record, data, task.learner, f,
+                             task.cdc, rng, args.test)
     except ValueError as exc:
         raise CliError(str(exc))
 
@@ -399,8 +381,6 @@ def cmd_benchmark(args) -> int:
     rc = load_run_config(args.config)
     seed = resolve_seed(rc, args.seed)
     jobs = args.jobs or rc.getint("run", "jobs")
-    config = learner_from_config(rc)
-    spec = cdc_spec_from_config(rc)
     detectors = [d.strip() for d in
                  rc.get("test", "detectors").split(",") if d.strip()]
     for d in detectors:
@@ -411,23 +391,11 @@ def cmd_benchmark(args) -> int:
              for x in raw.split(",") if x]
     trials = rc.getint("benchmark", "trials")
     alpha = rc.getfloat("test", "alpha")
-    K = rc.getint("test", "K")
-    d = rc.sections["data"]
-    if "uci_dir" in d:
-        try:
-            source, target = uci_prepare(d["uci_dir"])
-        except (FileNotFoundError, ValueError) as exc:
-            raise CliError(str(exc))
-        data_spec = DatasetTask(source=source, target=target)
-    elif "source_csv" in d:
+    task = task_from_config(rc, seed)
+    source = task.data_spec
+    if isinstance(source, DatasetTask) and source.target is None:
         raise CliError("benchmark needs a shifted target source: use a "
                        "generator or uci_dir")
-    else:
-        data_spec = shift_spec_from_config(rc, seed)
-    task = BenchmarkTask(
-        data_spec=data_spec,
-        learner=config, cdc=spec, K=K,
-        fractions=_fractions(rc))
 
     out_dir = rc.get("run", "output_dir")
     os.makedirs(out_dir, exist_ok=True)
@@ -436,13 +404,16 @@ def cmd_benchmark(args) -> int:
     jsonl_path = os.path.join(out_dir, f"benchmark_{key}_{seed}.jsonl")
     new_csv = not os.path.exists(csv_path)
     rows = []
+    # every (detector, N) row gets the same data, base model and Q draws
+    rng = RngStream(seed, 0).split(5)
     for detector in detectors:
         for n in sizes:
             t0 = time.perf_counter()
-            tpr, se = evaluate_power(
-                task, detector, n, trials, alpha,
-                RngStream(seed, 0).split(5).split(hash_pair(detector, n)),
-                jobs=jobs)
+            try:
+                tpr, se = evaluate_power(task, detector, n, trials, alpha,
+                                         rng, jobs=jobs)
+            except ValueError as exc:
+                raise CliError(str(exc))
             _log(f"{detector} N={n}: TPR@{int(alpha * 100)} = "
                  f"{tpr:.2f} +/- {se:.2f} "
                  f"({time.perf_counter() - t0:.1f}s)")
@@ -470,13 +441,7 @@ def cmd_benchmark(args) -> int:
     return 0
 
 
-def hash_pair(detector: str, n: int) -> int:
-    return int(hashlib.sha256(f"{detector}:{n}".encode())
-               .hexdigest()[:12], 16)
-
-
 def _run_psi(rc, task, seed, budget, runs, out_dir, key):
-    from .detectron import prepare_task
     data, target_X, f = prepare_task(task, RngStream(seed, 0).split(6))
     n = min(rc.getint("test", "sample_size"), target_X.shape[0],
             len(data.holdout))

@@ -21,15 +21,17 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .cdc import CdcTrainSpec, build_ensemble, cdc_entropy
+from .cdc import CdcTrainSpec, build_ensemble, cdc_entropy, pseudo_label
 from .data import Dataset, ShiftTaskSpec, partition, synth_generate
 from .learners import (
     LearnerConfig,
     Model,
     config_to_dict,
     fit,
+    fit_disagreeing,
     model_fingerprint,
 )
+from .losses import lambda_weight
 from .numerics import RngStream
 from .schemas import load_schema, validate_against_schema
 from .stats import empirical_quantile, ks_two_sample
@@ -273,7 +275,8 @@ def run_tests(Q_X, calib: CalibrationRecord, data: PartitionedData,
     "both"), in that order, from one ensemble build.
 
     Refuses a sample whose size or configuration differs from the
-    calibrated one.  Disagreement: shift iff phi_Q exceeds the calibrated
+    calibrated one; the configuration refusal names the snapshot fields
+    that differ.  Disagreement: shift iff phi_Q exceeds the calibrated
     (1 - alpha) quantile of the null rates.  Entropy: shift iff the KS
     p-value of Q's ensemble entropies against pooled calibration entropies
     (one run dropped at random) falls below the calibrated alpha quantile.
@@ -286,10 +289,15 @@ def run_tests(Q_X, calib: CalibrationRecord, data: PartitionedData,
     if Q_X.shape[0] != calib.sample_size:
         raise ValueError("sample size must match calibration: "
                          f"got {Q_X.shape[0]}, calibrated {calib.sample_size}")
-    if config_hash(data, config, f, spec, calib.sample_size, calib.K,
-                   calib.alpha) != calib.config_hash:
+    settings = (data, config, f, spec, calib.sample_size, calib.K,
+                calib.alpha)
+    if config_hash(*settings) != calib.config_hash:
+        snapshot = _config_snapshot(*settings)
+        differ = [k for k in sorted(snapshot)
+                  if snapshot[k] != calib.config_snapshot.get(k)]
         raise ValueError(
-            "calibration/config mismatch: refusing to test with a "
+            f"calibration/config mismatch in "
+            f"{', '.join(differ) or 'config_hash'}: refusing to test with a "
             "configuration different from the calibrated one")
     start = time.perf_counter()
     ens = build_ensemble(config, data.train_pair(), data.val_pair(), Q_X, f,
@@ -395,15 +403,17 @@ def load_calibration(path, num_classes: int) -> CalibrationRecord:
 
 @dataclass(frozen=True)
 class DatasetTask:
-    """Benchmark source backed by concrete datasets (e.g. the tabular
-    heart-disease pair) instead of a synthetic generator."""
+    """Task source backed by concrete datasets (e.g. the tabular
+    heart-disease pair) instead of a synthetic generator.  A labelled
+    source with no target serves calibration and tests, not power."""
     source: Dataset
-    target: Dataset
+    target: Dataset | None
 
 
 @dataclass(frozen=True)
 class BenchmarkTask:
-    """Everything needed to score detectors on one synthetic/tabular task."""
+    """One synthetic or tabular task: its data source and everything a
+    calibration, a test or a power score needs to prepare it."""
     data_spec: ShiftTaskSpec | DatasetTask
     learner: LearnerConfig
     cdc: CdcTrainSpec = field(default_factory=CdcTrainSpec)
@@ -411,17 +421,32 @@ class BenchmarkTask:
     fractions: tuple = (0.7, 0.1, 0.2)
 
 
-def prepare_task(task: BenchmarkTask, rng: RngStream):
-    """Materialize (partitioned data, target features, base model)."""
+def prepare_data(task: BenchmarkTask, rng: RngStream):
+    """Materialize (partitioned data, target features or None): the
+    source split on ``rng.split(1)``."""
     if isinstance(task.data_spec, DatasetTask):
         source, target = task.data_spec.source, task.data_spec.target
     else:
         source, target, _ = synth_generate(task.data_spec)
-    train, val, holdout = partition(source, task.fractions, rng.split(1))
-    data = PartitionedData(train, val, holdout)
-    f = fit(task.learner, train.features, train.labels,
-            val.features, val.labels, rng.split(2))
-    return data, target.features, f
+    try:
+        data = PartitionedData(*partition(source, task.fractions,
+                                          rng.split(1)))
+    except ValueError as exc:
+        raise ValueError(f"cannot partition source data: {exc}") from None
+    return data, None if target is None else target.features
+
+
+def prepare_task(task: BenchmarkTask, rng: RngStream):
+    """Materialize (partitioned data, target features or None, base
+    model): ``prepare_data``, then the base model fitted on
+    ``rng.split(2)``."""
+    data, target_X = prepare_data(task, rng)
+    try:
+        f = fit(task.learner, *data.train_pair(), *data.val_pair(),
+                rng.split(2))
+    except ValueError as exc:
+        raise ValueError(f"cannot fit base model: {exc}") from None
+    return data, target_X, f
 
 
 def evaluate_power(task: BenchmarkTask, detector_id: str, N: int,
@@ -485,10 +510,6 @@ def disagreement_curve(config: LearnerConfig, data: PartitionedData,
     still agrees on; disagreed samples are removed and counted.  The
     curve is padded with its final value once everything is disagreed on.
     """
-    from .cdc import pseudo_label
-    from .learners import fit_disagreeing
-    from .losses import lambda_weight
-
     target_X = np.asarray(target_X, dtype=np.float64)
     n_q = target_X.shape[0]
     if n_q == 0 or budget_steps < 1:

@@ -16,7 +16,7 @@ from shiftguard.cli import (
 )
 from shiftguard.data import ShiftTaskSpec, synth_generate
 from shiftguard.learners import load_model, model_fingerprint, save_model
-from shiftguard.numerics import rng_stream
+from shiftguard.numerics import RngStream, rng_stream
 from shiftguard.schemas import load_schema, validate_against_schema
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -305,11 +305,12 @@ class TestTestCommand:
     def test_no_fit_same_verdicts_as_refit(self, calibrated, capsys,
                                            monkeypatch, shifted, digest):
         """The verdicts, apart from wall_time_ms, that test gave when it
-        refitted the base model from the config on every call."""
+        refitted the base model from the config on every call.  The task
+        path fits only in ``detectron``, so the patch there covers it."""
         def no_fit(*args, **kwargs):
             raise AssertionError("test fitted a model")
 
-        monkeypatch.setattr("shiftguard.cli.fit", no_fit)
+        monkeypatch.setattr("shiftguard.detectron.fit", no_fit)
         q = write_q_csv(calibrated["tmp"], shifted=shifted)
         assert main(["test", calibrated["cfg"], q,
                      calibrated["summary"]["path"]]) == 0
@@ -322,8 +323,8 @@ class TestTestCommand:
     @pytest.mark.parametrize("damage, message", [
         ("delete", "no file"),
         ("truncate", "Unterminated string|Expecting"),
-        ("change_weight", "base model mismatch"),
-        ("other_seed", "base model mismatch"),
+        ("change_weight", "calibration/config mismatch in model_fingerprint:"),
+        ("other_seed", "calibration/config mismatch in model_fingerprint:"),
     ])
     def test_bad_model_file_exit_one(self, calibrated, capsys, damage,
                                      message):
@@ -349,7 +350,8 @@ class TestTestCommand:
         (line,) = err.splitlines()
         assert line.startswith("error: ")
         assert re.search(message, line)
-        assert path in line
+        if damage in ("delete", "truncate"):
+            assert path in line
 
     def test_verdicts_appended_not_clobbered(self, calibrated, capsys):
         q = write_q_csv(calibrated["tmp"])
@@ -386,6 +388,29 @@ class TestBenchmarkAndReport:
         assert csvs
         header = open(out_dir / csvs[0]).readline().strip()
         assert header == "detector,N,tpr,std_err,trials,seed"
+
+    def test_benchmark_rows_share_one_stream(self, tmp_path, capsys,
+                                             monkeypatch):
+        """Every (detector, N) row is scored on the same stream, so on the
+        same data, base model and candidate draws."""
+        seen = []
+
+        def record_stream(task, detector, n, trials, alpha, rng, jobs=1):
+            seen.append((detector, n, repr(rng)))
+            return 0.5, 0.1
+
+        monkeypatch.setattr("shiftguard.cli.evaluate_power", record_stream)
+        text = SMOKE_CONFIG.replace(
+            "sample_size = 20",
+            "sample_size = 20\ndetectors = detectron_entropy,ctst")
+        cfg = write_config(tmp_path, text.replace(
+            "sample_sizes = 20", "sample_sizes = 10,20").replace(
+            "psi_budget = 8", "psi_budget = 0"))
+        assert main(["benchmark", cfg]) == 0
+        read_stdout_docs(capsys)
+        stream = repr(RngStream(5, 0).split(5))
+        assert seen == [(d, n, stream) for d in ("detectron_entropy", "ctst")
+                        for n in (10, 20)]
 
     def test_report_aggregates_rates_and_psi(self, tmp_path, capsys):
         results = tmp_path / "results"
@@ -451,6 +476,34 @@ class TestConfigPlumbing:
         a = canonical_config_text(load_run_config(str(cfg_a)), 3)
         b = canonical_config_text(load_run_config(str(cfg_b)), 3)
         assert a == b
+
+    @pytest.mark.parametrize("command", ["calibrate", "test", "benchmark"])
+    @pytest.mark.parametrize("old, new, message", [
+        ("n_source = 500", "n_source = x",
+         "invalid data.n_source: 'x' is not an integer"),
+        ("n_target = 300", "n_target = 3e2",
+         "invalid data.n_target: '3e2' is not an integer"),
+        ("n_target = 300", "n_target = 300\nseed = s",
+         "invalid data.seed: 's' is not an integer"),
+        ("n_target = 300", "n_target = 300\ndelta = far",
+         "invalid data.delta: 'far' is not a number"),
+        ("n_target = 300", "n_target = 300\nfractions = 0.5,0.1,0.1",
+         "cannot partition source data: fractions must sum to 1"),
+    ])
+    def test_bad_data_value_exit_one(self, tmp_path, capsys, command, old,
+                                     new, message):
+        """Every command reads [data] through the same task builder and
+        splits the source through the same library call, so a value that
+        does not parse, or a split that cannot be made, is refused on one
+        line before any file but the config is read."""
+        cfg = write_config(tmp_path, SMOKE_CONFIG.replace(old, new))
+        argv = [command, cfg]
+        if command == "test":
+            argv += [str(tmp_path / "q.csv"), str(tmp_path / "rec.json")]
+        assert main(argv) == 1
+        out, err = read_stdout_docs(capsys)
+        assert out == []
+        assert err.splitlines() == [f"error: {message}"]
 
     def test_empty_step_cap_is_none(self, tmp_path):
         cfg = write_config(tmp_path, SMOKE_CONFIG.replace(

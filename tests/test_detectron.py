@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import json
@@ -163,6 +164,24 @@ class TestVerdicts:
             run_disagreement_test(task_env["target_X"][idx], task_env["calib"],
                               task_env["data"], LEARNER, task_env["f"],
                               other_spec, rng_stream(0, 0))
+
+    @pytest.mark.parametrize("model, spec, named", [
+        ("changed", SPEC, "model_fingerprint"),
+        ("same", CdcTrainSpec(max_opt_steps=4), "cdc"),
+        ("changed", CdcTrainSpec(max_opt_steps=4), "cdc, model_fingerprint"),
+    ], ids=["model", "spec", "both"])
+    def test_config_mismatch_names_fields(self, task_env, model, spec,
+                                          named):
+        """The refusal names each snapshot field that differs from the
+        record's."""
+        f = task_env["f"]
+        if model == "changed":
+            f = copy.deepcopy(f)
+            f.weights[0][0, 0] += 1e-9
+        with pytest.raises(ValueError, match=rf"^calibration/config "
+                                             rf"mismatch in {named}: "):
+            run_tests(task_env["target_X"][:N], task_env["calib"],
+                      task_env["data"], LEARNER, f, spec, rng_stream(0, 0))
 
     def test_both_matches_dedicated_ops(self, task_env):
         target = task_env["target_X"]
