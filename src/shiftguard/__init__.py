@@ -10,6 +10,7 @@ from .cdc import CdcEnsemble, CdcTrainSpec, build_ensemble, cdc_entropy
 from .data import Dataset, ShiftTaskSpec, load_csv, partition, synth_generate
 from .detectron import (
     BenchmarkTask,
+    CalibratedTest,
     CalibrationRecord,
     PartitionedData,
     TestVerdict,
@@ -27,7 +28,8 @@ __all__ = [
     "CdcEnsemble", "CdcTrainSpec", "build_ensemble", "cdc_entropy",
     "Dataset", "ShiftTaskSpec", "load_csv", "partition", "synth_generate",
     "BenchmarkTask", "CalibrationRecord", "PartitionedData", "TestVerdict",
-    "calibrate", "evaluate_power", "test_disagreement", "test_entropy",
+    "CalibratedTest", "calibrate", "evaluate_power", "test_disagreement",
+    "test_entropy",
     "GbtConfig", "LearnerConfig", "MlpConfig", "fit", "predict_proba",
     "RngStream", "rng_stream", "__version__",
 ]

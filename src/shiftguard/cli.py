@@ -25,6 +25,7 @@ from .cdc import CdcTrainSpec
 from .data import ShiftTaskSpec, load_csv, uci_prepare
 from .detectron import (
     BenchmarkTask,
+    CalibratedTest,
     DatasetTask,
     calibrate,
     disagreement_curve,
@@ -33,7 +34,6 @@ from .detectron import (
     load_calibration,
     prepare_data,
     prepare_task,
-    run_tests,
     save_calibration,
     DETECTOR_IDS,
 )
@@ -350,13 +350,19 @@ def cmd_test(args) -> int:
         record = load_calibration(args.calibration, f.num_classes)
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot load calibration: {exc}")
-    q = load_csv(args.q, label_column=None)
+    try:
+        q = load_csv(args.q, label_column=None)
+    except OSError as exc:
+        raise CliError(f"cannot read candidate sample: {args.q}: "
+                       f"{exc.strerror or exc}")
+    except ValueError as exc:
+        raise CliError(f"cannot read candidate sample: {exc}")
     q_digest = int(hashlib.sha256(q.fingerprint.encode()).hexdigest()[:12], 16)
     rng = RngStream(seed, 0).split(4).split(q_digest)
 
     try:
-        verdicts = run_tests(q.features, record, data, task.learner, f,
-                             task.cdc, rng, args.test)
+        tester = CalibratedTest(record, data, task.learner, f, task.cdc)
+        verdicts = tester.run(q.features, rng, args.test)
     except ValueError as exc:
         raise CliError(str(exc))
 
@@ -435,14 +441,15 @@ def cmd_benchmark(args) -> int:
 
     psi_budget = rc.getint("benchmark", "psi_budget")
     if psi_budget > 0:
-        _run_psi(rc, task, seed, psi_budget,
+        # the stream evaluate_power prepares every row's task on
+        _run_psi(rc, task, rng.split(0), seed, psi_budget,
                  rc.getint("benchmark", "psi_runs"), out_dir, key)
     _log(f"benchmark written to {csv_path}")
     return 0
 
 
-def _run_psi(rc, task, seed, budget, runs, out_dir, key):
-    data, target_X, f = prepare_task(task, RngStream(seed, 0).split(6))
+def _run_psi(rc, task, task_rng, seed, budget, runs, out_dir, key):
+    data, target_X, f = prepare_task(task, task_rng)
     n = min(rc.getint("test", "sample_size"), target_X.shape[0],
             len(data.holdout))
     config = task.learner
@@ -468,6 +475,29 @@ def _run_psi(rc, task, seed, budget, runs, out_dir, key):
     _log(f"psi curve ({runs} paired runs, {budget} steps) -> {path}")
 
 
+def _read_results(path, schema_name, whole=False) -> list:
+    """The documents of a results file, one per nonblank line (or the
+    whole file, one document), each checked against its shipped schema;
+    a malformed one is a CliError naming the file and the line."""
+    schema = load_schema(schema_name)
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    docs = []
+    for n, chunk in [(1, text)] if whole else enumerate(text.split("\n"), 1):
+        if not chunk.strip():
+            continue
+        try:
+            doc = json.loads(chunk)
+            validate_against_schema(doc, schema, schema_name)
+        except json.JSONDecodeError as exc:
+            raise CliError(f"malformed results file {path} line "
+                           f"{n + exc.lineno - 1}: {exc.msg}")
+        except ValueError as exc:
+            raise CliError(f"malformed results file {path} line {n}: {exc}")
+        docs.append(doc)
+    return docs
+
+
 def cmd_report(args) -> int:
     results_dir = args.results
     if not os.path.isdir(results_dir):
@@ -478,15 +508,11 @@ def cmd_report(args) -> int:
     for name in sorted(os.listdir(results_dir)):
         path = os.path.join(results_dir, name)
         if name.startswith("verdicts_") and name.endswith(".jsonl"):
-            with open(path, encoding="utf-8") as fh:
-                verdicts.extend(json.loads(line) for line in fh if line.strip())
+            verdicts += _read_results(path, "verdict")
         elif name.startswith("benchmark_") and name.endswith(".jsonl"):
-            with open(path, encoding="utf-8") as fh:
-                bench_rows.extend(json.loads(line) for line in fh
-                                  if line.strip())
+            bench_rows += _read_results(path, "benchmark_row")
         elif name.startswith("psi_") and name.endswith(".json"):
-            with open(path, encoding="utf-8") as fh:
-                psi_docs.append(json.load(fh))
+            psi_docs += _read_results(path, "psi_curve", whole=True)
     if not verdicts and not bench_rows and not psi_docs:
         raise CliError(f"no results found in {results_dir}")
 

@@ -7,8 +7,10 @@ configuration: the disagreement test flags shift when its rate exceeds
 the (1 - alpha) calibration quantile, the entropy test when the KS
 p-value of its entropies against pooled calibration entropies falls
 below the alpha quantile of leave-one-out calibration p-values.
-Calibration records persist as versioned JSON and refuse to pair with a
-mismatched configuration.
+Calibration records persist as versioned JSON.  A ``CalibratedTest``
+pairs one with its test context once, refusing a mismatched
+configuration, and then tests any number of candidate samples;
+``test_both`` and the single-test aliases build one per call.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ __all__ = [
     "DatasetTask",
     "config_hash",
     "calibrate",
-    "run_tests",
+    "CalibratedTest",
     "test_disagreement",
     "test_entropy",
     "test_both",
@@ -130,16 +132,10 @@ class CalibrationRecord:
                           empirical_quantile(self.calib_p_values, self.alpha)):
             raise ValueError("tau_entropy does not match its quantile")
 
-    def pooled_entropies(self, drop_index: int) -> np.ndarray:
-        runs = [np.asarray(run) for i, run in enumerate(self.entropy_runs)
-                if i != drop_index]
-        return np.concatenate(runs)
-
 
 def config_hash(data: PartitionedData, config: LearnerConfig, f: Model,
                 spec: CdcTrainSpec, N: int, K: int, alpha: float) -> str:
-    snapshot = _config_snapshot(data, config, f, spec, N, K, alpha)
-    return _hash_snapshot(snapshot)
+    return _hash_snapshot(_config_snapshot(data, config, f, spec, N, K, alpha))
 
 
 def _config_snapshot(data, config, f, spec, N, K, alpha) -> dict:
@@ -238,94 +234,94 @@ def calibrate(data: PartitionedData, config: LearnerConfig, f: Model,
 # test-time verdicts
 # ---------------------------------------------------------------------------
 
-def _disagreement_verdict(phi_q, calib, rng, elapsed_ms) -> TestVerdict:
-    return TestVerdict(
-        test="detectron_disagreement",
-        statistic=float(phi_q),
-        threshold=calib.tau_disagreement,
-        shift_detected=bool(phi_q > calib.tau_disagreement),
-        sample_size=calib.sample_size,
-        seeds={"base_seed": rng.base_seed, "stream_id": rng.stream_id},
-        wall_time_ms=elapsed_ms,
-        config_hash=calib.config_hash,
-    )
+@dataclass(frozen=True)
+class CalibratedTest:
+    """A calibration record paired once with the context it tests in;
+    a mismatched context is refused, naming the fields that differ."""
+    calib: CalibrationRecord
+    data: PartitionedData
+    config: LearnerConfig
+    f: Model
+    spec: CdcTrainSpec
 
+    def __post_init__(self):
+        calib = self.calib
+        settings = (self.data, self.config, self.f, self.spec,
+                    calib.sample_size, calib.K, calib.alpha)
+        if config_hash(*settings) != calib.config_hash:
+            snapshot = _config_snapshot(*settings)
+            differ = [k for k in sorted(snapshot)
+                      if snapshot[k] != calib.config_snapshot.get(k)]
+            raise ValueError(
+                f"calibration/config mismatch in "
+                f"{', '.join(differ) or 'config_hash'}: refusing to test "
+                "with a configuration different from the calibrated one")
+        # calib's K entropy runs as one (K, N) array, so not a field
+        object.__setattr__(self, "_entropy_runs", np.array(calib.entropy_runs))
 
-def _entropy_verdict(q_entropies, calib, rng, elapsed_ms) -> TestVerdict:
-    drop = rng.integers(calib.K)
-    pooled = calib.pooled_entropies(drop)
-    p_value = ks_two_sample(q_entropies, pooled).p_value
-    return TestVerdict(
-        test="detectron_entropy",
-        statistic=float(p_value),
-        threshold=calib.tau_entropy,
-        shift_detected=bool(p_value < calib.tau_entropy),
-        sample_size=calib.sample_size,
-        seeds={"base_seed": rng.base_seed, "stream_id": rng.stream_id,
-               "dropped_run": int(drop)},
-        wall_time_ms=elapsed_ms,
-        config_hash=calib.config_hash,
-    )
+    def run(self, Q_X, rng: RngStream, which: str = "both") -> tuple:
+        """Verdicts of the tests ``which`` names ("disagreement", "entropy"
+        or "both"), in that order, from one ensemble build on a sample of
+        the calibrated size.  Disagreement: shift iff phi_Q exceeds the
+        calibrated (1 - alpha) quantile of the null rates.  Entropy: shift
+        iff the KS p-value of Q's ensemble entropies against pooled
+        calibration entropies (one run dropped at random) falls below the
+        calibrated alpha quantile."""
+        if which not in ("disagreement", "entropy", "both"):
+            raise ValueError(f"unknown test {which!r}")
+        Q_X = np.asarray(Q_X, dtype=np.float64)
+        if Q_X.shape[0] != self.calib.sample_size:
+            raise ValueError("sample size must match calibration: got "
+                             f"{Q_X.shape[0]}, calibrated "
+                             f"{self.calib.sample_size}")
+        start = time.perf_counter()
+        ens = build_ensemble(self.config, self.data.train_pair(),
+                             self.data.val_pair(), Q_X, self.f, self.spec, rng)
+        if which != "disagreement":
+            q_entropies = cdc_entropy(ens, Q_X)
+        ms = (time.perf_counter() - start) * 1000.0
+        verdicts = []
+        if which != "entropy":
+            verdicts.append(self._disagreement_verdict(ens.phi_final, rng, ms))
+        if which != "disagreement":
+            verdicts.append(self._entropy_verdict(q_entropies, rng, ms))
+        return tuple(verdicts)
 
+    def _disagreement_verdict(self, phi_q, rng, elapsed_ms) -> TestVerdict:
+        calib = self.calib
+        return TestVerdict(
+            test="detectron_disagreement", statistic=float(phi_q),
+            shift_detected=bool(phi_q > calib.tau_disagreement),
+            threshold=calib.tau_disagreement, sample_size=calib.sample_size,
+            seeds={"base_seed": rng.base_seed, "stream_id": rng.stream_id},
+            wall_time_ms=elapsed_ms, config_hash=calib.config_hash)
 
-def run_tests(Q_X, calib: CalibrationRecord, data: PartitionedData,
-              config: LearnerConfig, f: Model, spec: CdcTrainSpec,
-              rng: RngStream, which: str = "both") -> tuple:
-    """Verdicts of the tests ``which`` names ("disagreement", "entropy" or
-    "both"), in that order, from one ensemble build.
+    def _entropy_verdict(self, q_entropies, rng, elapsed_ms) -> TestVerdict:
+        calib = self.calib
+        drop = rng.integers(calib.K)
+        pooled = np.delete(self._entropy_runs, drop, axis=0).ravel()
+        p_value = ks_two_sample(q_entropies, pooled).p_value
+        return TestVerdict(
+            test="detectron_entropy", statistic=float(p_value),
+            shift_detected=bool(p_value < calib.tau_entropy),
+            threshold=calib.tau_entropy, sample_size=calib.sample_size,
+            seeds={"base_seed": rng.base_seed, "stream_id": rng.stream_id,
+                   "dropped_run": int(drop)},
+            wall_time_ms=elapsed_ms, config_hash=calib.config_hash)
 
-    Refuses a sample whose size or configuration differs from the
-    calibrated one; the configuration refusal names the snapshot fields
-    that differ.  Disagreement: shift iff phi_Q exceeds the calibrated
-    (1 - alpha) quantile of the null rates.  Entropy: shift iff the KS
-    p-value of Q's ensemble entropies against pooled calibration entropies
-    (one run dropped at random) falls below the calibrated alpha quantile.
-    Each verdict of "both" is marginally identical to its single-test run;
-    the two share the trained ensemble (and therefore randomness).
-    """
-    if which not in ("disagreement", "entropy", "both"):
-        raise ValueError(f"unknown test {which!r}")
-    Q_X = np.asarray(Q_X, dtype=np.float64)
-    if Q_X.shape[0] != calib.sample_size:
-        raise ValueError("sample size must match calibration: "
-                         f"got {Q_X.shape[0]}, calibrated {calib.sample_size}")
-    settings = (data, config, f, spec, calib.sample_size, calib.K,
-                calib.alpha)
-    if config_hash(*settings) != calib.config_hash:
-        snapshot = _config_snapshot(*settings)
-        differ = [k for k in sorted(snapshot)
-                  if snapshot[k] != calib.config_snapshot.get(k)]
-        raise ValueError(
-            f"calibration/config mismatch in "
-            f"{', '.join(differ) or 'config_hash'}: refusing to test with a "
-            "configuration different from the calibrated one")
-    start = time.perf_counter()
-    ens = build_ensemble(config, data.train_pair(), data.val_pair(), Q_X, f,
-                         spec, rng)
-    if which != "disagreement":
-        q_entropies = cdc_entropy(ens, Q_X)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    verdicts = []
-    if which != "entropy":
-        verdicts.append(_disagreement_verdict(ens.phi_final, calib, rng,
-                                              elapsed))
-    if which != "disagreement":
-        verdicts.append(_entropy_verdict(q_entropies, calib, rng, elapsed))
-    return tuple(verdicts)
-
-
-# single-test and both-test aliases of run_tests, the library API
 
 def test_disagreement(Q_X, calib, data, config, f, spec, rng) -> TestVerdict:
-    return run_tests(Q_X, calib, data, config, f, spec, rng, "disagreement")[0]
+    return CalibratedTest(calib, data, config, f, spec).run(
+        Q_X, rng, "disagreement")[0]
 
 
 def test_entropy(Q_X, calib, data, config, f, spec, rng) -> TestVerdict:
-    return run_tests(Q_X, calib, data, config, f, spec, rng, "entropy")[0]
+    return CalibratedTest(calib, data, config, f, spec).run(
+        Q_X, rng, "entropy")[0]
 
 
 def test_both(Q_X, calib, data, config, f, spec, rng) -> tuple:
-    return run_tests(Q_X, calib, data, config, f, spec, rng, "both")
+    return CalibratedTest(calib, data, config, f, spec).run(Q_X, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +484,9 @@ def make_detector(task: BenchmarkTask, detector_id: str,
     if detector_id in ("detectron_disagreement", "detectron_entropy"):
         calib = calibrate(data, task.learner, f, N, task.K, task.cdc,
                           alpha, rng, jobs=jobs)
+        tester = CalibratedTest(calib, data, task.learner, f, task.cdc)
         which = detector_id.removeprefix("detectron_")
-        return lambda Q_X, r: run_tests(
-            Q_X, calib, data, task.learner, f, task.cdc, r, which)[0]
+        return lambda Q_X, r: tester.run(Q_X, r, which)[0]
     from . import baselines
     return baselines.make_baseline_detector(
         detector_id, task.learner, data, f, N, task.K, alpha, rng)

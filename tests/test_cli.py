@@ -3,6 +3,7 @@ import json
 import os
 import re
 import shutil
+import types
 
 import numpy as np
 import pytest
@@ -353,6 +354,24 @@ class TestTestCommand:
         if damage in ("delete", "truncate"):
             assert path in line
 
+    @pytest.mark.parametrize("content, message", [
+        (None, r"nope\.csv: No such file or directory$"),
+        ("x0,x1\n0.5,abc\n", "unparseable cell at row 2, column 'x1': "
+                              "'abc'$"),
+    ], ids=["missing", "unparseable"])
+    def test_unreadable_candidate_exit_one(self, calibrated, capsys, content,
+                                           message):
+        path = calibrated["tmp"] / "nope.csv"
+        if content is not None:
+            path.write_text(content)
+        assert main(["test", calibrated["cfg"], str(path),
+                     calibrated["summary"]["path"]]) == 1
+        docs, err = read_stdout_docs(capsys)
+        assert docs == []
+        (line,) = err.splitlines()
+        assert line.startswith("error: cannot read candidate sample: ")
+        assert re.search(message, line)
+
     def test_verdicts_appended_not_clobbered(self, calibrated, capsys):
         q = write_q_csv(calibrated["tmp"])
         assert main(["test", calibrated["cfg"], q,
@@ -367,6 +386,16 @@ class TestTestCommand:
                      calibrated["summary"]["path"]]) == 0
         read_stdout_docs(capsys)
         assert len(open(path).readlines()) == 2 * n_before
+
+
+VERDICT = {"test": "detectron_entropy", "statistic": 0.5, "threshold": 0.05,
+           "shift_detected": False, "sample_size": 20, "seeds": {},
+           "wall_time_ms": 1.0, "config_hash": "", "flags": []}
+BENCH_ROW = {"kind": "benchmark_row", "detector": "ctst", "N": 20,
+             "tpr": 0.5, "std_err": 0.1, "trials": 30, "seed": 0}
+PSI_DOC = {"kind": "psi_curve", "budget_steps": 3, "runs": 2,
+           "sample_size": 20, "seed": 0, "psi": [0.1, 0.2, 0.15],
+           "std_err": [0.01, 0.02, 0.01]}
 
 
 class TestBenchmarkAndReport:
@@ -439,6 +468,73 @@ class TestBenchmarkAndReport:
         lines = open(psi_csv).read().splitlines()
         assert lines[0] == "source_seed,step,psi,std_err"
         assert len(lines) == 1 + 3  # one row per budget step
+
+    @pytest.mark.parametrize("name, lines, message", [
+        ("verdicts_abc_0.jsonl", [VERDICT, "{not json"],
+         "line 2: Expecting property name"),
+        ("verdicts_abc_0.jsonl", [VERDICT, "", {**VERDICT, "test": None}],
+         "line 3: verdict.test: expected string, got NoneType"),
+        ("verdicts_abc_0.jsonl",
+         [{k: v for k, v in VERDICT.items() if k != "shift_detected"}],
+         "line 1: verdict: missing required key 'shift_detected'"),
+        ("benchmark_abc_0.jsonl",
+         [{k: v for k, v in BENCH_ROW.items() if k != "detector"}],
+         "line 1: benchmark_row: missing required key 'detector'"),
+        ("psi_abc_0.json", ['{"kind": "psi_curve",', "  budget_steps: 3}"],
+         "line 2: Expecting property name"),
+        ("psi_abc_0.json", [{**PSI_DOC, "psi": [0.1, "x", 0.15]}],
+         r"line 1: psi_curve\.psi\[1\]: expected number, got str"),
+    ], ids=["not-json", "wrong-type", "no-shift_detected", "no-detector",
+            "psi-not-json", "psi-wrong-type"])
+    def test_report_malformed_file_exit_one(self, tmp_path, capsys, name,
+                                            lines, message):
+        """A results file that is not what its name says is refused with
+        one line naming the file and the line."""
+        results = tmp_path / "results"
+        results.mkdir()
+        with open(results / "verdicts_good_0.jsonl", "w") as fh:
+            fh.write(json.dumps(VERDICT) + "\n")
+        with open(results / name, "w") as fh:
+            for line in lines:
+                fh.write((line if isinstance(line, str)
+                          else json.dumps(line)) + "\n")
+        assert main(["report", str(results)]) == 1
+        docs, err = read_stdout_docs(capsys)
+        assert docs == []
+        (line,) = err.splitlines()
+        assert line.startswith(
+            f"error: malformed results file {results / name} ")
+        assert re.search(message, line)
+
+    def test_psi_prepared_on_the_rows_stream(self, tmp_path, capsys,
+                                             monkeypatch):
+        """The psi curve is drawn on the data split and base model that
+        every benchmark row is scored on."""
+        import shiftguard.cli as cli
+        import shiftguard.detectron as detectron
+        seen = []
+        real = detectron.prepare_task
+
+        def record_stream(task, rng):
+            seen.append(repr(rng))
+            return real(task, rng)
+
+        monkeypatch.setattr(cli, "prepare_task", record_stream)
+        monkeypatch.setattr(detectron, "prepare_task", record_stream)
+        never = types.SimpleNamespace(shift_detected=False)
+        monkeypatch.setattr(detectron, "make_detector",
+                            lambda *args, **kwargs: lambda Q_X, rng: never)
+        text = SMOKE_CONFIG.replace(
+            "sample_size = 20",
+            "sample_size = 20\ndetectors = detectron_entropy")
+        cfg = write_config(tmp_path, text.replace(
+            "sample_sizes = 20", "sample_sizes = 10,20").replace(
+            "psi_budget = 8\npsi_runs = 4", "psi_budget = 2\npsi_runs = 2"))
+        assert main(["benchmark", cfg]) == 0
+        docs, _ = read_stdout_docs(capsys)
+        assert [d["kind"] for d in docs] == ["benchmark_row"] * 2 + [
+            "psi_curve"]
+        assert seen == [repr(RngStream(5, 0).split(5).split(0))] * 3
 
     def test_report_empty_dir_exit_one(self, tmp_path, capsys):
         empty = tmp_path / "results"

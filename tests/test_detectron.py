@@ -12,6 +12,7 @@ from shiftguard.cdc import CdcTrainSpec
 from shiftguard.data import Dataset, ShiftTaskSpec, partition
 from shiftguard.detectron import (
     BenchmarkTask,
+    CalibratedTest,
     CalibrationRecord,
     PartitionedData,
     calibrate,
@@ -22,8 +23,8 @@ from shiftguard.detectron import (
     disagreement_statistic_psi,
     evaluate_power,
     load_calibration,
+    make_detector,
     prepare_task,
-    run_tests,
     save_calibration,
 )
 from shiftguard.detectron import test_both as run_both_tests
@@ -49,7 +50,8 @@ def task_env():
     data, target_X, f = prepare_task(task, rng_stream(50, 0))
     calib = calibrate(data, LEARNER, f, N, K, SPEC, 0.05, rng_stream(51, 0))
     return {"task": task, "data": data, "target_X": target_X, "f": f,
-            "calib": calib}
+            "calib": calib,
+            "tester": CalibratedTest(calib, data, LEARNER, f, SPEC)}
 
 
 class TestCalibrate:
@@ -131,39 +133,47 @@ class TestVerdicts:
         assert verdict.statistic < verdict.threshold
 
     def test_verdict_rule_is_strict_exceedance(self, task_env):
-        calib = task_env["calib"]
+        calib, tester = task_env["calib"], task_env["tester"]
         # phi exactly at tau must NOT flag; only phi > tau does
-        from shiftguard.detectron import _disagreement_verdict
-        at_tau = _disagreement_verdict(calib.tau_disagreement, calib,
-                                       rng_stream(0, 0), 0.0)
+        at_tau = tester._disagreement_verdict(calib.tau_disagreement,
+                                              rng_stream(0, 0), 0.0)
         assert not at_tau.shift_detected
-        above = _disagreement_verdict(calib.tau_disagreement + 1e-9, calib,
-                                      rng_stream(0, 0), 0.0)
+        above = tester._disagreement_verdict(calib.tau_disagreement + 1e-9,
+                                             rng_stream(0, 0), 0.0)
         assert above.shift_detected
 
     def test_entropy_identical_to_pool_is_null(self, task_env):
+        """The reference is every calibration run but the dropped one,
+        concatenated in run order."""
         calib = task_env["calib"]
-        from shiftguard.detectron import _entropy_verdict
         rng = rng_stream(53, 0)
         drop_preview = rng_stream(53, 0).integers(calib.K)
-        pooled = calib.pooled_entropies(drop_preview)
-        verdict = _entropy_verdict(pooled, calib, rng, 0.0)
+        pooled = np.concatenate([run for i, run in
+                                 enumerate(calib.entropy_runs)
+                                 if i != drop_preview])
+        verdict = task_env["tester"]._entropy_verdict(pooled, rng, 0.0)
+        assert verdict.seeds["dropped_run"] == drop_preview
         assert verdict.statistic == 1.0
         assert not verdict.shift_detected
 
     def test_size_mismatch_errors(self, task_env):
         with pytest.raises(ValueError, match="sample size must match"):
-            run_disagreement_test(task_env["target_X"][:5], task_env["calib"],
-                              task_env["data"], LEARNER, task_env["f"], SPEC,
-                              rng_stream(0, 0))
+            task_env["tester"].run(task_env["target_X"][:5], rng_stream(0, 0))
 
     def test_config_mismatch_refused(self, task_env):
         other_spec = CdcTrainSpec(max_opt_steps=4)
-        idx = np.arange(N)
         with pytest.raises(ValueError, match="calibration/config mismatch"):
-            run_disagreement_test(task_env["target_X"][idx], task_env["calib"],
-                              task_env["data"], LEARNER, task_env["f"],
-                              other_spec, rng_stream(0, 0))
+            CalibratedTest(task_env["calib"], task_env["data"], LEARNER,
+                           task_env["f"], other_spec)
+
+    def test_config_refusal_precedes_size_refusal(self, task_env):
+        """An alias pairs before it looks at the sample, so a wrong-size
+        sample under a changed spec is refused for the spec."""
+        with pytest.raises(ValueError, match="calibration/config mismatch"):
+            run_disagreement_test(task_env["target_X"][:5], task_env["calib"],
+                                  task_env["data"], LEARNER, task_env["f"],
+                                  CdcTrainSpec(max_opt_steps=4),
+                                  rng_stream(0, 0))
 
     @pytest.mark.parametrize("model, spec, named", [
         ("changed", SPEC, "model_fingerprint"),
@@ -180,8 +190,8 @@ class TestVerdicts:
             f.weights[0][0, 0] += 1e-9
         with pytest.raises(ValueError, match=rf"^calibration/config "
                                              rf"mismatch in {named}: "):
-            run_tests(task_env["target_X"][:N], task_env["calib"],
-                      task_env["data"], LEARNER, f, spec, rng_stream(0, 0))
+            CalibratedTest(task_env["calib"], task_env["data"], LEARNER, f,
+                           spec)
 
     def test_both_matches_dedicated_ops(self, task_env):
         target = task_env["target_X"]
@@ -205,17 +215,84 @@ class TestVerdicts:
 
         monkeypatch.setattr(detectron, "cdc_entropy", not_asked)
         monkeypatch.setattr(detectron, "ks_two_sample", not_asked)
-        (verdict,) = detectron.run_tests(
-            task_env["target_X"][:N], task_env["calib"], task_env["data"],
-            LEARNER, task_env["f"], SPEC, rng_stream(56, 0),
-            which="disagreement")
+        (verdict,) = task_env["tester"].run(
+            task_env["target_X"][:N], rng_stream(56, 0), which="disagreement")
         assert verdict.test == "detectron_disagreement"
 
     def test_unknown_test_name_rejected(self, task_env):
         with pytest.raises(ValueError, match="unknown test"):
-            run_tests(task_env["target_X"][:N], task_env["calib"],
-                      task_env["data"], LEARNER, task_env["f"], SPEC,
-                      rng_stream(0, 0), which="ks")
+            task_env["tester"].run(task_env["target_X"][:N],
+                                   rng_stream(0, 0), which="ks")
+
+
+def _without_wall_time(verdicts):
+    """Each verdict as its JSON text, without its wall time."""
+    texts = []
+    for v in verdicts:
+        doc = v.to_json_dict()
+        del doc["wall_time_ms"]
+        texts.append(json.dumps(doc, sort_keys=True))
+    return texts
+
+
+def _count_fingerprints(monkeypatch):
+    """Count the calls of ``model_fingerprint`` made through detectron."""
+    import shiftguard.detectron as detectron
+    calls = []
+    real = detectron.model_fingerprint
+
+    def counted(model):
+        calls.append(model)
+        return real(model)
+
+    monkeypatch.setattr(detectron, "model_fingerprint", counted)
+    return calls
+
+
+class TestCalibratedTest:
+    def test_reuse_matches_one_pairing_per_call(self, task_env, monkeypatch):
+        """One CalibratedTest over T samples gives the verdicts of T
+        test_both calls and fingerprints the base model once."""
+        calib, data, f = task_env["calib"], task_env["data"], task_env["f"]
+        target = task_env["target_X"]
+        samples = [target[rng_stream(59, t).sample_without_replacement(
+            target.shape[0], N)] for t in range(3)]
+        per_call = [_without_wall_time(run_both_tests(
+            q, calib, data, LEARNER, f, SPEC, rng_stream(59, 100 + t)))
+            for t, q in enumerate(samples)]
+        calls = _count_fingerprints(monkeypatch)
+        tester = CalibratedTest(calib, data, LEARNER, f, SPEC)
+        reused = [_without_wall_time(tester.run(q, rng_stream(59, 100 + t)))
+                  for t, q in enumerate(samples)]
+        assert reused == per_call
+        assert len(calls) == 1
+
+    def test_power_trials_fingerprint_once(self, task_env, monkeypatch):
+        """A detectron detector pairs its calibration once, not once per
+        trial."""
+        import shiftguard.detectron as detectron
+        calls = _count_fingerprints(monkeypatch)
+        after_calibration = []
+        real_calibrate = detectron.calibrate
+
+        def calibrate_then_mark(*args, **kwargs):
+            record = real_calibrate(*args, **kwargs)
+            after_calibration.append(len(calls))
+            return record
+
+        monkeypatch.setattr(detectron, "calibrate", calibrate_then_mark)
+        task = dataclasses.replace(task_env["task"], K=20)
+        verdict_fn = make_detector(task, "detectron_entropy",
+                                   task_env["data"], task_env["f"], 10, 0.05,
+                                   rng_stream(64, 0))
+        target = task_env["target_X"]
+        for t in range(4):
+            trial_rng = rng_stream(64, 1000 + t)
+            idx = trial_rng.sample_without_replacement(target.shape[0], 10)
+            assert verdict_fn(target[idx], trial_rng).test == (
+                "detectron_entropy")
+        (calibrated_at,) = after_calibration
+        assert len(calls) - calibrated_at == 1
 
 
 def _set(field, value):
@@ -358,14 +435,9 @@ def mlp_env(task_env):
 
 
 def _verdict_texts(env, f, Q_X, rng):
-    """Each verdict as its JSON text, without its wall time."""
-    texts = []
-    for v in run_tests(Q_X, env["calib"], env["data"], env["learner"], f,
-                       env["spec"], rng):
-        doc = v.to_json_dict()
-        del doc["wall_time_ms"]
-        texts.append(json.dumps(doc, sort_keys=True))
-    return texts
+    tester = CalibratedTest(env["calib"], env["data"], env["learner"], f,
+                            env["spec"])
+    return _without_wall_time(tester.run(Q_X, rng))
 
 
 class TestLoadedBaseModel:
