@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -64,13 +65,14 @@ def _disagreement_mask(models, X) -> np.ndarray:
 
 def ensemble_disagreement_stat(models, ref_X, Q_X) -> tuple[float, tuple]:
     """Binomial tail p-value for Q's non-unanimous count against the
-    reference disagreement rate (add-one smoothed at the degenerate
-    edges, flagged)."""
+    reference disagreement rate, kept as an exact fraction of counts
+    (add-one smoothed at the degenerate edges, flagged)."""
     ref_dis = _disagreement_mask(models, ref_X)
-    p_hat = float(ref_dis.mean())
+    count, size = int(ref_dis.sum()), ref_dis.size
+    p_hat = Fraction(count, size)
     flags = ()
-    if p_hat in (0.0, 1.0):
-        p_hat = (ref_dis.sum() + 1.0) / (ref_dis.size + 2.0)
+    if count in (0, size):
+        p_hat = Fraction(count + 1, size + 2)
         flags = ("smoothed_rate",)
     x = int(_disagreement_mask(models, Q_X).sum())
     return binomial_pvalue(x, Q_X.shape[0], p_hat), flags

@@ -1,9 +1,7 @@
 """Deterministic numeric kernels shared by every other module.
 
-Row-wise softmax and log-softmax, the regularized incomplete beta
-function, an exact terminating 3F2 hypergeometric series over integer
-parameters, and a counter-based splittable random number stream.
-Everything here is pure given its inputs.
+Row-wise softmax and log-softmax, and a counter-based splittable random
+number stream.  Everything here is pure given its inputs.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ import numpy as np
 __all__ = [
     "softmax_rows",
     "log_softmax_rows",
-    "regularized_incomplete_beta",
     "RngStream",
     "rng_stream",
 ]
@@ -48,119 +45,6 @@ def log_softmax_rows(logits: np.ndarray) -> np.ndarray:
     arr = np.asarray(logits, dtype=np.float64)
     shifted = arr - arr.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
-# ---------------------------------------------------------------------------
-# regularized incomplete beta
-# ---------------------------------------------------------------------------
-
-_BETA_EPS = 1e-14
-_BETA_MAX_ITER = 500
-
-
-def _beta_continued_fraction(a: float, b: float, x: float) -> float:
-    """Lentz's modified continued fraction for I_x(a, b)."""
-    tiny = 1e-300
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, _BETA_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _BETA_EPS:
-            return h
-    raise ValueError("incomplete beta continued fraction did not converge")
-
-
-def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
-    """I_x(a, b) to absolute error <= 1e-12.
-
-    Continued-fraction evaluation; the complement identity
-    I_x(a,b) = 1 - I_{1-x}(b,a) switches branches at x > a/(a+b) where the
-    fraction for the direct branch converges slowly.
-    """
-    if not (0.0 <= x <= 1.0):
-        raise ValueError(f"x must be in [0, 1], got {x}")
-    if a <= 0 or b <= 0:
-        raise ValueError(f"a and b must be positive, got a={a}, b={b}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x <= a / (a + b):
-        return front * _beta_continued_fraction(a, b, x) / a
-    return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
-
-
-# ---------------------------------------------------------------------------
-# terminating 3F2
-# ---------------------------------------------------------------------------
-
-def _validate_3f2(a2: int, b1: int, b2: int) -> int:
-    if a2 > 0:
-        raise ValueError("series does not terminate")
-    n_terms = -a2 + 1
-    for b in (b1, b2):
-        if b <= 0 and -b < n_terms - 1:
-            raise ValueError(
-                "lower parameter hits a non-positive integer inside the sum")
-    return n_terms
-
-
-def _log_3f2_terminating(a1: int, a2: int, a3: int,
-                         b1: int, b2: int) -> tuple[int, float]:
-    """Signed log evaluation of 3F2(a1, a2, a3; b1, b2; 1) over integer
-    parameters with a2 <= 0.  Returns (sign, log|value|).
-
-    The |a2| + 1 terms are summed exactly in rational arithmetic: the
-    (a2)_k factor alternates sign and the series cancels catastrophically
-    in floating point once |a2| is large, while exact summation is immune
-    and cheap.
-    """
-    from fractions import Fraction
-    total = term = Fraction(1)
-    for k in range(1, _validate_3f2(a2, b1, b2)):
-        num = (a1 + k - 1) * (a2 + k - 1) * (a3 + k - 1)
-        if num == 0:
-            break
-        term *= Fraction(num, (b1 + k - 1) * (b2 + k - 1) * k)
-        total += term
-    if total == 0:
-        return 0, -math.inf
-    sign = 1 if total > 0 else -1
-    num, den = abs(total.numerator), total.denominator
-    # log of a big rational without overflowing float conversion
-    log_abs = (math.log2(num) - math.log2(den)) * math.log(2.0)
-    return sign, log_abs
 
 
 # ---------------------------------------------------------------------------

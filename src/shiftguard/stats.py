@@ -2,11 +2,11 @@
 
 Two-sample Kolmogorov-Smirnov with exact small-sample p-values (surviving
 lattice paths counted in integers, then one correctly rounded division),
-the one-sided binomial tail P(X >= x) in closed form, the
-empirical-quantile convention used for permutation calibration, the
-p*(n) disagreement bound, and the Bayesian posterior P[q > p] for two
-observed disagreement counts, evaluated through an exact rational 3F2
-sum.  Each closed form is paired in the test suite with an enumeration
+the one-sided binomial tail P(X >= x) and the Bayesian posterior P[q > p]
+for two observed disagreement counts (each an integer sum over one
+integer denominator, so also correctly rounded), the empirical-quantile
+convention used for permutation calibration, and the p*(n) disagreement
+bound.  Each closed form is paired in the test suite with an enumeration
 or Monte-Carlo oracle.
 """
 
@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
-
-from .numerics import _log_3f2_terminating, regularized_incomplete_beta
 
 __all__ = [
     "KsResult",
@@ -189,16 +187,28 @@ def ks_two_sample(xs, ys) -> KsResult:
 # binomial test
 # ---------------------------------------------------------------------------
 
-def binomial_pvalue(x: int, n: int, p0: float) -> float:
-    """One-sided binomial test p-value P(X >= x) for X ~ Bin(n, p0), via
-    the incomplete beta identity P(X >= x) = I_p0(x, n - x + 1)."""
+def binomial_pvalue(x: int, n: int, p0) -> float:
+    """One-sided binomial test p-value P(X >= x) for X ~ Bin(n, p0).
+
+    p0 is a float or a ``fractions.Fraction`` in (0, 1), taken exactly as
+    a/d.  The tail sum_{k >= x} C(n, k) a^k (d - a)^(n - k) is summed in
+    ints, each term from the one before by an exact floor division, and
+    divided once by d^n, so the p-value is correctly rounded.
+    """
+    if type(x) is not int or type(n) is not int:
+        raise TypeError(f"counts must be int, got x={x!r}, n={n!r}")
     if not 0 <= x <= n:
         raise ValueError(f"need 0 <= x <= n, got x={x}, n={n}")
-    if not 0.0 < p0 < 1.0:
+    if not 0 < p0 < 1:
         raise ValueError(f"p0 must be in (0, 1), got {p0}")
-    if x == 0:
-        return 1.0
-    return regularized_incomplete_beta(p0, x, n - x + 1)
+    a, d = p0.as_integer_ratio()
+    b = d - a
+    term = math.comb(n, x) * a ** x * b ** (n - x)
+    total = 0
+    for k in range(x, n + 1):
+        total += term
+        term = term * (n - k) * a // ((k + 1) * b)
+    return total / d ** n
 
 
 # ---------------------------------------------------------------------------
@@ -245,27 +255,25 @@ def posterior_prob_shift(inputs: PosteriorInputs) -> float:
     candidate sample exceeds that on the reference sample, under uniform
     priors on both rates.
 
-    1 - [(M+1)!(N+1)!(m+n+1)!] / [(m+1)! n! (M-m)! (m+N+2)!]
-        * 3F2(m+1, m-M, m+n+2; m+2, m+N+3; 1)
+    The paper's closed form is
 
-    The factorial prefactor is assembled in log space and combined with
-    the signed-log 3F2 so no intermediate product can overflow.
+    1 - [(M+1)!(N+1)!(m+n+1)!] / [(m+1)! n! (M-m)! (m+N+2)!]
+        * 3F2(m+1, m-M, m+n+2; m+2, m+N+3; 1).
+
+    The same value is p's Beta(n+1, N-n+1) density integrated against
+    P(q > t) = P(Bin(M+1, t) <= m):
+
+    (N+1) C(N, n) sum_{j <= m} C(M+1, j) (n+j)! (N+M+1-n-j)! / (N+M+2)!,
+
+    which is evaluated here as one integer sum over one integer
+    denominator, so the result is correctly rounded and lies in [0, 1].
     """
     n, N, m, M = inputs.n, inputs.N, inputs.m, inputs.M
-    log_pref = (
-        math.lgamma(M + 2) + math.lgamma(N + 2) + math.lgamma(m + n + 2)
-        - math.lgamma(m + 2) - math.lgamma(n + 1)
-        - math.lgamma(M - m + 1) - math.lgamma(m + N + 3)
-    )
-    sign, log_f = _log_3f2_terminating(
-        m + 1, m - M, m + n + 2, m + 2, m + N + 3)
-    if sign == 0:
-        value = 1.0
-    else:
-        value = 1.0 - sign * math.exp(log_pref + log_f)
-    overshoot = max(0.0, value - 1.0, -value)
-    if overshoot > 1e-9:
-        raise ValueError(
-            f"posterior evaluation left [0, 1] by {overshoot:.3e}; "
-            "refusing to clamp")
-    return min(1.0, max(0.0, value))
+    # term j of the sum, each from the one before by an exact division
+    term = math.factorial(n) * math.factorial(N + M + 1 - n)
+    total = 0
+    for j in range(m + 1):
+        total += term
+        term = term * (M + 1 - j) * (n + j + 1) // (
+            (j + 1) * (N + M + 1 - n - j))
+    return (N + 1) * math.comb(N, n) * total / math.factorial(N + M + 2)

@@ -1,16 +1,17 @@
 """Independent oracles used to freeze expected values in the tests.
 
 Everything here deliberately avoids the library's own code paths:
-enumeration uses exact integer combinatorics, ECDFs are brute-force mean
-comparisons, Monte Carlo goes through order statistics or an inverse-CDF
-binomial sampler rather than any closed form under test, the exact-KS
-reference visits every state of every tie group one numpy-scalar term at
-a time, the integer exact-KS walk counts paths group by group with
-binomial tie weights, and the GBT references grow, walk and sum trees
-one node and one tree at a time.  The loss oracles are per-sample, on a
-scalar log-sum-exp and softmax that live here, or batch code that takes
-each loss and gradient through its own log-softmax and masks; the Adam
-reference updates one parameter array at a time.
+enumeration uses exact integer combinatorics, the binomial tail and the
+paper's 3F2 posterior are summed term by term in Fraction, ECDFs are
+brute-force mean comparisons, Monte Carlo goes through order statistics
+or an inverse-CDF binomial sampler rather than any closed form under
+test, the exact-KS reference visits every state of every tie group one
+numpy-scalar term at a time, the integer exact-KS walk counts paths group
+by group with binomial tie weights, and the GBT references grow, walk and
+sum trees one node and one tree at a time.  The loss oracles are
+per-sample, on a scalar log-sum-exp and softmax that live here, or batch
+code that takes each loss and gradient through its own log-softmax and
+masks; the Adam reference updates one parameter array at a time.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -148,6 +150,37 @@ def enumerate_binom_sf(x: int, n: int, p: float) -> float:
     return float(sum(
         math.comb(n, k) * (p ** k) * ((1.0 - p) ** (n - k))
         for k in range(x, n + 1)))
+
+
+def exact_binom_sf(x: int, n: int, p) -> float:
+    """P(X >= x) for X ~ Bin(n, p), every term summed in Fraction from p
+    taken exactly; float() of the sum is the correctly rounded tail."""
+    p = Fraction(p)
+    return float(sum(math.comb(n, k) * p ** k * (1 - p) ** (n - k)
+                     for k in range(x, n + 1)))
+
+
+def terminating_3f2(a1: int, a2: int, a3: int, b1: int, b2: int) -> Fraction:
+    """3F2(a1, a2, a3; b1, b2; 1) for integer parameters with a2 <= 0 and
+    no lower parameter reaching zero inside the sum: the -a2 + 1 terms of
+    the series, each from the one before, summed in Fraction."""
+    total = term = Fraction(1)
+    for k in range(1, -a2 + 1):
+        term *= Fraction((a1 + k - 1) * (a2 + k - 1) * (a3 + k - 1),
+                         (b1 + k - 1) * (b2 + k - 1) * k)
+        total += term
+    return total
+
+
+def posterior_3f2_exact(n: int, N: int, m: int, M: int) -> float:
+    """P(q > p) for p ~ Beta(n+1, N-n+1), q ~ Beta(m+1, M-m+1) from the
+    paper's closed form, the factorial prefactor times a 3F2, in
+    Fraction; float() of the result is correctly rounded."""
+    f = math.factorial
+    prefactor = Fraction(f(M + 1) * f(N + 1) * f(m + n + 1),
+                         f(m + 1) * f(n) * f(M - m) * f(m + N + 2))
+    return float(1 - prefactor * terminating_3f2(
+        m + 1, m - M, m + n + 2, m + 2, m + N + 3))
 
 
 def beta_mc_prob_q_gt_p(n: int, N: int, m: int, M: int, pairs: int,

@@ -121,8 +121,8 @@ def test_criterion_2_posterior_matches_beta_monte_carlo():
             checked += 1
     elapsed = time.time() - start
     assert elapsed < 120, f"criterion 2 exceeded 2 minutes ({elapsed:.0f}s)"
-    note(f"ACCEPTANCE 2 PASS: 3F2 posterior within 0.005 of the Beta "
-         f"Monte-Carlo oracle on {checked} grid cells ({elapsed:.0f}s)")
+    note(f"ACCEPTANCE 2 PASS: closed-form posterior within 0.005 of the "
+         f"Beta Monte-Carlo oracle on {checked} grid cells ({elapsed:.0f}s)")
 
 
 def _beta_draws(k: int, size: int, pairs: int, rng, chunk=200_000):

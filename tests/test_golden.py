@@ -11,11 +11,17 @@ import pytest
 
 from conftest import small_gbt_config, small_mlp_config
 from shiftguard.cdc import CdcTrainSpec
-from shiftguard.cli import main
+from shiftguard.cli import load_run_config, main, task_from_config
 from shiftguard.data import Dataset, partition
-from shiftguard.detectron import PartitionedData, calibrate, calibration_to_doc
+from shiftguard.detectron import (
+    PartitionedData,
+    calibrate,
+    calibration_to_doc,
+    make_detector,
+    prepare_task,
+)
 from shiftguard.learners import fit
-from shiftguard.numerics import rng_stream
+from shiftguard.numerics import RngStream, rng_stream
 
 SMOKE_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                          "smoke.cfg")
@@ -156,3 +162,45 @@ def test_smoke_profile_config_hash(tmp_path, capsys, monkeypatch):
     summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert summary["config_hash"][:16] == "fee371115b4db3d7"
     assert (tmp_path / "calibration_fee371115b4db3d7_5.json").exists()
+
+
+# the verdicts each calibrated detector gives on ten target draws of the
+# smoke profile's task (MLP, K=20, N=20, seed 5), on the streams
+# evaluate_power hands it; wall_time_ms is left out of the digest
+VERDICT_DRAWS = 10
+VERDICT_SHA256 = {
+    "detectron_disagreement":
+        "209ffa1d773fd583024777543f3a91804cae6224e56f8de7efc16a38381cd16c",
+    "detectron_entropy":
+        "949b5d92daab76d40245afe109e22b3ec98c428cf70226b5c828a96bd46542a1",
+    "ensemble_disagreement":
+        "67a218c89e81014b00d0573d99c876bc247ff769cc743cb11db4d1b87fc9af77",
+    "ensemble_entropy":
+        "b75537ef01bce2da99cc8cd6581bf9a136a1b8e5463a1e48c0efa424f6f6b7af",
+    "bbsd":
+        "ae03ed0b7201fd84541a1c86368cb6552dd37b2bc694ff03b0bda83477da234c",
+    "ctst":
+        "db12f899389cb6ca32b7d0e6a456909ca2261b4405759a737a22dc24d9b0006d",
+}
+
+
+@pytest.fixture(scope="module")
+def smoke_task():
+    task = task_from_config(load_run_config(SMOKE_CFG), 5)
+    rng = RngStream(5, 0).split(5)
+    return (task, rng, *prepare_task(task, rng.split(0)))
+
+
+@pytest.mark.parametrize("detector", list(VERDICT_SHA256))
+def test_verdict_stream_digest(smoke_task, detector):
+    task, rng, data, target_X, f = smoke_task
+    verdict_fn = make_detector(task, detector, data, f, 20, 0.05,
+                               rng.split(3))
+    digest = hashlib.sha256()
+    for t in range(VERDICT_DRAWS):
+        trial_rng = rng.split(1000 + t)
+        idx = trial_rng.sample_without_replacement(target_X.shape[0], 20)
+        doc = verdict_fn(target_X[idx], trial_rng).to_json_dict()
+        del doc["wall_time_ms"]
+        digest.update(json.dumps(doc, sort_keys=True).encode())
+    assert digest.hexdigest() == VERDICT_SHA256[detector]

@@ -4,17 +4,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
-import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import log_sum_exp, softmax
-from shiftguard.numerics import (
-    RngStream,
-    _log_3f2_terminating,
-    regularized_incomplete_beta,
-    rng_stream,
-)
+from shiftguard.numerics import RngStream, rng_stream
 
 
 class TestLogSumExp:
@@ -73,91 +67,6 @@ class TestSoftmax:
     def test_empty_errors(self):
         with pytest.raises(ValueError):
             softmax([])
-
-
-class TestRegularizedIncompleteBeta:
-    def test_endpoints(self):
-        assert regularized_incomplete_beta(0.0, 3.2, 1.7) == 0.0
-        assert regularized_incomplete_beta(1.0, 3.2, 1.7) == 1.0
-
-    def test_uniform_cdf(self):
-        assert regularized_incomplete_beta(0.5, 1, 1) == pytest.approx(0.5, abs=1e-14)
-
-    def test_symmetric_beta(self):
-        assert regularized_incomplete_beta(0.5, 2, 2) == pytest.approx(0.5, abs=1e-14)
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        # away from 0/1 so forming 1 - x does not itself round the
-        # evaluation point beyond the identity's tolerance
-        st.floats(1e-3, 1.0 - 1e-3),
-        st.floats(0.05, 50.0),
-        st.floats(0.05, 50.0),
-    )
-    def test_reflection_identity(self, x, a, b):
-        lhs = regularized_incomplete_beta(x, a, b)
-        rhs = regularized_incomplete_beta(1.0 - x, b, a)
-        assert lhs + rhs == pytest.approx(1.0, abs=1e-10)
-
-    def test_against_scipy(self):
-        rng = np.random.default_rng(2)
-        for _ in range(300):
-            x = float(rng.uniform())
-            a = float(rng.uniform(0.1, 40))
-            b = float(rng.uniform(0.1, 40))
-            assert regularized_incomplete_beta(x, a, b) == pytest.approx(
-                float(scipy.special.betainc(a, b, x)), abs=1e-12)
-
-    @pytest.mark.parametrize("x,a,b", [(-0.1, 1, 1), (1.1, 1, 1), (0.5, 0, 1),
-                                       (0.5, 1, -2)])
-    def test_domain_errors(self, x, a, b):
-        with pytest.raises(ValueError):
-            regularized_incomplete_beta(x, a, b)
-
-
-def hypergeometric_3f2_terminating(a1, a2, a3, b1, b2) -> float:
-    """3F2(a1, a2, a3; b1, b2; 1) as a float, from the signed log."""
-    sign, log_abs = _log_3f2_terminating(a1, a2, a3, b1, b2)
-    return sign * math.exp(log_abs) if sign else 0.0
-
-
-class TestHypergeometric3F2:
-    def test_zero_a2_single_term(self):
-        assert hypergeometric_3f2_terminating(4, 0, -3, 2, 9) == 1.0
-
-    def test_two_term_hand_sum(self):
-        # 1 + (1 * -1 * 1) / (2 * 2 * 1) = 0.75
-        assert hypergeometric_3f2_terminating(1, -1, 1, 2, 2) == pytest.approx(
-            0.75, rel=1e-14)
-
-    def test_against_mpmath_large_termination(self):
-        # (m - M)_k alternates sign; naive products overflow near |a2| ~ 100
-        cases = [
-            (2, -100, 104, 3, 105),
-            (51, -50, 120, 52, 153),
-            (1, -30, 33, 2, 35),
-            (12, -75, 90, 13, 168),
-        ]
-        for a1, a2, a3, b1, b2 in cases:
-            expected = float(mpmath.hyp3f2(a1, a2, a3, b1, b2, 1))
-            got = hypergeometric_3f2_terminating(a1, a2, a3, b1, b2)
-            assert got == pytest.approx(expected, rel=1e-10)
-
-    def test_posterior_parameterization_value(self):
-        # parameters from the (n=0, N=1, m=1, M=1) posterior; the full
-        # posterior must come out 5/6, which pins this 3F2 at 5/8 via the
-        # closed-form double integral of Beta(1,2) against Beta(2,1)
-        got = hypergeometric_3f2_terminating(2, -1, 3, 3, 5)
-        expected = float(mpmath.hyp3f2(2, -1, 3, 3, 5, 1))
-        assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_non_terminating_errors(self):
-        with pytest.raises(ValueError, match="does not terminate"):
-            hypergeometric_3f2_terminating(1, 2, 1, 2, 2)
-
-    def test_bad_lower_parameter_errors(self):
-        with pytest.raises(ValueError):
-            hypergeometric_3f2_terminating(1, -5, 1, -2, 2)
 
 
 class TestRngStream:
@@ -254,9 +163,3 @@ RNG_SCRIPT_SHA256 = {
 def test_rng_stream_stored_digest(seed):
     assert _draw_script_sha256(*seed) == RNG_SCRIPT_SHA256[seed]
 
-
-class TestTermination:
-    def test_term_count_is_a2_plus_one(self):
-        from shiftguard.numerics import _validate_3f2
-        for k in (0, 1, 7, 100):
-            assert _validate_3f2(-k, 2, 3) == k + 1

@@ -1,7 +1,9 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -10,11 +12,13 @@ from hypothesis import strategies as st
 
 from oracles import (
     beta_mc_prob_q_gt_p,
-    enumerate_binom_sf,
     enumerate_ks_pvalue,
+    exact_binom_sf,
     integer_ks_pvalue,
     mc_disagreement_oracle,
+    posterior_3f2_exact,
     reference_ks_exact_pvalue,
+    terminating_3f2,
 )
 from shiftguard import stats
 from shiftguard.numerics import rng_stream
@@ -239,12 +243,19 @@ class TestBinomialPvalue:
     def test_zero_successes_greater(self):
         assert binomial_pvalue(0, 17, 0.3) == 1.0
 
-    def test_matches_enumeration_all_n_up_to_30(self):
-        for n in (1, 2, 5, 13, 30):
-            for p0 in (0.123, 0.5, 0.87):
-                for x in range(n + 1):
-                    assert binomial_pvalue(x, n, p0) == pytest.approx(
-                        enumerate_binom_sf(x, n, p0), abs=1e-12)
+    def test_exact_halves(self):
+        assert binomial_pvalue(3, 5, 0.5) == 0.5
+        assert binomial_pvalue(6, 10, 0.5) == 386 / 1024
+
+    @pytest.mark.parametrize("p0", [0.123, 0.5, 0.77, Fraction(1, 3),
+                                    Fraction(7, 20), Fraction(999, 1000)])
+    def test_correctly_rounded_all_n_up_to_60(self, p0):
+        # the same bits as the tail summed in Fraction, for a float p0 and
+        # for an exact rate
+        for n in range(61):
+            for x in range(n + 1):
+                assert binomial_pvalue(x, n, p0).hex() == \
+                    exact_binom_sf(x, n, p0).hex(), (x, n)
 
     def test_matches_scipy(self):
         for x, n, p0 in [(3, 20, 0.1), (12, 15, 0.5), (1, 9, 0.77)]:
@@ -254,7 +265,7 @@ class TestBinomialPvalue:
 
     def test_monotone_in_x(self):
         vals = [binomial_pvalue(x, 25, 0.4) for x in range(26)]
-        assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
+        assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -263,6 +274,12 @@ class TestBinomialPvalue:
             binomial_pvalue(6, 5, 0.5)
         with pytest.raises(ValueError):
             binomial_pvalue(2, 5, 0.0)
+
+    @pytest.mark.parametrize("bad", [2.5, True])
+    def test_non_int_counts_refused(self, bad):
+        for counts in ((bad, 5), (2, bad)):
+            with pytest.raises(TypeError, match="counts must be int"):
+                binomial_pvalue(*counts, 0.5)
 
 
 class TestEmpiricalQuantile:
@@ -363,6 +380,29 @@ class TestPosteriorProbShift:
             assert v > prev
             prev = v
 
+    def test_correctly_rounded_against_3f2_form(self):
+        # the paper's prefactor x 3F2, summed in Fraction: every cell up to
+        # N, M = 8, three counts on each side up to 60, and a few at 200
+        small = [(n, N) for N in range(1, 9) for n in range(N + 1)]
+        cells = [(n, N, m, M) for n, N in small for m, M in small]
+        sizes = [*range(1, 61, 2), 60]
+        cells += [(n, N, m, M) for N in sizes for M in sizes
+                  for n in {0, N // 3, N} for m in {0, M // 2, M}]
+        cells += [(0, 200, 0, 200), (67, 200, 100, 200), (13, 200, 150, 180),
+                  (200, 200, 199, 200), (100, 150, 0, 200)]
+        for cell in cells:
+            assert posterior_prob_shift(PosteriorInputs(*cell)).hex() == \
+                posterior_3f2_exact(*cell).hex(), cell
+
+    @pytest.mark.parametrize("params", [
+        (2, -100, 104, 3, 105), (51, -50, 120, 52, 153), (1, -30, 33, 2, 35),
+        (12, -75, 90, 13, 168)])
+    def test_oracle_3f2_matches_mpmath(self, params):
+        # (m - M)_k alternates sign, so a float sum of these series cancels
+        expected = float(mpmath.hyp3f2(*params, 1))
+        assert float(terminating_3f2(*params)) == pytest.approx(
+            expected, rel=1e-12)
+
     def test_matches_beta_monte_carlo_small_grid(self):
         rng = rng_stream(7, 0)
         for n, m in itertools.product(range(4), range(4)):
@@ -378,7 +418,7 @@ class TestPosteriorProbShift:
 
     @pytest.mark.parametrize("bad", [2.5, True])
     def test_non_int_counts_refused(self, bad):
-        # each field in turn: the exact 3F2 sums over int parameters only
+        # each field in turn: the exact sum runs over int counts only
         for i in range(4):
             counts = [2, 5, 2, 5]
             counts[i] = bad
