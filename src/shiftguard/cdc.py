@@ -7,6 +7,14 @@ the validation metric drops more than a tolerance below the base model's
 recorded score, and the last constraint-satisfying snapshot wins.  An
 ensemble trains members sequentially, each one attacking only the target
 samples every earlier member still agrees on.
+
+Independent ensembles, one per target set and random stream, are built
+together: ``build_ensembles`` trains each member round of every live run
+at once, grouping the runs by how many target samples still survive, and
+``train_cdc`` steps each group's runs in lockstep through
+``learners.fit_disagreeing``.  Pseudo-labels, validation checks and
+survivor predictions stay per run, on the rows a run built alone would
+use, so every ensemble has the bytes of its one-run ``build_ensemble``.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ __all__ = [
     "pseudo_label",
     "train_cdc",
     "build_ensemble",
+    "build_ensembles",
     "cdc_entropy",
 ]
 
@@ -82,37 +91,47 @@ def pseudo_label(f: Model, X_q: np.ndarray) -> np.ndarray:
     return f.predict_labels(np.asarray(X_q, dtype=np.float64))
 
 
-def train_cdc(config: LearnerConfig, P_train, P_val, Q_pseudo, f: Model,
-              spec: CdcTrainSpec, rng: RngStream) -> Model:
-    """One constrained disagreement classifier on a nonempty Q.
+def train_cdc(config: LearnerConfig, P_train, P_val, Qs, f: Model,
+              spec: CdcTrainSpec, rngs) -> list:
+    """One constrained disagreement classifier per run, each on its own
+    nonempty Q (X, pseudo) and stream; every Q has the same row count.
 
-    Trains for at most max_epochs_per_cdc epochs (rounds for trees) and
-    stops the moment the validation metric falls more than val_tolerance
-    below the base model's recorded score m0; the returned model is the
-    last one that satisfied the constraint (the base model trivially
-    does).
+    Each run trains for at most max_epochs_per_cdc epochs (rounds for
+    trees) and stops the moment the validation metric falls more than
+    val_tolerance below the base model's recorded score m0; its model is
+    the last one that satisfied the constraint (the base model trivially
+    does).  Runs sharing |Q| share the batch fill, batches per epoch,
+    lambda and step budget, so the live runs train each epoch in one
+    ``fit_disagreeing`` call; a run whose guard trips leaves the group.
     """
     if f.val_score is None:
         raise ValueError("base validation metric unavailable")
     m0 = f.val_score
     X_val, y_val = P_val
-    n_q = np.asarray(Q_pseudo[0]).shape[0]
+    n_q = np.asarray(Qs[0][0]).shape[0]
     bpe = batches_per_epoch(config, np.asarray(P_train[0]).shape[0], n_q)
     lam = lambda_weight(n_q, bpe)
 
     budget = spec.max_opt_steps
-    current = last_good = f
+    last_good = [f] * len(Qs)
+    live = list(range(len(Qs)))
     for _ in range(spec.max_epochs_per_cdc):
-        if budget is not None and budget <= 0:
+        if not live or (budget is not None and budget <= 0):
             break
-        current = fit_disagreeing(config, current, P_train, P_val, Q_pseudo,
-                                  lam, rng, max_steps=budget)
+        trained = fit_disagreeing(
+            config, [last_good[r] for r in live], P_train, P_val,
+            [Qs[r] for r in live], lam, [rngs[r] for r in live],
+            max_steps=budget)
         if budget is not None:
             budget -= bpe
-        metric = evaluate_metric(current, X_val, y_val, config.val_metric)
-        if metric < m0 - spec.val_tolerance:
-            break
-        last_good = current
+        still = []
+        for r, g in zip(live, trained):
+            metric = evaluate_metric(g, X_val, y_val, config.val_metric)
+            if metric < m0 - spec.val_tolerance:
+                continue
+            last_good[r] = g
+            still.append(r)
+        live = still
     return last_good
 
 
@@ -126,22 +145,41 @@ def build_ensemble(config: LearnerConfig, P_train, P_val, target_X,
     the base model's leave the surviving set; phi is the disagreed-on
     fraction after each round and is non-decreasing by construction.
     """
-    target_X = np.asarray(target_X, dtype=np.float64)
-    n_q = target_X.shape[0]
-    if n_q == 0:
+    return build_ensembles(config, P_train, P_val, [target_X], f, spec,
+                           [rng])[0]
+
+
+def build_ensembles(config: LearnerConfig, P_train, P_val, targets,
+                    f: Model, spec: CdcTrainSpec, rngs) -> list:
+    """``build_ensemble`` for each target set and its own stream, with the
+    bytes of one call per run: each member round trains the live runs
+    (those with samples left and fewer than ensemble_max members) in
+    groups of equal survivor count, one ``train_cdc`` call per group."""
+    targets = [np.asarray(X, dtype=np.float64) for X in targets]
+    if any(X.shape[0] == 0 for X in targets):
         raise ValueError("target set must be nonempty")
-    pseudo = pseudo_label(f, target_X)
-    surviving = np.arange(n_q)
-    ensemble = CdcEnsemble(base=f)
-    while surviving.size > 0 and len(ensemble.members) < spec.ensemble_max:
-        g = train_cdc(config, P_train, P_val,
-                      (target_X[surviving], pseudo[surviving]),
-                      f, spec, rng)
-        preds = g.predict_labels(target_X[surviving])
-        surviving = surviving[preds == pseudo[surviving]]
-        ensemble.members.append(g)
-        ensemble.per_round_phi.append(1.0 - surviving.size / n_q)
-    return ensemble
+    pseudo = [pseudo_label(f, X) for X in targets]
+    surviving = [np.arange(X.shape[0]) for X in targets]
+    ensembles = [CdcEnsemble(base=f) for _ in targets]
+    for _ in range(spec.ensemble_max):
+        groups = {}
+        for r, rows in enumerate(surviving):
+            if rows.size:
+                groups.setdefault(rows.size, []).append(r)
+        for runs in groups.values():
+            members = train_cdc(
+                config, P_train, P_val,
+                [(targets[r][surviving[r]], pseudo[r][surviving[r]])
+                 for r in runs],
+                f, spec, [rngs[r] for r in runs])
+            for r, g in zip(runs, members):
+                rows = surviving[r]
+                preds = g.predict_labels(targets[r][rows])
+                surviving[r] = rows[preds == pseudo[r][rows]]
+                ensembles[r].members.append(g)
+                ensembles[r].per_round_phi.append(
+                    1.0 - surviving[r].size / targets[r].shape[0])
+    return ensembles
 
 
 def cdc_entropy(ensemble: CdcEnsemble, X) -> np.ndarray:

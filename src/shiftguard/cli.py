@@ -297,10 +297,22 @@ def _emit_validated(doc: dict, schema_name: str) -> None:
 # commands
 # ---------------------------------------------------------------------------
 
+def resolve_jobs(rc: RunConfig, flag: int | None) -> int:
+    """Calibration workers: ``--jobs`` when given, else ``[run] jobs``;
+    below 1 is a CliError naming where the value came from."""
+    if flag is not None:
+        jobs, where = flag, "--jobs"
+    else:
+        jobs, where = rc.getint("run", "jobs"), "run.jobs"
+    if jobs < 1:
+        raise CliError(f"invalid {where}: {jobs} is not >= 1")
+    return jobs
+
+
 def cmd_calibrate(args) -> int:
     rc = load_run_config(args.config)
     seed = resolve_seed(rc, args.seed)
-    jobs = args.jobs or rc.getint("run", "jobs")
+    jobs = resolve_jobs(rc, args.jobs)
     N = rc.getint("test", "sample_size")
     alpha = rc.getfloat("test", "alpha")
     start = time.perf_counter()
@@ -386,7 +398,7 @@ def cmd_test(args) -> int:
 def cmd_benchmark(args) -> int:
     rc = load_run_config(args.config)
     seed = resolve_seed(rc, args.seed)
-    jobs = args.jobs or rc.getint("run", "jobs")
+    jobs = resolve_jobs(rc, args.jobs)
     detectors = [d.strip() for d in
                  rc.get("test", "detectors").split(",") if d.strip()]
     for d in detectors:
@@ -410,14 +422,19 @@ def cmd_benchmark(args) -> int:
     jsonl_path = os.path.join(out_dir, f"benchmark_{key}_{seed}.jsonl")
     new_csv = not os.path.exists(csv_path)
     rows = []
-    # every (detector, N) row gets the same data, base model and Q draws
+    # every (detector, N) row, and the psi curve, gets the same data and
+    # base model, prepared once, and the same Q draws
     rng = RngStream(seed, 0).split(5)
+    try:
+        prepared = prepare_task(task, rng.split(0))
+    except ValueError as exc:
+        raise CliError(str(exc))
     for detector in detectors:
         for n in sizes:
             t0 = time.perf_counter()
             try:
                 tpr, se = evaluate_power(task, detector, n, trials, alpha,
-                                         rng, jobs=jobs)
+                                         rng, jobs=jobs, prepared=prepared)
             except ValueError as exc:
                 raise CliError(str(exc))
             _log(f"{detector} N={n}: TPR@{int(alpha * 100)} = "
@@ -441,15 +458,14 @@ def cmd_benchmark(args) -> int:
 
     psi_budget = rc.getint("benchmark", "psi_budget")
     if psi_budget > 0:
-        # the stream evaluate_power prepares every row's task on
-        _run_psi(rc, task, rng.split(0), seed, psi_budget,
+        _run_psi(rc, task, prepared, seed, psi_budget,
                  rc.getint("benchmark", "psi_runs"), out_dir, key)
     _log(f"benchmark written to {csv_path}")
     return 0
 
 
-def _run_psi(rc, task, task_rng, seed, budget, runs, out_dir, key):
-    data, target_X, f = prepare_task(task, task_rng)
+def _run_psi(rc, task, prepared, seed, budget, runs, out_dir, key):
+    data, target_X, f = prepared
     n = min(rc.getint("test", "sample_size"), target_X.shape[0],
             len(data.holdout))
     config = task.learner

@@ -23,7 +23,13 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .cdc import CdcTrainSpec, build_ensemble, cdc_entropy, pseudo_label
+from .cdc import (
+    CdcTrainSpec,
+    build_ensemble,
+    build_ensembles,
+    cdc_entropy,
+    pseudo_label,
+)
 from .data import Dataset, ShiftTaskSpec, partition, synth_generate
 from .learners import (
     LearnerConfig,
@@ -161,15 +167,24 @@ def _hash_snapshot(snapshot: dict) -> str:
 # calibration
 # ---------------------------------------------------------------------------
 
-def _calibration_run(args):
+# calibration runs built together: at the shipped MLP widths a stacked
+# activation of 8 runs' 64-row batches is 8 x 64 x 16 cells, 64 KB
+_CALIBRATION_GROUP = 8
+
+
+def _calibration_group(args):
+    """(phi, entropies) of each calibration run in ``runs``: run i samples
+    N held-out rows on its own stream and builds its ensemble on it; the
+    group's ensembles are built together and dropped once reduced."""
     (config, train_pair, val_pair, holdout_X, f, spec, base_seed,
-     stream_id, run_index, N) = args
-    run_rng = RngStream(base_seed, stream_id).split(run_index)
-    idx = run_rng.sample_without_replacement(holdout_X.shape[0], N)
-    p_star = holdout_X[idx]
-    ens = build_ensemble(config, train_pair, val_pair, p_star, f, spec,
-                         run_rng)
-    return ens.phi_final, tuple(float(v) for v in cdc_entropy(ens, p_star))
+     stream_id, runs, N) = args
+    rngs = [RngStream(base_seed, stream_id).split(i) for i in runs]
+    samples = [holdout_X[r.sample_without_replacement(holdout_X.shape[0], N)]
+               for r in rngs]
+    ensembles = build_ensembles(config, train_pair, val_pair, samples, f,
+                                spec, rngs)
+    return [(ens.phi_final, tuple(float(v) for v in cdc_entropy(ens, p_star)))
+            for ens, p_star in zip(ensembles, samples)]
 
 
 def calibrate(data: PartitionedData, config: LearnerConfig, f: Model,
@@ -180,8 +195,13 @@ def calibrate(data: PartitionedData, config: LearnerConfig, f: Model,
     Each of the K runs draws N held-out samples without replacement from
     its own derived stream, builds a CDC ensemble against them, and
     records the final disagreement rate and the per-sample ensemble
-    entropies.  Entropy calibration p-values come from a KS test of each
-    run against the pooled entropies of the other K - 1 runs.
+    entropies.  MLP runs are built in groups of up to
+    ``_CALIBRATION_GROUP`` that train in lockstep
+    (``cdc.build_ensembles``), GBT runs one at a time; each run has the
+    bytes it would have alone.  ``jobs`` > 1 spreads the groups over that
+    many worker processes, never more than there are groups.  Entropy
+    calibration p-values come from a KS test of each run against the
+    pooled entropies of the other K - 1 runs.
     """
     if len(data.holdout) < N:
         raise ValueError(
@@ -190,19 +210,27 @@ def calibrate(data: PartitionedData, config: LearnerConfig, f: Model,
         raise ValueError("K must be >= 20 for a usable null estimate")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
 
-    run_args = [
+    # GBT runs train one at a time inside a group, so grouping them would
+    # only hold more of their ensembles in memory at once
+    size = _CALIBRATION_GROUP if config.kind == "mlp" else 1
+    group_args = [
         (config, data.train_pair(), data.val_pair(), data.holdout.features,
-         f, spec, rng.base_seed, rng.stream_id, i, N)
-        for i in range(K)
+         f, spec, rng.base_seed, rng.stream_id,
+         range(start, min(start + size, K)), N)
+        for start in range(0, K, size)
     ]
     if jobs > 1:
         # imported here: it pulls in logging, which no other path needs
         import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(_calibration_run, run_args))
+        workers = min(jobs, len(group_args))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
+            groups = list(ex.map(_calibration_group, group_args))
     else:
-        results = [_calibration_run(a) for a in run_args]
+        groups = [_calibration_group(a) for a in group_args]
+    results = [run for group in groups for run in group]
 
     phi_p = tuple(r[0] for r in results)
     entropy_runs = tuple(r[1] for r in results)
@@ -447,12 +475,14 @@ def prepare_task(task: BenchmarkTask, rng: RngStream):
 
 def evaluate_power(task: BenchmarkTask, detector_id: str, N: int,
                    trials: int, alpha: float, rng: RngStream,
-                   jobs: int = 1) -> tuple[float, float]:
+                   jobs: int = 1, prepared=None) -> tuple[float, float]:
     """TPR at the calibrated significance level over repeated Q draws.
 
     Draws `trials` independent size-N samples from the task's shifted
     target source, runs the detector on each, and reports the detection
-    fraction with its binomial standard error.
+    fraction with its binomial standard error.  ``prepared`` is the
+    task's (data, target features, base model) from ``prepare_task`` on
+    ``rng.split(0)``; when None it is prepared here.
     """
     if trials < 30:
         raise ValueError("trials must be >= 30 for a meaningful rate")
@@ -464,7 +494,9 @@ def evaluate_power(task: BenchmarkTask, detector_id: str, N: int,
     if detector_id == "never_reject":
         return 0.0, 0.0
 
-    data, target_X, f = prepare_task(task, rng.split(0))
+    if prepared is None:
+        prepared = prepare_task(task, rng.split(0))
+    data, target_X, f = prepared
     verdict_fn = make_detector(task, detector_id, data, f, N, alpha,
                                rng.split(3), jobs=jobs)
     hits = 0
@@ -517,9 +549,9 @@ def disagreement_curve(config: LearnerConfig, data: PartitionedData,
     curve = np.empty(budget_steps)
     for t in range(budget_steps):
         if surviving.size > 0:
-            g = fit_disagreeing(
-                config, g, data.train_pair(), data.val_pair(),
-                (target_X[surviving], pseudo[surviving]), lam, rng,
+            (g,) = fit_disagreeing(
+                config, [g], data.train_pair(), data.val_pair(),
+                [(target_X[surviving], pseudo[surviving])], lam, [rng],
                 max_steps=1)
             preds = g.predict_labels(target_X[surviving])
             surviving = surviving[preds == pseudo[surviving]]

@@ -246,54 +246,72 @@ def batches_per_epoch(config: LearnerConfig, n_train: int, n_q: int) -> int:
     return max(1, -(-n_train // fill))
 
 
-def fit_disagreeing(config: LearnerConfig, base: Model, P_train, P_val,
-                    Q, lam: float, rng, max_steps: int | None = None) -> Model:
-    """Continue training ``base`` for one epoch (one boosting round) to
-    agree on a nonempty P_train and disagree on a nonempty Q.
+def _check_labels(name: str, labels, num_classes: int) -> None:
+    if labels.size and not (0 <= labels.min()
+                            and labels.max() < num_classes):
+        raise ValueError(f"{name} labels outside [0, {num_classes})")
 
-    P_train/P_val are (X, y) pairs with true labels; Q is (X, pseudo)
+
+def fit_disagreeing(config: LearnerConfig, bases, P_train, P_val, Qs,
+                    lam: float, rngs, max_steps: int | None = None) -> list:
+    """Continue training each of R runs for one epoch (one boosting
+    round) to agree on a nonempty P_train and disagree on its own nonempty
+    Q; returns one new model per run.
+
+    Run r warm-starts from ``bases[r]``, attacks ``Qs[r]`` and draws from
+    ``rngs[r]``; P_train and P_val are shared and checked once.
+    P_train/P_val are (X, y) pairs with true labels; each Q is (X, pseudo)
     where pseudo labels are the base model's own predictions.  MLP path:
     warm-started gradient descent on the combined agree/disagree batch
     loss, every batch containing all of Q, stopping after ``max_steps``
-    batches when set.  GBT path: replicas of each Q sample (one per
-    non-pseudo class, weights lam * |P_train| * disagree_scale / (N-1))
-    appended to P, one boosting round continued from the base model's
-    trees.  A round's class trees grow together, one depth at a time,
-    with one split search per depth over every class's nodes; each search
-    sorts by integer ranks of the feature values.  The returned GBT model
-    carries its margins on P_train, Q and P_val: the next warm-started
-    round, and a validation check on P_val, add only that round's trees,
-    walked level by level, instead of re-running every earlier one.
-    Features of P_train, P_val and Q must be finite, and P_train labels
-    and Q pseudo-labels must lie in [0, base.num_classes).
+    batches when set.  The runs step in lockstep, so every Q must have
+    the same row count and every base the same Adam step count; a run's
+    model has the bytes it would have trained alone.  GBT path: one run at
+    a time, replicas of each Q sample (one per non-pseudo class, weights
+    lam * |P_train| * disagree_scale / (N-1)) appended to P, one boosting
+    round continued from the base model's trees.  A round's class trees
+    grow together, one depth at a time, with one split search per depth
+    over every class's nodes; each search sorts by integer ranks of the
+    feature values.  The returned GBT model carries its margins on
+    P_train, Q and P_val: the next warm-started round, and a validation
+    check on P_val, add only that round's trees, walked level by level,
+    instead of re-running every earlier one.  Features of P_train, P_val
+    and each Q must be finite, and P_train labels and Q pseudo-labels
+    must lie in [0, num_classes) of their base.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
     if max_steps is not None and max_steps < 1:
         raise ValueError("max_steps must be >= 1 when set")
+    if not len(bases) == len(Qs) == len(rngs) > 0:
+        raise ValueError("need one Q and one stream per base, and a base")
     X_p = _finite_features(P_train[0], "P_train")
     y_p = np.asarray(P_train[1], np.int64)
     X_val = _finite_features(P_val[0], "P_val")
-    X_q = _finite_features(Q[0], "Q")
-    pseudo = np.asarray(Q[1], dtype=np.int64)
     if X_p.shape[0] == 0:
         raise ValueError("P_train must be nonempty")
-    if X_q.shape[0] == 0:
-        raise ValueError("Q must be nonempty")
-    if X_q.shape[0] != pseudo.shape[0]:
-        raise ValueError("pseudo labels must align with Q rows")
-    for name, labels in (("P_train", y_p), ("Q pseudo", pseudo)):
-        if labels.size and not (0 <= labels.min()
-                                and labels.max() < base.num_classes):
-            raise ValueError(f"{name} labels outside "
-                             f"[0, {base.num_classes})")
+    _check_labels("P_train", y_p, min(b.num_classes for b in bases))
+    X_qs, pseudos = [], []
+    for base, (X_q, pseudo) in zip(bases, Qs):
+        X_q = _finite_features(X_q, "Q")
+        pseudo = np.asarray(pseudo, dtype=np.int64)
+        if X_q.shape[0] == 0:
+            raise ValueError("Q must be nonempty")
+        if X_q.shape[0] != pseudo.shape[0]:
+            raise ValueError("pseudo labels must align with Q rows")
+        _check_labels("Q pseudo", pseudo, base.num_classes)
+        X_qs.append(X_q)
+        pseudos.append(pseudo)
     if config.kind == "mlp":
+        if any(X_q.shape[0] != X_qs[0].shape[0] for X_q in X_qs):
+            raise ValueError("runs trained in lockstep must share |Q|")
         from . import mlp
-        return mlp.fit_disagreeing_mlp(
-            config, base, X_p, y_p, X_q, pseudo, lam, rng, max_steps)
+        return mlp.fit_disagreeing_mlp(config, bases, X_p, y_p, X_qs,
+                                       pseudos, lam, rngs, max_steps)
     from . import gbt
-    return gbt.fit_disagreeing_gbt(
-        config, base, X_p, y_p, X_val, X_q, pseudo, lam, rng)
+    return [gbt.fit_disagreeing_gbt(config, base, X_p, y_p, X_val, X_q,
+                                    pseudo, lam, rng)
+            for base, X_q, pseudo, rng in zip(bases, X_qs, pseudos, rngs)]
 
 
 # ---------------------------------------------------------------------------

@@ -59,15 +59,21 @@ def logit_grads(logits: np.ndarray, labels: np.ndarray, disagree=None,
 
 def cdc_batch_grad(logits: np.ndarray, labels: np.ndarray, disagree,
                    lam: float) -> np.ndarray:
-    """d loss / d logits of the batch-mean agree/disagree objective.
+    """d loss / d logits of the batch-mean agree/disagree objective, over
+    a (B, N) batch or an (R, B, N) stack of R batches of B rows each.
 
     Agree rows contribute cross_entropy(l, label); disagree rows contribute
-    lam * DCE(l, label-as-target).  Each row of ``logit_grads`` is scaled
-    by 1/B.
+    lam * DCE(l, label-as-target).  ``labels`` has the logits' shape but
+    the last axis, and so has ``disagree`` unless it is None.  Each row of
+    ``logit_grads`` is scaled by 1/B, its own batch's mean.
     """
-    grads = logit_grads(logits, labels, disagree, lam)
-    grads *= 1.0 / grads.shape[0]
-    return grads
+    shape = logits.shape
+    if disagree is not None:
+        disagree = disagree.reshape(-1)
+    grads = logit_grads(logits.reshape(-1, shape[-1]), labels.reshape(-1),
+                        disagree, lam)
+    grads *= 1.0 / shape[-2]
+    return grads.reshape(shape)
 
 
 def lambda_weight(q_size: int, batches_per_epoch: int = 1) -> float:

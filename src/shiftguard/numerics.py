@@ -1,7 +1,9 @@
 """Deterministic numeric kernels shared by every other module.
 
 Row-wise softmax and log-softmax, and a counter-based splittable random
-number stream.  Everything here is pure given its inputs.
+number stream.  Everything here is pure given its inputs.  ``_raw_rows``
+draws from several streams at once, one row per stream, with the bytes
+each stream would draw on its own.
 """
 
 from __future__ import annotations
@@ -69,6 +71,34 @@ def _mix64_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _raw_rows(streams, n: int) -> np.ndarray:
+    """Each stream's next n raw draws, as one (len(streams), n) uint64
+    array; advances every stream's counter by n.  A uniform row is
+    ``(raw >> 11) * 2**-53`` and a permutation row is
+    ``argsort(raw, axis=1, kind="stable")``, as each stream draws them."""
+    state = np.array([np.arange(s._counter, s._counter + n, dtype=np.uint64)
+                      for s in streams])
+    state *= _U64_GOLDEN
+    state += np.array([[s._key] for s in streams], dtype=np.uint64)
+    for s in streams:
+        s._counter += n
+    return _mix64(state)
+
+
+def _uniform_rows(streams, n: int) -> np.ndarray:
+    """Each stream's next n uniform draws, one row per stream."""
+    raw = _raw_rows(streams, n)
+    raw >>= _U64_11
+    out = raw.astype(np.float64)
+    out *= _INV_2_53
+    return out
+
+
+def _permutation_rows(streams, n: int) -> np.ndarray:
+    """A permutation of 0..n-1 from each stream, one row per stream."""
+    return np.argsort(_raw_rows(streams, n), axis=1, kind="stable")
+
+
 def _size_count(size) -> int:
     """Number of values an int or shape ``size`` asks for."""
     if isinstance(size, (tuple, list)):
@@ -105,21 +135,13 @@ class RngStream:
         return RngStream(self.base_seed, child_id)
 
     def _raw(self, n: int) -> np.ndarray:
-        state = np.arange(self._counter, self._counter + n, dtype=np.uint64)
-        self._counter += n
-        state *= _U64_GOLDEN
-        state += np.uint64(self._key)
-        return _mix64(state)
+        return _raw_rows((self,), n)[0]
 
     def uniform(self, size: int | tuple | None = None):
         """Uniform float64 in [0, 1) with 53-bit resolution."""
         if size is None:
             return float(self._raw(1)[0] >> _U64_11) * _INV_2_53
-        raw = self._raw(_size_count(size))
-        raw >>= _U64_11
-        out = raw.astype(np.float64)
-        out *= _INV_2_53
-        return out.reshape(size)
+        return _uniform_rows((self,), _size_count(size))[0].reshape(size)
 
     def normal(self, size: int | tuple | None = None):
         """Standard normals via Box-Muller (no rejection, so the draw count
@@ -152,7 +174,7 @@ class RngStream:
         """Uniform random permutation of 0..n-1 (argsort of raw draws)."""
         if n < 0:
             raise ValueError("n must be non-negative")
-        return np.argsort(self._raw(n), kind="stable")
+        return _permutation_rows((self,), n)[0]
 
     def sample_without_replacement(self, n: int, k: int) -> np.ndarray:
         """k distinct indices from 0..n-1; k = n yields a full permutation."""

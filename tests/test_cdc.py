@@ -10,6 +10,7 @@ from shiftguard.cdc import (
     CdcEnsemble,
     CdcTrainSpec,
     build_ensemble,
+    build_ensembles,
     cdc_entropy,
     pseudo_label,
     train_cdc,
@@ -83,8 +84,8 @@ class TestTrainCdc:
         Xq = rng.normal((10, 2))
         Xq[:, 1] += 9.0
         spec = CdcTrainSpec(val_tolerance=1.0, max_epochs_per_cdc=7)
-        g = train_cdc(config, p_train, p_val, (Xq, pseudo_label(f, Xq)),
-                      f, spec, rng_stream(22, 1))
+        g = train_cdc(config, p_train, p_val, [(Xq, pseudo_label(f, Xq))],
+                      f, spec, [rng_stream(22, 1)])[0]
         assert len(g.rounds) == len(f.rounds) + 7
 
     def test_unit_tolerance_runs_all_epochs_mlp(self, blob_models):
@@ -93,8 +94,8 @@ class TestTrainCdc:
         Xq = rng.normal((10, 2))
         Xq[:, 1] += 9.0
         spec = CdcTrainSpec(val_tolerance=1.0, max_epochs_per_cdc=4)
-        g = train_cdc(config, p_train, p_val, (Xq, pseudo_label(f, Xq)),
-                      f, spec, rng_stream(22, 3))
+        g = train_cdc(config, p_train, p_val, [(Xq, pseudo_label(f, Xq))],
+                      f, spec, [rng_stream(22, 3)])[0]
         from shiftguard.learners import batches_per_epoch
         expected = 4 * batches_per_epoch(config, p_train[0].shape[0], 10)
         assert g._opt_state.t == expected
@@ -104,8 +105,8 @@ class TestTrainCdc:
         Xq = rng_stream(22, 4).normal((10, 2)) + 5.0
         spec = CdcTrainSpec(val_tolerance=1.0, max_epochs_per_cdc=10,
                             max_opt_steps=3)
-        g = train_cdc(config, p_train, p_val, (Xq, pseudo_label(f, Xq)),
-                      f, spec, rng_stream(22, 5))
+        g = train_cdc(config, p_train, p_val, [(Xq, pseudo_label(f, Xq))],
+                      f, spec, [rng_stream(22, 5)])[0]
         assert len(g.rounds) == len(f.rounds) + 3
 
     @pytest.mark.parametrize("kind", ["mlp", "gbt"])
@@ -113,8 +114,8 @@ class TestTrainCdc:
         config, f, p_train, p_val = blob_models[kind]
         Xq, _ = separable_blob(n=20, seed=55)
         spec = CdcTrainSpec()
-        g = train_cdc(config, p_train, p_val, (Xq, pseudo_label(f, Xq)),
-                      f, spec, rng_stream(23, 0))
+        g = train_cdc(config, p_train, p_val, [(Xq, pseudo_label(f, Xq))],
+                      f, spec, [rng_stream(23, 0)])[0]
         from shiftguard.learners import evaluate_metric
         m = evaluate_metric(g, p_val[0], p_val[1], config.val_metric)
         assert m >= f.val_score - spec.val_tolerance
@@ -125,8 +126,8 @@ class TestTrainCdc:
         broken.val_score = None
         with pytest.raises(ValueError, match="validation metric"):
             train_cdc(config, p_train, p_val,
-                      (np.zeros((2, 2)), np.zeros(2, np.int64)),
-                      broken, CdcTrainSpec(), rng_stream(23, 1))
+                      [(np.zeros((2, 2)), np.zeros(2, np.int64))],
+                      broken, CdcTrainSpec(), [rng_stream(23, 1)])[0]
 
     def test_shifted_q_beats_paired_null_sample(self, blob_models):
         # paired comparison over 20 seeded trials: disagreement on a
@@ -140,11 +141,11 @@ class TestTrainCdc:
             X_shift = rng.normal((20, 2))
             X_shift[:, 1] += 9.0
             g_null = train_cdc(config, p_train, p_val,
-                               (X_null, pseudo_label(f, X_null)),
-                               f, spec, rng.split(0))
+                               [(X_null, pseudo_label(f, X_null))],
+                               f, spec, [rng.split(0)])[0]
             g_shift = train_cdc(config, p_train, p_val,
-                                (X_shift, pseudo_label(f, X_shift)),
-                                f, spec, rng.split(1))
+                                [(X_shift, pseudo_label(f, X_shift))],
+                                f, spec, [rng.split(1)])[0]
             dis_null = np.mean(
                 g_null.predict_labels(X_null) != pseudo_label(f, X_null))
             dis_shift = np.mean(
@@ -211,9 +212,9 @@ class TestBuildEnsemble:
         config, f, p_train, p_val = blob_models["gbt"]
         flipper = _StubModel(lambda x: np.array([0.0, 1.0]), 2)
 
-        def fake_train(config, ptr, pv, qp, f_, spec, rng):
-            return (flipper if np.all(f_.predict_labels(qp[0]) == 0)
-                    else constant_stub([1.0, 0.0], 2))
+        def fake_train(config, ptr, pv, qps, f_, spec, rngs):
+            return [flipper if np.all(f_.predict_labels(qp[0]) == 0)
+                    else constant_stub([1.0, 0.0], 2) for qp in qps]
 
         monkeypatch.setattr(cdc, "train_cdc", fake_train)
         Xq = np.tile([-4.5, 0.0], (8, 1))  # all predicted class 0 by f
@@ -235,6 +236,108 @@ class TestBuildEnsemble:
         with pytest.raises(ValueError):
             build_ensemble(config, p_train, p_val, np.empty((0, 2)), f,
                            CdcTrainSpec(), rng_stream(26, 1))
+
+
+def mixed_targets(seed, sizes=(10, 10, 12, 10, 10, 12, 10, 10, 10, 12, 10)):
+    """Eleven target sets: in-distribution blob rows, and rows shifted
+    far along feature 1 by a growing amount, of two sizes."""
+    rng = rng_stream(seed, 0)
+    targets = []
+    for i, n in enumerate(sizes):
+        if i % 3 == 0:
+            X, _ = separable_blob(n=n, seed=seed + i)
+        else:
+            X = rng.normal((n, 2))
+            X[:, 1] += 2.0 * i
+        targets.append(X)
+    return targets
+
+
+def three_class_models(config):
+    rng = rng_stream(28, 0)
+    labels = np.arange(300) % 3
+    X = rng.normal((300, 2))
+    X[:, 0] += 2.0 * (labels == 1)
+    X[:, 1] += 2.0 * (labels == 2)
+    p_train, p_val = (X[:210], labels[:210]), (X[210:], labels[210:])
+    f = fit(config, *p_train, *p_val, rng.split(1))
+    return f, p_train, p_val
+
+
+class TestLockstepEnsembles:
+    """``build_ensembles`` trains the runs of each member round together;
+    every run must come out as its own one-run ``build_ensemble`` call."""
+
+    @staticmethod
+    def assert_as_one_run_calls(config, f, p_train, p_val, targets, spec):
+        rngs = [rng_stream(29, i) for i in range(len(targets))]
+        together = build_ensembles(config, p_train, p_val, targets, f, spec,
+                                   rngs)
+        for i, (X, ens) in enumerate(zip(targets, together)):
+            rng = rng_stream(29, i)
+            alone = build_ensemble(config, p_train, p_val, X, f, spec, rng)
+            assert ens.per_round_phi == alone.per_round_phi
+            assert (cdc_entropy(ens, X).tobytes()
+                    == cdc_entropy(alone, X).tobytes())
+            assert rngs[i]._counter == rng._counter
+        return together
+
+    def test_binary_mlp_with_dropout(self, blob_models):
+        config, f, p_train, p_val = blob_models["mlp"]
+        assert config.mlp.dropout_rate > 0.0
+        ens = self.assert_as_one_run_calls(
+            config, f, p_train, p_val, mixed_targets(30),
+            CdcTrainSpec(max_opt_steps=5))
+        # shifted runs leave their groups at other rounds than null ones
+        assert len({len(e.members) for e in ens}) > 1
+
+    def test_three_class_mlp_fill_one(self):
+        # l2 on and batch 8 <= N: each batch holds one P row beside Q
+        config = small_mlp_config(hidden_sizes=(8, 8), batch_size=8,
+                                  l2=1e-3, max_epochs=20, patience=5)
+        f, p_train, p_val = three_class_models(config)
+        targets = [t + 1.0 for t in mixed_targets(31)]
+        assert f.num_classes == 3
+        self.assert_as_one_run_calls(config, f, p_train, p_val, targets,
+                                     CdcTrainSpec(ensemble_max=3,
+                                                  max_opt_steps=40))
+
+    def test_mlp_full_epochs(self, monkeypatch):
+        """No step cap, on overlapping classes: whole epochs ending in a
+        short batch, warm restarts that carry Adam moments, and
+        validation guard stops."""
+        config = small_mlp_config()
+        f, p_train, p_val = three_class_models(config)
+        assert p_train[0].shape[0] % (config.mlp.batch_size - 10) != 0
+        spec = CdcTrainSpec(max_epochs_per_cdc=6)
+        qs = []    # the Qs of each epoch, kept alive so ids stay unique
+        real = cdc.fit_disagreeing
+        monkeypatch.setattr(cdc, "fit_disagreeing", lambda *a, **k:
+                            qs.append(list(a[4])) or real(*a, **k))
+        targets = [t + 1.0 for t in mixed_targets(32)]
+        self.assert_as_one_run_calls(config, f, p_train, p_val, targets,
+                                     spec)
+        groups = [{id(q) for q in epoch} for epoch in qs]
+        pairs = list(zip(groups, groups[1:]))
+        # a CDC's next epoch on the same group: a warm restart
+        assert any(later == earlier for earlier, later in pairs)
+        # a later epoch of a CDC trained on a strict subset of its group:
+        # some run's guard tripped while the others went on
+        assert any(later < earlier for earlier, later in pairs)
+
+    def test_mlp_without_hidden_layers(self, blob_models):
+        _, _, p_train, p_val = blob_models["mlp"]
+        config = small_mlp_config(hidden_sizes=())
+        f = fit(config, *p_train, *p_val, rng_stream(33, 0))
+        self.assert_as_one_run_calls(config, f, p_train, p_val,
+                                     mixed_targets(33),
+                                     CdcTrainSpec(max_opt_steps=5))
+
+    def test_gbt(self, blob_models):
+        config, f, p_train, p_val = blob_models["gbt"]
+        self.assert_as_one_run_calls(config, f, p_train, p_val,
+                                     mixed_targets(34),
+                                     CdcTrainSpec(max_opt_steps=3))
 
 
 class TestCdcEntropy:

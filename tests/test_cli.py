@@ -175,6 +175,25 @@ class TestCalibrateCommand:
         assert out == []
         assert err.splitlines() == [f"error: {message}"]
 
+    @pytest.mark.parametrize("command", ["calibrate", "benchmark"])
+    @pytest.mark.parametrize("config_jobs, flag, message", [
+        ("0", [], "invalid run.jobs: 0 is not >= 1"),
+        ("-2", [], "invalid run.jobs: -2 is not >= 1"),
+        ("4", ["--jobs", "0"], "invalid --jobs: 0 is not >= 1"),
+        ("1", ["--jobs", "-1"], "invalid --jobs: -1 is not >= 1"),
+    ])
+    def test_jobs_below_one_exit_one(self, tmp_path, capsys, command,
+                                     config_jobs, flag, message):
+        """A worker count below 1 is refused where it enters: --jobs 0
+        is not read as unset, and [run] jobs = 0 does not run
+        sequentially without a word."""
+        cfg = write_config(tmp_path, SMOKE_CONFIG.replace(
+            "seed = 5", f"seed = 5\njobs = {config_jobs}"))
+        assert main([command, cfg, *flag]) == 1
+        out, err = read_stdout_docs(capsys)
+        assert out == []
+        assert err.splitlines() == [f"error: {message}"]
+
     def test_malformed_sample_sizes_exit_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMOKE_CONFIG.replace(
             "sample_sizes = 20", "sample_sizes = 20,x"))
@@ -424,9 +443,13 @@ class TestBenchmarkAndReport:
         same data, base model and candidate draws."""
         seen = []
 
-        def record_stream(task, detector, n, trials, alpha, rng, jobs=1):
+        def record_stream(task, detector, n, trials, alpha, rng, jobs=1,
+                          prepared=None):
             seen.append((detector, n, repr(rng)))
+            preps.append(prepared)
             return 0.5, 0.1
+
+        preps = []
 
         monkeypatch.setattr("shiftguard.cli.evaluate_power", record_stream)
         text = SMOKE_CONFIG.replace(
@@ -440,6 +463,9 @@ class TestBenchmarkAndReport:
         stream = repr(RngStream(5, 0).split(5))
         assert seen == [(d, n, stream) for d in ("detectron_entropy", "ctst")
                         for n in (10, 20)]
+        # and the one preparation of that stream's data and base model
+        assert preps[0] is not None
+        assert all(p is preps[0] for p in preps)
 
     def test_report_aggregates_rates_and_psi(self, tmp_path, capsys):
         results = tmp_path / "results"
@@ -509,7 +535,7 @@ class TestBenchmarkAndReport:
     def test_psi_prepared_on_the_rows_stream(self, tmp_path, capsys,
                                              monkeypatch):
         """The psi curve is drawn on the data split and base model that
-        every benchmark row is scored on."""
+        every benchmark row is scored on, prepared once per benchmark."""
         import shiftguard.cli as cli
         import shiftguard.detectron as detectron
         seen = []
@@ -534,7 +560,7 @@ class TestBenchmarkAndReport:
         docs, _ = read_stdout_docs(capsys)
         assert [d["kind"] for d in docs] == ["benchmark_row"] * 2 + [
             "psi_curve"]
-        assert seen == [repr(RngStream(5, 0).split(5).split(0))] * 3
+        assert seen == [repr(RngStream(5, 0).split(5).split(0))]
 
     def test_report_empty_dir_exit_one(self, tmp_path, capsys):
         empty = tmp_path / "results"

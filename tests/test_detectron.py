@@ -86,6 +86,43 @@ class TestCalibrate:
         assert par.phi_p == task_env["calib"].phi_p
         assert par.entropy_runs == task_env["calib"].entropy_runs
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_refused(self, task_env, jobs):
+        data, f = task_env["data"], task_env["f"]
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            calibrate(data, LEARNER, f, N, K, SPEC, 0.05, rng_stream(51, 0),
+                      jobs=jobs)
+
+    @pytest.mark.parametrize("jobs, workers", [(2, 2), (5, 5), (8, 5)])
+    def test_workers_capped_at_group_count(self, task_env, monkeypatch,
+                                           jobs, workers):
+        """K = 40 MLP runs make 5 groups of 8: no more workers start than
+        there are groups.  The executor is replaced by one that records
+        its worker count and maps in this process."""
+        import concurrent.futures
+        started = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingExecutor)
+        data, f = task_env["data"], task_env["f"]
+        par = calibrate(data, LEARNER, f, N, K, SPEC, 0.05, rng_stream(51, 0),
+                        jobs=jobs)
+        assert started == [workers]
+        assert par == task_env["calib"]
+
     def test_insufficient_holdout_errors(self, task_env):
         data, f = task_env["data"], task_env["f"]
         small = PartitionedData(data.train, data.val, data.holdout.take([0, 1]))

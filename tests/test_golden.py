@@ -56,6 +56,15 @@ MLP3_CALIBRATION_SHA256 = (
     "ea420e1b08dd8f49759aff39c811a8d18ea2784d394117e420cc32c6227d1370")
 
 
+# two overlapping classes, dropout on: K = 21 MLP runs are built in
+# lockstep groups of 8, 8 and 5, and the record must be the one a run at
+# a time gives
+MLP_K21 = small_mlp_config()
+MLP_K21_SPEC = CdcTrainSpec(max_opt_steps=5)
+MLP_K21_CALIBRATION_SHA256 = (
+    "c1e471c0c8a32fc02a7abac84cc8490b31c71e7cfb1b5b3e3a682919f103c8f2")
+
+
 def calibration_sha256(record) -> str:
     doc = json.dumps(calibration_to_doc(record), sort_keys=True)
     return hashlib.sha256(doc.encode()).hexdigest()
@@ -105,6 +114,19 @@ def test_three_class_mlp_calibration_digest():
     calib = calibrate(data, MLP3, f, GBT_N, GBT_K, MLP3_SPEC, 0.05,
                       rng.split(5))
     assert calibration_sha256(calib) == MLP3_CALIBRATION_SHA256
+
+
+def test_binary_mlp_k21_calibration_digest():
+    rng = rng_stream(73, 0)
+    labels = np.arange(300) % 2
+    X = rng.normal((300, 2))
+    X[:, 0] += 1.5 * labels
+    train, val, holdout = partition(Dataset(X, labels), rng=rng.split(1))
+    f = fit(MLP_K21, train.features, train.labels, val.features,
+            val.labels, rng.split(2))
+    calib = calibrate(PartitionedData(train, val, holdout), MLP_K21, f,
+                      GBT_N, 21, MLP_K21_SPEC, 0.05, rng.split(3))
+    assert calibration_sha256(calib) == MLP_K21_CALIBRATION_SHA256
 
 
 @pytest.fixture(scope="module")

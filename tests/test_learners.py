@@ -41,8 +41,8 @@ from shiftguard.learners.mlp import (
     MlpModel,
     _Adam,
     _backward,
-    _flat_params,
     _forward_train,
+    _stack_params,
 )
 from shiftguard.losses import lambda_weight, logit_grads
 from shiftguard.numerics import rng_stream
@@ -191,19 +191,22 @@ class TestMlpInternals:
         weights = [rng.normal((3, 5)) * 0.5, rng.normal((5, 3)) * 0.5]
         biases = [rng.normal(5) * 0.1, rng.normal(3) * 0.1]
 
-        params, ws, bs = _flat_params(weights, biases)
+        # one run: the leading run axis has length 1
+        params, ws, bs = _stack_params([(weights, biases)])
 
         def loss_at(flat):
-            params[:] = flat
-            logits, _, _ = _forward_train(X, ws, bs, 0.0, rng_stream(0, 0))
-            losses, _ = reference_cross_entropy_batch(logits, y)
+            params[0] = flat
+            logits, _, _ = _forward_train(X[None], ws, bs, 0.0,
+                                          [rng_stream(0, 0)])
+            losses, _ = reference_cross_entropy_batch(logits[0], y)
             return float(losses.mean())
 
-        logits, acts, masks = _forward_train(X, weights, biases, 0.0,
-                                             rng_stream(0, 0))
-        _, grads = reference_cross_entropy_batch(logits, y)
-        analytic = _backward(grads / X.shape[0], acts, masks, weights, 0.0)
-        fd = central_difference_grad(loss_at, params.copy())
+        logits, acts, masks = _forward_train(X[None], ws, bs, 0.0,
+                                             [rng_stream(0, 0)])
+        _, grads = reference_cross_entropy_batch(logits[0], y)
+        analytic = _backward(grads[None] / X.shape[0], acts, masks, ws,
+                             0.0)[0]
+        fd = central_difference_grad(loss_at, params[0].copy())
         err = np.abs(analytic - fd) / np.maximum(np.abs(fd), 1e-3)
         assert err.max() < 1e-4
 
@@ -226,10 +229,11 @@ class TestMlpInternals:
                 model = model.clone()
             X = rng.normal((7, 3))
             y = rng.integers(3, 7)
+            ws = [W[None] for W in model.weights]
             logits, acts, masks = _forward_train(
-                X, model.weights, model.biases, 0.2, rng)
-            grad = _backward(logit_grads(logits, y) / 7, acts, masks,
-                             model.weights, 1e-2)
+                X[None], ws, [b[None] for b in model.biases], 0.2, [rng])
+            grad = _backward(logit_grads(logits[0], y)[None] / 7, acts,
+                             masks, ws, 1e-2)[0]
             model._opt_state.step(model._params, grad)
             sizes = [a.size for pair in zip(ref_w, ref_b) for a in pair]
             pieces = np.split(grad, np.cumsum(sizes)[:-1])
@@ -527,9 +531,9 @@ class TestFitDisagreeing:
         Xt, yt, Xv, yv = split_blob(X, y)
         base = fit(config, Xt, yt, Xv, yv, rng_stream(13, 0))
         with pytest.raises(ValueError, match="Q must be nonempty"):
-            fit_disagreeing(config, base, (Xt, yt), (Xv, yv),
-                            (np.empty((0, 2)), np.empty(0, np.int64)),
-                            lam=0.1, rng=rng_stream(13, 2))
+            fit_disagreeing(config, [base], (Xt, yt), (Xv, yv),
+                            [(np.empty((0, 2)), np.empty(0, np.int64))],
+                            lam=0.1, rngs=[rng_stream(13, 2)])
 
     @pytest.mark.parametrize("config", ALL_CONFIGS, ids=["mlp", "gbt"])
     def test_empty_p_train_refused(self, config, blob):
@@ -537,10 +541,10 @@ class TestFitDisagreeing:
         Xt, yt, Xv, yv = split_blob(X, y)
         base = fit(config, Xt, yt, Xv, yv, rng_stream(13, 0))
         with pytest.raises(ValueError, match="P_train must be nonempty"):
-            fit_disagreeing(config, base,
+            fit_disagreeing(config, [base],
                             (np.empty((0, 2)), np.empty(0, np.int64)),
-                            (Xv, yv), (Xv[:4], base.predict_labels(Xv[:4])),
-                            lam=0.1, rng=rng_stream(13, 2))
+                            (Xv, yv), [(Xv[:4], base.predict_labels(Xv[:4]))],
+                            lam=0.1, rngs=[rng_stream(13, 2)])
 
     @pytest.mark.parametrize("config", ALL_CONFIGS, ids=["mlp", "gbt"])
     def test_zero_max_steps_refused(self, config, blob):
@@ -548,9 +552,9 @@ class TestFitDisagreeing:
         Xt, yt, Xv, yv = split_blob(X, y)
         base = fit(config, Xt, yt, Xv, yv, rng_stream(13, 0))
         with pytest.raises(ValueError, match="max_steps must be >= 1"):
-            fit_disagreeing(config, base, (Xt, yt), (Xv, yv),
-                            (Xv[:4], base.predict_labels(Xv[:4])),
-                            lam=0.1, rng=rng_stream(13, 2), max_steps=0)
+            fit_disagreeing(config, [base], (Xt, yt), (Xv, yv),
+                            [(Xv[:4], base.predict_labels(Xv[:4]))],
+                            lam=0.1, rngs=[rng_stream(13, 2)], max_steps=0)
 
     @pytest.mark.parametrize("config", ALL_CONFIGS, ids=["mlp", "gbt"])
     def test_far_shifted_q_learns_disagreement(self, config, blob):
@@ -567,8 +571,8 @@ class TestFitDisagreeing:
         rng = rng_stream(1, 2)
         cdc = base
         for _ in range(10):
-            cdc = fit_disagreeing(config, cdc, (Xt, yt), (Xv, yv),
-                                  (Xq, pseudo), lam=lam, rng=rng)
+            cdc = fit_disagreeing(config, [cdc], (Xt, yt), (Xv, yv),
+                                  [(Xq, pseudo)], lam=lam, rngs=[rng])[0]
         disagreement = np.mean(cdc.predict_labels(Xq) != pseudo)
         val_acc = np.mean(cdc.predict_labels(Xv) == yv)
         assert disagreement >= 0.9
@@ -587,8 +591,8 @@ class TestFitDisagreeing:
         rng = rng_stream(2, 2)
         cdc = base
         for _ in range(4):
-            cdc = fit_disagreeing(config, cdc, (Xt, yt), (Xv, yv),
-                                  (Xq, pseudo), lam=lam, rng=rng)
+            cdc = fit_disagreeing(config, [cdc], (Xt, yt), (Xv, yv),
+                                  [(Xq, pseudo)], lam=lam, rngs=[rng])[0]
 
         from shiftguard.learners.gbt import _boost_rounds
         manual = base.clone_shallow()
@@ -619,15 +623,15 @@ class TestFitDisagreeing:
         Xq = Xv[:6]
         cdc = base
         for _ in range(3):
-            cdc = fit_disagreeing(config, cdc, (Xt, yt), (Xv, yv),
-                                  (Xq, base.predict_labels(Xq)), lam=0.1,
-                                  rng=rng_stream(4, 1))
+            cdc = fit_disagreeing(config, [cdc], (Xt, yt), (Xv, yv),
+                                  [(Xq, base.predict_labels(Xq))], lam=0.1,
+                                  rngs=[rng_stream(4, 1)])[0]
         assert len(ranked) == 1
         assert np.array_equal(cdc._ranks[0], np.vstack([Xt, Xq]))
         assert np.array_equal(cdc._ranks[1], _column_ranks(cdc._ranks[0]))
-        fit_disagreeing(config, cdc, (Xt, yt), (Xv, yv),
-                        (Xq[:3], base.predict_labels(Xq[:3])), lam=0.1,
-                        rng=rng_stream(4, 1))
+        fit_disagreeing(config, [cdc], (Xt, yt), (Xv, yv),
+                        [(Xq[:3], base.predict_labels(Xq[:3]))], lam=0.1,
+                        rngs=[rng_stream(4, 1)])
         assert len(ranked) == 2
 
     @pytest.mark.parametrize("n_classes", [2, 3])
@@ -645,14 +649,14 @@ class TestFitDisagreeing:
         Xq = Xv[:6] + 1.0
         q = (Xq, base.predict_labels(Xq))
         rng = rng_stream(14, 1)
-        cdc = fit_disagreeing(config, base, (Xt, yt), (Xv, yv), q, lam=0.1,
-                              rng=rng)
+        cdc = fit_disagreeing(config, [base], (Xt, yt), (Xv, yv), [q], lam=0.1,
+                              rngs=[rng])[0]
         calls, walk = [], gbt._walk_trees
         monkeypatch.setattr(gbt, "_walk_trees",
                             lambda trees, X: calls.append(trees)
                             or walk(trees, X))
-        cdc = fit_disagreeing(config, cdc, (Xt, yt), (Xv, yv), q, lam=0.1,
-                              rng=rng)
+        cdc = fit_disagreeing(config, [cdc], (Xt, yt), (Xv, yv), [q], lam=0.1,
+                              rngs=[rng])[0]
         grown = cdc.rounds[-1][1:] if n_classes == 2 else cdc.rounds[-1]
         assert calls == [grown]
         monkeypatch.undo()
@@ -660,14 +664,40 @@ class TestFitDisagreeing:
             assert (cdc.margins(rows).tobytes()
                     == reference_margins(cdc, rows).tobytes())
 
+    def test_lockstep_runs_refused_unless_aligned(self, blob):
+        """MLP runs step together only with one Q and one stream per base,
+        Qs of one row count and bases at one Adam step count."""
+        X, y = blob
+        Xt, yt, Xv, yv = split_blob(X, y)
+        config = small_mlp_config()
+        base = fit(config, Xt, yt, Xv, yv, rng_stream(13, 0))
+
+        def q(n):
+            return Xv[:n], base.predict_labels(Xv[:n])
+
+        def call(bases, qs, n_rngs):
+            return fit_disagreeing(config, bases, (Xt, yt), (Xv, yv), qs,
+                                   lam=0.1, rngs=[rng_stream(13, i)
+                                                  for i in range(n_rngs)])
+
+        with pytest.raises(ValueError, match="one Q and one stream"):
+            call([base], [q(4), q(4)], 1)
+        with pytest.raises(ValueError, match="one Q and one stream"):
+            call([base, base], [q(4), q(4)], 1)
+        with pytest.raises(ValueError, match=r"must share \|Q\|"):
+            call([base, base], [q(4), q(5)], 2)
+        (trained,) = call([base], [q(4)], 1)
+        with pytest.raises(ValueError, match="share their Adam step count"):
+            call([base, trained], [q(4), q(4)], 2)
+
     def test_lambda_validation(self, blob):
         X, y = blob
         config = small_gbt_config()
         base = fit(config, X, y, X[:20], y[:20], rng_stream(3, 0))
         with pytest.raises(ValueError):
-            fit_disagreeing(config, base, (X, y), (X, y),
-                            (X[:4], base.predict_labels(X[:4])),
-                            lam=0.0, rng=rng_stream(3, 1))
+            fit_disagreeing(config, [base], (X, y), (X, y),
+                            [(X[:4], base.predict_labels(X[:4]))],
+                            lam=0.0, rngs=[rng_stream(3, 1)])
 
     @pytest.mark.parametrize("config", ALL_CONFIGS, ids=["mlp", "gbt"])
     @pytest.mark.parametrize("where", ["P_train", "P_val", "Q"])
@@ -678,10 +708,10 @@ class TestFitDisagreeing:
         parts = {"P_train": Xt.copy(), "P_val": Xv.copy(), "Q": Xv[:4].copy()}
         parts[where][1, 0] = np.nan
         with pytest.raises(ValueError, match=f"{where} features hold NaN"):
-            fit_disagreeing(config, base, (parts["P_train"], yt),
+            fit_disagreeing(config, [base], (parts["P_train"], yt),
                             (parts["P_val"], yv),
-                            (parts["Q"], base.predict_labels(Xv[:4])),
-                            lam=0.1, rng=rng_stream(3, 1))
+                            [(parts["Q"], base.predict_labels(Xv[:4]))],
+                            lam=0.1, rngs=[rng_stream(3, 1)])
 
     @pytest.mark.parametrize("config", ALL_CONFIGS, ids=["mlp", "gbt"])
     @pytest.mark.parametrize("where,label", [
@@ -695,9 +725,9 @@ class TestFitDisagreeing:
         labels[where][1] = label
         with pytest.raises(ValueError,
                            match=rf"{where} labels outside \[0, 2\)"):
-            fit_disagreeing(config, base, (Xt, labels["P_train"]), (Xv, yv),
-                            (Xv[:4], labels["Q pseudo"]),
-                            lam=0.1, rng=rng_stream(3, 1))
+            fit_disagreeing(config, [base], (Xt, labels["P_train"]), (Xv, yv),
+                            [(Xv[:4], labels["Q pseudo"])],
+                            lam=0.1, rngs=[rng_stream(3, 1)])
 
 def assert_mirrored(model):
     """Every round of a binary model holds class 1's tree and, for class
@@ -738,9 +768,9 @@ class TestBinaryMirror:
         Xq = Xv[:6] + 3.0
         cdc, rng = base, rng_stream(15, 1)
         for _ in range(3):
-            cdc = fit_disagreeing(config, cdc, (Xt, yt), (Xv, yv),
-                                  (Xq, base.predict_labels(Xq)), lam=0.1,
-                                  rng=rng)
+            cdc = fit_disagreeing(config, [cdc], (Xt, yt), (Xv, yv),
+                                  [(Xq, base.predict_labels(Xq))], lam=0.1,
+                                  rngs=[rng])[0]
         assert len(cdc.rounds) == config.gbt.num_rounds + 3
         assert_mirrored(cdc)
         for rows in (Xt, Xv, Xq):

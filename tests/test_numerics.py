@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import math
 
@@ -8,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import log_sum_exp, softmax
-from shiftguard.numerics import RngStream, rng_stream
+from shiftguard.numerics import (
+    _GOLDEN,
+    RngStream,
+    _mix64_int,
+    _permutation_rows,
+    _raw_rows,
+    _uniform_rows,
+    rng_stream,
+)
 
 
 class TestLogSumExp:
@@ -128,6 +137,49 @@ class TestRngStream:
         one = RngStream(2 ** 63 + 17, 2 ** 40).uniform(512).tobytes()
         two = RngStream(2 ** 63 + 17, 2 ** 40).uniform(512).tobytes()
         assert one == two
+
+
+def _streams_at_unequal_counters():
+    """Four streams, one with an extreme seed, each advanced by its own
+    number of draws."""
+    streams = [RngStream(5, 0), RngStream(5, 1).split(3),
+               RngStream(2 ** 63 + 17, 2 ** 40), RngStream(0, 0)]
+    for advance, s in zip((0, 1, 77, 1000), streams):
+        s.uniform(advance)
+    return streams
+
+
+class TestMultiStreamDraws:
+    """``_raw_rows`` and the uniform and permutation rows built on it draw
+    from several streams at once, each row as its stream alone would."""
+
+    @pytest.mark.parametrize("n", [0, 1, 1000])
+    def test_rows_equal_each_streams_own_draws(self, n):
+        streams = _streams_at_unequal_counters()
+        twins = [copy.copy(s) for s in streams]
+        counters = [s._counter for s in streams]
+        rows = _raw_rows(streams, n)
+        assert rows.shape == (len(streams), n) and rows.dtype == np.uint64
+        for row, twin, start in zip(rows, twins, counters):
+            assert row.tobytes() == twin._raw(n).tobytes()
+            # SplitMix64 on Python ints: the i-th draw is
+            # mix64(key + i * golden) mod 2**64
+            expect = [_mix64_int(twin._key + (start + i) * _GOLDEN)
+                      for i in range(n)]
+            assert row.tolist() == expect
+        assert [s._counter for s in streams] == [c + n for c in counters]
+        assert [s._counter for s in streams] == [t._counter for t in twins]
+
+    @pytest.mark.parametrize("n", [0, 1, 1000])
+    def test_uniform_and_permutation_rows(self, n):
+        streams = _streams_at_unequal_counters()
+        twins = [copy.copy(s) for s in streams]
+        uniform = _uniform_rows(streams, n)
+        perms = _permutation_rows(streams, n)
+        for u, p, twin in zip(uniform, perms, twins):
+            assert u.tobytes() == twin.uniform(n).tobytes()
+            assert p.tobytes() == twin.permutation(n).tobytes()
+        assert [s._counter for s in streams] == [t._counter for t in twins]
 
 
 def _draw_script_sha256(base_seed, stream_id) -> str:
