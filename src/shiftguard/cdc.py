@@ -10,11 +10,13 @@ samples every earlier member still agrees on.
 
 Independent ensembles, one per target set and random stream, are built
 together: ``build_ensembles`` trains each member round of every live run
-at once, grouping the runs by how many target samples still survive, and
-``train_cdc`` steps each group's runs in lockstep through
-``learners.fit_disagreeing``.  Pseudo-labels, validation checks and
-survivor predictions stay per run, on the rows a run built alone would
-use, so every ensemble has the bytes of its one-run ``build_ensemble``.
+at once, in groups of runs the learner can train together
+(``learners.lockstep_key``: MLP runs that share how many target samples
+still survive, any GBT runs), and ``train_cdc`` steps each group's runs
+through ``learners.fit_disagreeing``, one call per epoch.
+Pseudo-labels, validation checks and survivor predictions stay per run,
+on the rows a run built alone would use, so every ensemble has the bytes
+of its one-run ``build_ensemble``.
 """
 
 from __future__ import annotations
@@ -27,8 +29,10 @@ from .learners import (
     LearnerConfig,
     Model,
     batches_per_epoch,
+    check_disagreement_rows,
     evaluate_metric,
     fit_disagreeing,
+    lockstep_key,
 )
 from .losses import lambda_weight
 from .numerics import RngStream
@@ -94,23 +98,28 @@ def pseudo_label(f: Model, X_q: np.ndarray) -> np.ndarray:
 def train_cdc(config: LearnerConfig, P_train, P_val, Qs, f: Model,
               spec: CdcTrainSpec, rngs) -> list:
     """One constrained disagreement classifier per run, each on its own
-    nonempty Q (X, pseudo) and stream; every Q has the same row count.
+    nonempty Q (X, pseudo) and stream; the runs share a
+    ``learners.lockstep_key``.
 
     Each run trains for at most max_epochs_per_cdc epochs (rounds for
     trees) and stops the moment the validation metric falls more than
     val_tolerance below the base model's recorded score m0; its model is
     the last one that satisfied the constraint (the base model trivially
-    does).  Runs sharing |Q| share the batch fill, batches per epoch,
-    lambda and step budget, so the live runs train each epoch in one
+    does).  P_train, P_val and the Qs are checked once.  Each run's
+    lambda follows its own |Q|; the runs share batches per epoch (the
+    MLP's share |Q|, and a boosting round is one batch) and so the step
+    budget, and the live runs train each epoch in one
     ``fit_disagreeing`` call; a run whose guard trips leaves the group.
     """
     if f.val_score is None:
         raise ValueError("base validation metric unavailable")
     m0 = f.val_score
+    P_train, P_val, Qs = check_disagreement_rows(P_train, P_val, Qs,
+                                                 f.num_classes)
     X_val, y_val = P_val
-    n_q = np.asarray(Qs[0][0]).shape[0]
-    bpe = batches_per_epoch(config, np.asarray(P_train[0]).shape[0], n_q)
-    lam = lambda_weight(n_q, bpe)
+    n_qs = [X_q.shape[0] for X_q, _ in Qs]
+    bpe = batches_per_epoch(config, P_train[0].shape[0], n_qs[0])
+    lams = [lambda_weight(n_q, bpe) for n_q in n_qs]
 
     budget = spec.max_opt_steps
     last_good = [f] * len(Qs)
@@ -120,8 +129,8 @@ def train_cdc(config: LearnerConfig, P_train, P_val, Qs, f: Model,
             break
         trained = fit_disagreeing(
             config, [last_good[r] for r in live], P_train, P_val,
-            [Qs[r] for r in live], lam, [rngs[r] for r in live],
-            max_steps=budget)
+            [Qs[r] for r in live], [lams[r] for r in live],
+            [rngs[r] for r in live], max_steps=budget, checked=True)
         if budget is not None:
             budget -= bpe
         still = []
@@ -154,7 +163,9 @@ def build_ensembles(config: LearnerConfig, P_train, P_val, targets,
     """``build_ensemble`` for each target set and its own stream, with the
     bytes of one call per run: each member round trains the live runs
     (those with samples left and fewer than ensemble_max members) in
-    groups of equal survivor count, one ``train_cdc`` call per group."""
+    groups of one ``learners.lockstep_key``, one ``train_cdc`` call per
+    group.  A member whose survivors are labelled drops its warm-start
+    state."""
     targets = [np.asarray(X, dtype=np.float64) for X in targets]
     if any(X.shape[0] == 0 for X in targets):
         raise ValueError("target set must be nonempty")
@@ -165,7 +176,8 @@ def build_ensembles(config: LearnerConfig, P_train, P_val, targets,
         groups = {}
         for r, rows in enumerate(surviving):
             if rows.size:
-                groups.setdefault(rows.size, []).append(r)
+                groups.setdefault(lockstep_key(config, rows.size),
+                                  []).append(r)
         for runs in groups.values():
             members = train_cdc(
                 config, P_train, P_val,
@@ -175,6 +187,10 @@ def build_ensembles(config: LearnerConfig, P_train, P_val, targets,
             for r, g in zip(runs, members):
                 rows = surviving[r]
                 preds = g.predict_labels(targets[r][rows])
+                # a guard that trips at once leaves the base model, whose
+                # state every later member round warm-starts from
+                if g is not f:
+                    g.drop_warm_start()
                 surviving[r] = rows[preds == pseudo[r][rows]]
                 ensembles[r].members.append(g)
                 ensembles[r].per_round_phi.append(

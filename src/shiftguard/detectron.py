@@ -167,9 +167,12 @@ def _hash_snapshot(snapshot: dict) -> str:
 # calibration
 # ---------------------------------------------------------------------------
 
-# calibration runs built together: at the shipped MLP widths a stacked
-# activation of 8 runs' 64-row batches is 8 x 64 x 16 cells, 64 KB
-_CALIBRATION_GROUP = 8
+# calibration runs built together, per learner.  At the shipped MLP
+# widths a stacked activation of 8 runs' 64-row batches is 8 x 64 x 16
+# cells, 64 KB.  A GBT group holds every member's trees, carried margins
+# and stacked rows at once: 4 runs keep peak memory within about 1 MB of
+# one run at a time, while 8 took about 3.5 MB more
+_CALIBRATION_GROUP = {"mlp": 8, "gbt": 4}
 
 
 def _calibration_group(args):
@@ -195,10 +198,10 @@ def calibrate(data: PartitionedData, config: LearnerConfig, f: Model,
     Each of the K runs draws N held-out samples without replacement from
     its own derived stream, builds a CDC ensemble against them, and
     records the final disagreement rate and the per-sample ensemble
-    entropies.  MLP runs are built in groups of up to
-    ``_CALIBRATION_GROUP`` that train in lockstep
-    (``cdc.build_ensembles``), GBT runs one at a time; each run has the
-    bytes it would have alone.  ``jobs`` > 1 spreads the groups over that
+    entropies.  Runs are built in groups of up to
+    ``_CALIBRATION_GROUP`` of the learner, whose member rounds train
+    together (``cdc.build_ensembles``); each run has the bytes it would
+    have alone.  ``jobs`` > 1 spreads the groups over that
     many worker processes, never more than there are groups.  Entropy
     calibration p-values come from a KS test of each run against the
     pooled entropies of the other K - 1 runs.
@@ -213,9 +216,7 @@ def calibrate(data: PartitionedData, config: LearnerConfig, f: Model,
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
 
-    # GBT runs train one at a time inside a group, so grouping them would
-    # only hold more of their ensembles in memory at once
-    size = _CALIBRATION_GROUP if config.kind == "mlp" else 1
+    size = _CALIBRATION_GROUP[config.kind]
     group_args = [
         (config, data.train_pair(), data.val_pair(), data.holdout.features,
          f, spec, rng.base_seed, rng.stream_id,
@@ -551,7 +552,7 @@ def disagreement_curve(config: LearnerConfig, data: PartitionedData,
         if surviving.size > 0:
             (g,) = fit_disagreeing(
                 config, [g], data.train_pair(), data.val_pair(),
-                [(target_X[surviving], pseudo[surviving])], lam, [rng],
+                [(target_X[surviving], pseudo[surviving])], [lam], [rng],
                 max_steps=1)
             preds = g.predict_labels(target_X[surviving])
             surviving = surviving[preds == pseudo[surviving]]

@@ -25,6 +25,8 @@ __all__ = [
     "fit",
     "predict_proba",
     "fit_disagreeing",
+    "check_disagreement_rows",
+    "lockstep_key",
     "batches_per_epoch",
     "accuracy",
     "auc_binary",
@@ -142,6 +144,11 @@ class Model:
     def predict_labels(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba_matrix(X), axis=1)
 
+    def drop_warm_start(self) -> None:
+        """Free what only training that continues from this model reads;
+        every prediction keeps its bytes.  Nothing, unless a learner
+        keeps such state."""
+
     def _check_matrix(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.feature_dim:
@@ -252,66 +259,94 @@ def _check_labels(name: str, labels, num_classes: int) -> None:
         raise ValueError(f"{name} labels outside [0, {num_classes})")
 
 
-def fit_disagreeing(config: LearnerConfig, bases, P_train, P_val, Qs,
-                    lam: float, rngs, max_steps: int | None = None) -> list:
-    """Continue training each of R runs for one epoch (one boosting
-    round) to agree on a nonempty P_train and disagree on its own nonempty
-    Q; returns one new model per run.
+def lockstep_key(config: LearnerConfig, n_q: int) -> int:
+    """Runs with equal keys can train in one ``fit_disagreeing`` call.
+    Every MLP batch holds all of Q beside a fill of training rows, so MLP
+    runs must share |Q|; a boosting round sees every row at once, so any
+    GBT runs can."""
+    return n_q if config.kind == "mlp" else 0
 
-    Run r warm-starts from ``bases[r]``, attacks ``Qs[r]`` and draws from
-    ``rngs[r]``; P_train and P_val are shared and checked once.
-    P_train/P_val are (X, y) pairs with true labels; each Q is (X, pseudo)
-    where pseudo labels are the base model's own predictions.  MLP path:
-    warm-started gradient descent on the combined agree/disagree batch
-    loss, every batch containing all of Q, stopping after ``max_steps``
-    batches when set.  The runs step in lockstep, so every Q must have
-    the same row count and every base the same Adam step count; a run's
-    model has the bytes it would have trained alone.  GBT path: one run at
-    a time, replicas of each Q sample (one per non-pseudo class, weights
-    lam * |P_train| * disagree_scale / (N-1)) appended to P, one boosting
-    round continued from the base model's trees.  A round's class trees
-    grow together, one depth at a time, with one split search per depth
-    over every class's nodes; each search sorts by integer ranks of the
-    feature values.  The returned GBT model carries its margins on
-    P_train, Q and P_val: the next warm-started round, and a validation
-    check on P_val, add only that round's trees, walked level by level,
-    instead of re-running every earlier one.  Features of P_train, P_val
-    and each Q must be finite, and P_train labels and Q pseudo-labels
-    must lie in [0, num_classes) of their base.
-    """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    if max_steps is not None and max_steps < 1:
-        raise ValueError("max_steps must be >= 1 when set")
-    if not len(bases) == len(Qs) == len(rngs) > 0:
-        raise ValueError("need one Q and one stream per base, and a base")
+
+def check_disagreement_rows(P_train, P_val, Qs, num_classes: int) -> tuple:
+    """(P_train, P_val, Qs) as ``fit_disagreeing`` trains on them: float
+    features and int labels, refused unless every feature is finite,
+    P_train and each Q are nonempty, each Q's pseudo-labels align with
+    its rows, and P_train labels and Q pseudo-labels lie in [0,
+    num_classes)."""
     X_p = _finite_features(P_train[0], "P_train")
     y_p = np.asarray(P_train[1], np.int64)
     X_val = _finite_features(P_val[0], "P_val")
     if X_p.shape[0] == 0:
         raise ValueError("P_train must be nonempty")
-    _check_labels("P_train", y_p, min(b.num_classes for b in bases))
-    X_qs, pseudos = [], []
-    for base, (X_q, pseudo) in zip(bases, Qs):
+    _check_labels("P_train", y_p, num_classes)
+    checked = []
+    for X_q, pseudo in Qs:
         X_q = _finite_features(X_q, "Q")
         pseudo = np.asarray(pseudo, dtype=np.int64)
         if X_q.shape[0] == 0:
             raise ValueError("Q must be nonempty")
         if X_q.shape[0] != pseudo.shape[0]:
             raise ValueError("pseudo labels must align with Q rows")
-        _check_labels("Q pseudo", pseudo, base.num_classes)
-        X_qs.append(X_q)
-        pseudos.append(pseudo)
+        _check_labels("Q pseudo", pseudo, num_classes)
+        checked.append((X_q, pseudo))
+    return (X_p, y_p), (X_val, P_val[1]), checked
+
+
+def fit_disagreeing(config: LearnerConfig, bases, P_train, P_val, Qs, lams,
+                    rngs, max_steps: int | None = None,
+                    checked: bool = False) -> list:
+    """Continue training each of R runs for one epoch (one boosting
+    round) to agree on a nonempty P_train and disagree on its own nonempty
+    Q; returns one new model per run.
+
+    Run r warm-starts from ``bases[r]``, attacks ``Qs[r]`` with weight
+    ``lams[r]`` and draws from ``rngs[r]``; the bases share a class count,
+    and P_train and P_val are shared.  P_train/P_val are (X, y) pairs
+    with true labels; each Q is (X, pseudo) where pseudo labels are the
+    base model's own predictions.  The rows go through
+    ``check_disagreement_rows`` unless ``checked`` says they already did,
+    as ``train_cdc`` checks them once for all its epochs.  MLP path:
+    warm-started gradient descent on the combined agree/disagree batch
+    loss, every batch containing all of Q, stopping after ``max_steps``
+    batches when set.  The runs step in lockstep, so every Q must have
+    the same row count, every lambda be the same and every base have the
+    same Adam step count.  GBT path: replicas of each Q sample (one per
+    non-pseudo class, weights lam * |P_train| * disagree_scale / (N-1))
+    appended to P, one boosting round continued from the base model's
+    trees; every run's round grows in one split search per depth, over
+    every node of every run's class trees, sorting by integer ranks of
+    the feature values.  The returned GBT model carries its margins on
+    P_train, Q and P_val: the next warm-started round, and a validation
+    check on P_val, add only that round's trees, walked level by level,
+    instead of re-running every earlier one.  Either way a run's model
+    has the bytes it would have trained alone.
+    """
+    if any(lam <= 0 for lam in lams):
+        raise ValueError("lambda must be positive")
+    if max_steps is not None and max_steps < 1:
+        raise ValueError("max_steps must be >= 1 when set")
+    if not len(bases) == len(Qs) == len(lams) == len(rngs) > 0:
+        raise ValueError("need one Q and one stream per base, as many "
+                         "lambdas, and a base")
+    if any(b.num_classes != bases[0].num_classes for b in bases):
+        raise ValueError("runs trained together must share num_classes")
+    if not checked:
+        P_train, P_val, Qs = check_disagreement_rows(
+            P_train, P_val, Qs, bases[0].num_classes)
+    (X_p, y_p), (X_val, _) = P_train, P_val
+    X_qs = [X_q for X_q, _ in Qs]
+    pseudos = [pseudo for _, pseudo in Qs]
     if config.kind == "mlp":
-        if any(X_q.shape[0] != X_qs[0].shape[0] for X_q in X_qs):
-            raise ValueError("runs trained in lockstep must share |Q|")
+        if (any(X_q.shape[0] != X_qs[0].shape[0] for X_q in X_qs)
+                or any(lam != lams[0] for lam in lams)):
+            raise ValueError("runs trained in lockstep must share |Q| and "
+                             "lambda")
         from . import mlp
         return mlp.fit_disagreeing_mlp(config, bases, X_p, y_p, X_qs,
-                                       pseudos, lam, rngs, max_steps)
+                                       pseudos, lams[0], rngs, max_steps)
     from . import gbt
-    return [gbt.fit_disagreeing_gbt(config, base, X_p, y_p, X_val, X_q,
-                                    pseudo, lam, rng)
-            for base, X_q, pseudo, rng in zip(bases, X_qs, pseudos, rngs)]
+    return gbt.fit_disagreeing_gbt(config, bases, X_p, y_p, X_val, X_qs,
+                                   pseudos, lams, rngs)
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,17 @@ rows by integer ranks of the feature values, ranked once per boosting
 call, so equal values (-0.0 and 0.0 among them) fall in one run;
 features must therefore be finite.  The sort keys take the narrowest
 unsigned type that holds them, and a run of one row is its own run sum.
-Prediction walks every row, and every tree of a batch, down one level
-per step.  Margins start at the log class priors, so an untrained model
-predicts the training class frequencies.  Disagreement training adds one
-boosting round to the base model's trees on a replica-weighted dataset;
-each warm-started round carries its base's margins on the training,
-target and validation rows and adds only its own trees to them, walking
-the round once over all of those rows.
+A tree is built with the arrays its walk descends.  Prediction walks
+every row, and every tree of a batch, down one level per step.  Margins
+start at the log class priors, so an untrained model predicts the
+training class frequencies.  Disagreement training adds one boosting
+round to the base model's trees on a replica-weighted dataset; each
+warm-started round carries its base's margins on the training, target
+and validation rows and adds only its own trees to them, walking the
+round once over all of those rows.  The rounds of several runs grow
+together: their fit rows are stacked, each run keeping its own ranks,
+draws, margins and walks, and one split search per depth serves every
+run's trees, so each tree has the bytes it would have grown alone.
 """
 
 from __future__ import annotations
@@ -48,10 +52,11 @@ _WALK_CELLS = 1 << 16
 class _Tree:
     """Flat-array binary tree: internal nodes carry (feature, threshold),
     leaves carry an additive margin value (shrinkage already applied).
-    Immutable once built: ``_walk_trees`` keeps its arrays in ``_walk``.
-    A binary round's class-0 tree names class 1's as ``mirror_of``."""
+    Immutable once built, and built with ``walk``, the arrays
+    ``_walk_trees`` descends (see ``_set_walk``).  A binary round's
+    class-0 tree names class 1's as ``mirror_of``."""
 
-    __slots__ = ("feature", "threshold", "left", "right", "value", "_walk",
+    __slots__ = ("feature", "threshold", "left", "right", "value", "walk",
                  "mirror_of")
 
     def __init__(self):
@@ -60,17 +65,35 @@ class _Tree:
         self.left: list[int] = []
         self.right: list[int] = []
         self.value: list[float] = []
-        self._walk = None
+        self.walk = None
         self.mirror_of = None
+
+
+def _set_walk(tree: _Tree, height: int) -> _Tree:
+    """Give ``tree`` its walk arrays (feature, threshold, child, value,
+    height) and return it.  A row at node i moves to child[2 * i + 1]
+    (left) where it goes left, else to child[2 * i] (right); a leaf splits
+    on feature 0 into itself.  ``height`` is the longest root-to-leaf
+    path."""
+    child = []
+    for i, (f, left, right) in enumerate(zip(tree.feature, tree.left,
+                                             tree.right)):
+        child += (i, i) if f < 0 else (right, left)
+    tree.walk = (np.maximum(tree.feature, 0), np.array(tree.threshold),
+                 np.array(child), np.array(tree.value), height)
+    return tree
 
 
 def _mirror(tree: _Tree) -> _Tree:
     """Class 0's tree of a binary round whose class-1 tree is ``tree``:
-    the same splits, every leaf value negated."""
+    the same splits, every leaf value negated.  Margins walk ``tree`` and
+    subtract; the mirror's own walk shares its arrays but the values."""
     mirror = _Tree()
     mirror.feature, mirror.threshold = tree.feature, tree.threshold
     mirror.left, mirror.right = tree.left, tree.right
     mirror.value = [-v for v in tree.value]
+    feature, threshold, child, value, height = tree.walk
+    mirror.walk = (feature, threshold, child, -value, height)
     mirror.mirror_of = tree
     return mirror
 
@@ -89,23 +112,6 @@ def _is_mirror(tree: _Tree, of: _Tree) -> bool:
             and np.asarray(tree.value).tobytes() == (-value).tobytes())
 
 
-def _walk_arrays(tree: _Tree) -> tuple:
-    """(feature, threshold, child, value, height) for the level-wise walk.
-    A row at node i moves to child[2 * i + 1] (left) where it goes left,
-    else to child[2 * i] (right); a leaf splits on feature 0 into itself.
-    Height is the longest root-to-leaf path.  Children follow their parent
-    in every stored tree, so heights fill in from the last node back."""
-    leaf = np.asarray(tree.feature) < 0
-    own = np.arange(leaf.size)
-    child = np.stack([np.where(leaf, own, tree.right),
-                      np.where(leaf, own, tree.left)], axis=1).ravel()
-    height = [0] * leaf.size
-    for i in np.flatnonzero(~leaf)[::-1].tolist():
-        height[i] = 1 + max(height[tree.left[i]], height[tree.right[i]])
-    return (np.where(leaf, 0, tree.feature), np.asarray(tree.threshold),
-            child, np.asarray(tree.value), height[0])
-
-
 def _walk_trees(trees: list, X: np.ndarray) -> np.ndarray:
     """(len(trees), n) leaf values of every tree on every row of X.
 
@@ -114,11 +120,8 @@ def _walk_trees(trees: list, X: np.ndarray) -> np.ndarray:
     leaf is its own child, so walks that reach one early stay there while
     deeper ones finish.
     """
-    for tree in trees:
-        if tree._walk is None:
-            tree._walk = _walk_arrays(tree)
     feature, threshold, child, value, heights = zip(
-        *(tree._walk for tree in trees))
+        *(tree.walk for tree in trees))
     sizes = [f.size for f in feature]
     start = np.cumsum([0] + sizes[:-1])
     feature, threshold, value = (np.concatenate(a)
@@ -145,28 +148,31 @@ def _column_ranks(X: np.ndarray) -> np.ndarray:
     return np.stack([np.unique(col, return_inverse=True)[1] for col in X.T])
 
 
-def _build_trees(X, ranks, grad, hess, rows, feats, cfg) -> list:
-    """One exact greedy tree per column of ``grad``/``hess``, tree c on
-    the features ``feats[c]``, all grown on ``rows`` together.  The
-    columns are a round's classes, or class 1 alone in a binary round.
+def _build_trees(X, ranks, n_rank, grad, hess, row_at, flat, sizes, feats,
+                 cfg) -> list:
+    """One exact greedy tree per entry of ``sizes``: tree t grows on the
+    next ``sizes[t]`` rows of ``flat``, rows of X, reads their gradients
+    and hessians at ``row_at[t]`` + row of ``grad``/``hess`` and searches
+    the features ``feats[t]``.  ``ranks`` are (d, len(X)) integer ranks
+    below ``n_rank`` that order the values of each tree's rows as X does.
+    The trees are a round's classes (class 1 alone in a binary round), of
+    one run or of several runs whose rows X stacks.
 
     Trees grow one depth at a time: ``_best_splits`` searches every node
-    of every class at a depth at once, and a node's rows keep the order
+    of every tree at a depth at once, and a node's rows keep the order
     its parent sorted them in.  Nodes are numbered depth first, each split
     allocating its two children together, as a node-at-a-time recursion
     numbers them.
     """
-    n_classes = grad.shape[1]
-    grown = [[None] for _ in range(n_classes)]  # leaf value or (f, thr, l, r)
-    ids = [0] * n_classes                       # each level node's id,
-    cls = np.arange(n_classes)                  # class,
-    sizes = np.full(n_classes, rows.size)       # and row count
-    flat = np.tile(rows, n_classes)             # the nodes' rows in turn
-    # class c's gradients and hessians at [c * n, (c + 1) * n)
-    n = grad.shape[0]
-    grad, hess = grad.T.ravel(), hess.T.ravel()
+    n_trees = len(sizes)
+    grown = [[None] for _ in range(n_trees)]  # leaf value or (f, thr, l, r)
+    height = [0] * n_trees
+    ids = [0] * n_trees                       # each level node's id,
+    tree_of = np.arange(n_trees)              # tree,
+    sizes = np.asarray(sizes)                 # and row count
+    row_at = np.asarray(row_at)
     for depth in range(cfg.max_depth + 1):
-        at = (cls * n).repeat(sizes) + flat
+        at = row_at[tree_of].repeat(sizes) + flat
         g, h = grad[at], hess[at]
         # fsum is exactly rounded, so weight-k rows and k duplicates yield
         # bit-identical node statistics regardless of summation order
@@ -174,34 +180,37 @@ def _build_trees(X, ranks, grad, hess, rows, feats, cfg) -> list:
         ends = sizes.cumsum().tolist()
         sums = [(math.fsum(g_rows[a:b]), math.fsum(h_rows[a:b]))
                 for a, b in zip([0] + ends, ends)]
-        node_cls, splits = cls.tolist(), {}
+        node_tree, splits = tree_of.tolist(), {}
         if depth < cfg.max_depth:
             scores = np.array([gs * gs / (hs + cfg.reg_lambda)
                                for gs, hs in sums])
             with np.errstate(divide="ignore", invalid="ignore"):
                 split, feature, thr, flat, sizes = _best_splits(
-                    X, ranks, flat, sizes, feats[cls], g, h, scores, cfg)
+                    X, ranks, n_rank, flat, sizes, feats[tree_of], g, h,
+                    scores, cfg)
             splits = dict(zip(split.tolist(),
                               zip(feature.tolist(), thr.tolist())))
-            cls = cls[split].repeat(2)
+            tree_of = tree_of[split].repeat(2)
         next_ids = []
-        for i, (c, node) in enumerate(zip(node_cls, ids)):
-            tree = grown[c]
+        for i, (t, node) in enumerate(zip(node_tree, ids)):
+            tree = grown[t]
             if i not in splits:
                 tree[node] = _leaf_value(*sums[i], cfg.reg_lambda, cfg.eta)
                 continue
             tree[node] = (*splits[i], len(tree), len(tree) + 1)
             next_ids += [len(tree), len(tree) + 1]
             tree += [None, None]
+            height[t] = depth + 1
         ids = next_ids
         if not ids:
             break
-    return [_assemble(tree_nodes) for tree_nodes in grown]
+    return [_assemble(nodes, h) for nodes, h in zip(grown, height)]
 
 
-def _assemble(grown: list) -> _Tree:
-    """The _Tree of breadth-first ``grown`` nodes, renumbered depth first:
-    each split, when visited, numbers its two children next."""
+def _assemble(grown: list, height: int) -> _Tree:
+    """The _Tree of breadth-first ``grown`` nodes, ``height`` levels deep,
+    renumbered depth first: each split, when visited, numbers its two
+    children next."""
     n = len(grown)
     tree = _Tree()
     tree.feature, tree.threshold = [-1] * n, [0.0] * n
@@ -220,11 +229,11 @@ def _assemble(grown: list) -> _Tree:
         tree.right[at] = number[right] = taken + 1
         taken += 2
         stack += (right, left)
-    return tree
+    return _set_walk(tree, height)
 
 
-def _best_splits(X, ranks, flat, sizes, node_feats, g, h, parent_score,
-                 cfg) -> tuple:
+def _best_splits(X, ranks, n_rank, flat, sizes, node_feats, g, h,
+                 parent_score, cfg) -> tuple:
     """The nodes with a cut that gains more than _MIN_GAIN, each at its
     best cut: (split, feature, threshold, next_flat, next_sizes).  The
     split nodes come in order; next_flat holds each one's rows sorted by
@@ -235,10 +244,12 @@ def _best_splits(X, ranks, flat, sizes, node_feats, g, h, parent_score,
     and hessians are ``g`` and ``h``, and searches the features
     ``node_feats[s]``.  One group per (feature slot, node) pair.  Each
     group's rows are sorted by value, ties kept in the node's row order:
-    one stable sort of the integer keys group * n + rank, cast to the
-    narrowest unsigned type that holds them, so keys below 2**16 take
-    numpy's radix sort (a stable order is unique: the cast changes no
-    order).  Gradients and hessians are summed per distinct value, so a
+    one stable sort by (group, rank).  Where the keys group * n_rank +
+    rank fit 16 bits, one sort of the keys, cast to the narrowest
+    unsigned type, takes numpy's radix sort; wider, two stable passes,
+    by rank and then by group, each cast to its own narrowest type, take
+    it (a stable order is unique: neither the casts nor the passes change
+    it).  Gradients and hessians are summed per distinct value, so a
     weight-k row and k duplicate rows give bit-identical statistics (cuts
     sit between distinct values anyway); where every run holds one row,
     the rows are the run sums.  The run sums are prefix-summed in
@@ -250,12 +261,19 @@ def _best_splits(X, ranks, flat, sizes, node_feats, g, h, parent_score,
     n_nodes, n_feat = node_feats.shape
     n, m = ranks.shape[1], flat.size
     groups = n_feat * n_nodes
-    key = (np.repeat(np.arange(groups).reshape(n_feat, n_nodes) * n, sizes,
-                     axis=1)
-           + ranks.ravel()[np.repeat(node_feats.T * n, sizes, axis=1) + flat]
-           ).ravel()
-    order = key.astype(np.min_scalar_type(groups * n - 1)).argsort(
-        kind="stable")
+    group = np.repeat(np.arange(groups).reshape(n_feat, n_nodes), sizes,
+                      axis=1).ravel()
+    rank = ranks.ravel()[np.repeat(node_feats.T * n, sizes, axis=1)
+                         + flat].ravel()
+    key = group * n_rank + rank
+    if groups * n_rank <= 1 << 16:
+        order = key.astype(np.min_scalar_type(groups * n_rank - 1)).argsort(
+            kind="stable")
+    else:
+        order = rank.astype(np.min_scalar_type(n_rank - 1)).argsort(
+            kind="stable")
+        order = order[group[order].astype(np.min_scalar_type(groups - 1))
+                      .argsort(kind="stable")]
     key = key[order]
     # feature slot i's keys sort into [i * m, (i + 1) * m)
     slot_lo = np.arange(0, n_feat * m, m)[:, None]
@@ -338,8 +356,11 @@ class GbtModel(Model):
         self.val_score = val_score
         # (rows, margins) pairs summed while this model was trained; a
         # margins() call on equal rows gets a copy instead of re-running
-        # every tree.  Filled once, when training ends.
-        self._known = ()
+        # every tree.  Set once, when training ends: ``_warm`` holds the
+        # pairs on the training and validation rows, which only a
+        # warm-started next round and its validation check read, and
+        # ``_known`` the others
+        self._known = self._warm = ()
         # (rows, their column ranks) of the disagreement round that made
         # this model: the CDC's next round boosts on equal stacked rows
         # and takes the ranks instead of ranking every column again
@@ -357,6 +378,11 @@ class GbtModel(Model):
     def predict_proba_matrix(self, X: np.ndarray) -> np.ndarray:
         return softmax_rows(self.margins(X))
 
+    def drop_warm_start(self) -> None:
+        # carried margins have the bytes of a walk, so nothing changes but
+        # the time a later margins() call on those rows takes
+        self._warm, self._ranks = (), None
+
     def clone_shallow(self) -> "GbtModel":
         # trees are immutable after fit; sharing them is safe
         return GbtModel(self.base_log_prior.copy(), list(self.rounds),
@@ -364,18 +390,18 @@ class GbtModel(Model):
                         self.training_seed, self.val_score)
 
     def _carried(self, X: np.ndarray):
-        for rows, known in self._known:
+        for rows, known in self._known + self._warm:
             if rows.shape == X.shape and np.array_equal(rows, X):
                 return rows, known
         return None
 
-    def _remember(self, X, margins, base: GbtModel | None = None) -> None:
-        """Carry ``margins``, this model's margins on X.  The rows are kept
-        as a private copy, so a caller that later edits X in place is not
-        served stale margins; a warm-start base's copy is shared."""
+    def _carry(self, X, margins, base: GbtModel | None = None) -> tuple:
+        """The (rows, margins) pair that carries ``margins``, this model's
+        margins on X.  The rows are kept as a private copy, so a caller
+        that later edits X in place is not served stale margins; a
+        warm-start base's copy is shared."""
         shared = base._carried(X) if base is not None else None
-        rows = X.copy() if shared is None else shared[0]
-        self._known += ((rows, margins),)
+        return (X.copy() if shared is None else shared[0]), margins
 
 
 def _add_rounds(margins, X, rounds) -> None:
@@ -402,41 +428,80 @@ def _add_rounds(margins, X, rounds) -> None:
             margins[:, c] += next(values)
 
 
-def _boost_rounds(model: GbtModel, X, ranks, y, w, margins, cfg,
-                  rng: RngStream, n_rounds: int) -> None:
-    """Append n_rounds of trees to ``model`` fit on the first len(y) rows
-    of X, weighted w, starting from and updating ``margins``, the model's
-    margins on every row of X; ``ranks`` are ``_column_ranks`` of the fit
-    rows.  Rows after those (validation rows) only ride along: each round
-    walks its trees over all of X in one batch, and as every row is walked
-    on its own, each row's margins get the bytes of a walk of its own."""
-    n, d = y.size, X.shape[1]
-    n_classes = model.num_classes
-    # the classes whose trees a round grows: class 1 alone when binary
-    grown = slice(1, None) if n_classes == 2 else slice(None)
-    onehot = np.eye(n_classes)[y, grown]
-    n_sub = max(1, int(round(cfg.subsample * n)))
+class _Run:
+    """One model's boosting state: its rows X, the first len(y) of which
+    it is fit on, with labels y, weights w and ``_column_ranks`` ranks;
+    its margins on every row of X, which each round updates; and its
+    stream.  Rows after the fit rows (validation rows) only ride along:
+    each round walks the run's new trees over all of X in one batch, and
+    as every row is walked on its own, each row's margins get the bytes
+    of a walk of its own."""
+
+    __slots__ = ("model", "X", "ranks", "n", "w", "onehot", "margins",
+                 "rng")
+
+    def __init__(self, model: GbtModel, X, ranks, y, w, margins,
+                 rng: RngStream):
+        self.model, self.X, self.ranks, self.n = model, X, ranks, y.size
+        self.w = w[:, None]
+        self.onehot = np.eye(model.num_classes)[y, _grown(model.num_classes)]
+        self.margins, self.rng = margins, rng
+
+
+def _grown(n_classes: int) -> slice:
+    """The classes whose trees a round grows: class 1 alone when binary."""
+    return slice(1, None) if n_classes == 2 else slice(None)
+
+
+def _boost_round(runs: list, cfg) -> None:
+    """Append one round of trees to each run's model, all runs' trees
+    grown in one ``_build_trees`` call; the runs' models share a class
+    count and a feature width.
+
+    Run by run, in turn: the gradients of its margins on its fit rows,
+    then the round's draws from its own stream, in the order every stored
+    model depends on: the round's rows, then each class's columns (a
+    binary round draws class 0's columns too and grows class 1's tree
+    alone, on its own columns).  The runs' fit rows are stacked, each
+    keeping its own ranks, and their gradients laid out as (classes,
+    stacked rows)."""
+    n_classes, d = runs[0].model.num_classes, runs[0].X.shape[1]
+    grown = _grown(n_classes)
+    n_trees = len(range(n_classes)[grown])      # per run
     n_col = max(1, int(round(cfg.colsample * d)))
-    for _ in range(n_rounds):
-        p = softmax_rows(margins[:n])[:, grown]
-        grad = w[:, None] * (p - onehot)
+    grads, hesses, flat, sizes, feats = [], [], [], [], []
+    start = 0
+    for run in runs:
+        n = run.n
+        p = softmax_rows(run.margins[:n])[:, grown]
+        grads.append(run.w * (p - run.onehot))
         # doubled, floored hessian (the xgboost softmax convention):
         # confident models otherwise starve nodes below min_child_weight
         # and force huge unsplittable Newton leaves
-        hess = w[:, None] * np.maximum(2.0 * p * (1.0 - p), 1e-16)
-        # the round's rows, then each class's columns: the draw order
-        # every stored model depends on.  A binary round draws class 0's
-        # columns too and grows class 1's tree alone, on its own columns
-        rows = (rng.sample_without_replacement(n, n_sub)
+        hesses.append(run.w * np.maximum(2.0 * p * (1.0 - p), 1e-16))
+        n_sub = max(1, int(round(cfg.subsample * n)))
+        rows = (run.rng.sample_without_replacement(n, n_sub)
                 if n_sub < n else np.arange(n))
-        feats = np.array([np.sort(rng.sample_without_replacement(d, n_col))
-                          if n_col < d else np.arange(d)
-                          for _ in range(n_classes)])
-        trees = _build_trees(X, ranks, grad, hess, rows, feats[grown], cfg)
+        cols = np.array([np.sort(run.rng.sample_without_replacement(d, n_col))
+                         if n_col < d else np.arange(d)
+                         for _ in range(n_classes)])[grown]
+        flat += [rows + start] * n_trees
+        sizes += [n_sub] * n_trees
+        feats.append(cols)
+        start += n
+    trees = _build_trees(
+        np.concatenate([run.X[:run.n] for run in runs]),
+        np.concatenate([run.ranks for run in runs], axis=1),
+        max(run.n for run in runs),
+        np.concatenate(grads).T.ravel(), np.concatenate(hesses).T.ravel(),
+        np.tile(np.arange(0, n_trees * start, start), len(runs)),
+        np.concatenate(flat), sizes, np.concatenate(feats), cfg)
+    for i, run in enumerate(runs):
+        rnd = trees[i * n_trees:(i + 1) * n_trees]
         if n_classes == 2:
-            trees.insert(0, _mirror(trees[0]))
-        model.rounds.append(trees)
-        _add_rounds(margins, X, model.rounds[-1:])
+            rnd.insert(0, _mirror(rnd[0]))
+        run.model.rounds.append(rnd)
+        _add_rounds(run.margins, run.X, [rnd])
 
 
 def _log_prior(y, n_classes):
@@ -451,45 +516,59 @@ def fit_gbt(config: LearnerConfig, X, y, X_val, y_val, n_classes,
                      (rng.base_seed, rng.stream_id))
     n = X.shape[0]
     X_all = np.vstack([X, X_val])
-    margins = model.margins(X_all)
-    _boost_rounds(model, X_all, _column_ranks(X), y, np.ones(n), margins,
-                  cfg, rng, cfg.num_rounds)
-    model._remember(X, margins[:n])
-    model._remember(X_val, margins[n:])
+    run = _Run(model, X_all, _column_ranks(X), y, np.ones(n),
+               model.margins(X_all), rng)
+    for _ in range(cfg.num_rounds):
+        _boost_round([run], cfg)
+    model._warm = (model._carry(X, run.margins[:n]),
+                   model._carry(X_val, run.margins[n:]))
     model.val_score = evaluate_metric(model, X_val, y_val, config.val_metric)
     return model
 
 
-def fit_disagreeing_gbt(config: LearnerConfig, base: GbtModel, X_p, y_p,
-                        X_val, X_q, pseudo, lam, rng: RngStream) -> GbtModel:
+def fit_disagreeing_gbt(config: LearnerConfig, bases, X_p, y_p, X_val, X_qs,
+                        pseudos, lams, rngs) -> list:
+    """One boosting round of each run r: bases[r]'s trees continued on
+    P, Q replicas X_qs[r] (pseudo-labels pseudos[r], weight lams[r]) and
+    rngs[r]; every run's trees grow in one ``_boost_round``."""
     cfg = config.gbt
-    model = base.clone_shallow()
-    n_p, n_rep = X_p.shape[0], model.num_classes - 1
-    # boosting sees all of P every round while the gradient path's
-    # lambda is per-batch; rescale by |P_train| so one round's Q
-    # exposure matches one epoch of batch-filled updates
-    X_rep, y_rep, w_rep = replicate_for_disagreement(
-        X_q, pseudo, model.num_classes, lam * n_p * cfg.disagree_scale)
-    n = n_p + y_rep.size
-    # rows are independent, so the margins of stacked rows are the
-    # stacked margins: start from the base's margins on P, on Q (one copy
-    # per replica) and on P_val, which a warm-started base carries from
-    # its own training, and add only the new trees to them
-    margins = np.vstack([base.margins(X_p),
-                         np.repeat(base.margins(X_q), n_rep, axis=0),
-                         base.margins(X_val)])
-    X_all = np.vstack([X_p, X_rep, X_val])
-    X_fit = X_all[:n]
-    model._ranks = base._ranks
-    if model._ranks is None or not np.array_equal(model._ranks[0], X_fit):
-        model._ranks = (X_fit, _column_ranks(X_fit))
-    _boost_rounds(model, X_all, model._ranks[1],
-                  np.concatenate([y_p, y_rep]),
-                  np.concatenate([np.ones(n_p), w_rep]), margins, cfg, rng, 1)
-    model._remember(X_p, margins[:n_p], base)
-    model._remember(X_q, margins[n_p:n:n_rep], base)
-    model._remember(X_val, margins[n:], base)
-    return model
+    runs = []
+    n_p = X_p.shape[0]
+    for base, X_q, pseudo, lam, rng in zip(bases, X_qs, pseudos, lams, rngs):
+        model = base.clone_shallow()
+        n_rep = model.num_classes - 1
+        # boosting sees all of P every round while the gradient path's
+        # lambda is per-batch; rescale by |P_train| so one round's Q
+        # exposure matches one epoch of batch-filled updates
+        X_rep, y_rep, w_rep = replicate_for_disagreement(
+            X_q, pseudo, model.num_classes, lam * n_p * cfg.disagree_scale)
+        n = n_p + y_rep.size
+        # rows are independent, so the margins of stacked rows are the
+        # stacked margins: start from the base's margins on P, on Q (one
+        # copy per replica) and on P_val, which a warm-started base
+        # carries from its own training, and add only the new trees
+        margins = np.vstack([base.margins(X_p),
+                             np.repeat(base.margins(X_q), n_rep, axis=0),
+                             base.margins(X_val)])
+        X_all = np.vstack([X_p, X_rep, X_val])
+        X_fit = X_all[:n]
+        model._ranks = base._ranks
+        if model._ranks is None or not np.array_equal(model._ranks[0], X_fit):
+            model._ranks = (X_fit, _column_ranks(X_fit))
+        runs.append(_Run(model, X_all, model._ranks[1],
+                         np.concatenate([y_p, y_rep]),
+                         np.concatenate([np.ones(n_p), w_rep]), margins, rng))
+    _boost_round(runs, cfg)
+    for run, base, X_q in zip(runs, bases, X_qs):
+        model, margins, n = run.model, run.margins, run.n
+        n_rep = model.num_classes - 1
+        # Q's margins copied out, so dropping the warm-start pairs frees
+        # the stacked margins
+        model._known = (model._carry(X_q, margins[n_p:n:n_rep].copy(),
+                                     base),)
+        model._warm = (model._carry(X_p, margins[:n_p], base),
+                       model._carry(X_val, margins[n:], base))
+    return [run.model for run in runs]
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +618,11 @@ def _tree_from_doc(doc, feature_dim: int) -> _Tree:
     tree.left = left.tolist()
     tree.right = right.tolist()
     tree.value = value.tolist()
-    return tree
+    # children follow their parents, so depths fill in front to back
+    depth = [0] * n
+    for i in inner.tolist():
+        depth[tree.left[i]] = depth[tree.right[i]] = depth[i] + 1
+    return _set_walk(tree, max(depth))
 
 
 def gbt_body(model: GbtModel) -> dict:

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import separable_blob, small_gbt_config, small_mlp_config
 from oracles import reference_margins
-from shiftguard import cdc
+from shiftguard import cdc, learners
 from shiftguard.cdc import (
     CdcEnsemble,
     CdcTrainSpec,
@@ -15,7 +15,7 @@ from shiftguard.cdc import (
     pseudo_label,
     train_cdc,
 )
-from shiftguard.learners import Model, fit
+from shiftguard.learners import Model, fit, fit_disagreeing
 from shiftguard.numerics import rng_stream, softmax_rows
 
 
@@ -238,6 +238,43 @@ class TestBuildEnsemble:
                            CdcTrainSpec(), rng_stream(26, 1))
 
 
+class TestRowChecks:
+    """P_train, P_val and the Qs are checked once per ``train_cdc`` call,
+    with the messages a direct ``fit_disagreeing`` call gives."""
+
+    @pytest.mark.parametrize("kind", ["mlp", "gbt"])
+    def test_nan_p_train_row_refused(self, blob_models, kind):
+        config, f, (Xt, yt), p_val = blob_models[kind]
+        Xt = Xt.copy()
+        Xt[3, 1] = np.nan
+        Xq = p_val[0][:10]
+        with pytest.raises(ValueError, match="P_train features hold NaN"):
+            build_ensemble(config, (Xt, yt), p_val, Xq, f, CdcTrainSpec(),
+                           rng_stream(27, 0))
+        with pytest.raises(ValueError, match="P_train features hold NaN"):
+            fit_disagreeing(config, [f], (Xt, yt), p_val,
+                            [(Xq, pseudo_label(f, Xq))], [0.1],
+                            [rng_stream(27, 1)])
+
+    def test_rows_checked_once_per_train_cdc(self, blob_models,
+                                             monkeypatch):
+        config, f, p_train, p_val = blob_models["gbt"]
+        checked, epochs = [], []
+        check, fit_epoch = learners._finite_features, cdc.fit_disagreeing
+        monkeypatch.setattr(learners, "_finite_features",
+                            lambda X, name: checked.append(name)
+                            or check(X, name))
+        monkeypatch.setattr(cdc, "fit_disagreeing",
+                            lambda *a, **k: epochs.append(k["checked"])
+                            or fit_epoch(*a, **k))
+        Xq = rng_stream(27, 2).normal((12, 2)) + 3.0
+        ens = build_ensemble(config, p_train, p_val, Xq, f,
+                             CdcTrainSpec(max_opt_steps=3), rng_stream(27, 3))
+        assert checked.count("P_train") == len(ens.members)
+        assert checked.count("Q") == len(ens.members)
+        assert len(epochs) > len(ens.members) and all(epochs)
+
+
 def mixed_targets(seed, sizes=(10, 10, 12, 10, 10, 12, 10, 10, 10, 12, 10)):
     """Eleven target sets: in-distribution blob rows, and rows shifted
     far along feature 1 by a growing amount, of two sizes."""
@@ -335,9 +372,36 @@ class TestLockstepEnsembles:
 
     def test_gbt(self, blob_models):
         config, f, p_train, p_val = blob_models["gbt"]
-        self.assert_as_one_run_calls(config, f, p_train, p_val,
-                                     mixed_targets(34),
-                                     CdcTrainSpec(max_opt_steps=3))
+        ens = self.assert_as_one_run_calls(config, f, p_train, p_val,
+                                           mixed_targets(34),
+                                           CdcTrainSpec(max_opt_steps=3))
+        # GBT runs train together whatever their survivor counts
+        assert len({e.per_round_phi[0] for e in ens}) > 1
+
+    def test_gbt_three_class_colsample(self):
+        """Two replicas per target row, and a column subset drawn per
+        class per round from each run's own stream."""
+        config = small_gbt_config(num_rounds=4, max_depth=4, colsample=0.5)
+        f, p_train, p_val = three_class_models(config)
+        ens = self.assert_as_one_run_calls(
+            config, f, p_train, p_val, [t + 1.0 for t in mixed_targets(35)],
+            CdcTrainSpec(max_opt_steps=3))
+        assert len({e.per_round_phi[0] for e in ens}) > 1
+
+    def test_gbt_guard_trips(self):
+        """No step cap: some runs' validation guards trip, at the first
+        round too (the member is the base model), while the others go
+        on."""
+        config = small_gbt_config(num_rounds=4, max_depth=4)
+        f, p_train, p_val = three_class_models(config)
+        spec = CdcTrainSpec(max_epochs_per_cdc=6, val_tolerance=0.02)
+        ens = self.assert_as_one_run_calls(
+            config, f, p_train, p_val, [t + 1.0 for t in mixed_targets(35)],
+            spec)
+        rounds = [len(g.rounds) - len(f.rounds)
+                  for e in ens for g in e.members]
+        assert 0 in rounds and spec.max_epochs_per_cdc in rounds
+        assert any(0 < r < spec.max_epochs_per_cdc for r in rounds)
 
 
 class TestCdcEntropy:

@@ -54,6 +54,30 @@ def task_env():
             "tester": CalibratedTest(calib, data, LEARNER, f, SPEC)}
 
 
+def record_workers(monkeypatch) -> list:
+    """Replace the process pool by an executor that records its worker
+    count in the returned list and maps in this process."""
+    import concurrent.futures
+    started = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingExecutor)
+    return started
+
+
 class TestCalibrate:
     def test_thresholds_follow_quantile_convention(self, task_env):
         calib = task_env["calib"]
@@ -97,31 +121,28 @@ class TestCalibrate:
     def test_workers_capped_at_group_count(self, task_env, monkeypatch,
                                            jobs, workers):
         """K = 40 MLP runs make 5 groups of 8: no more workers start than
-        there are groups.  The executor is replaced by one that records
-        its worker count and maps in this process."""
-        import concurrent.futures
-        started = []
-
-        class RecordingExecutor:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            RecordingExecutor)
+        there are groups."""
+        started = record_workers(monkeypatch)
         data, f = task_env["data"], task_env["f"]
         par = calibrate(data, LEARNER, f, N, K, SPEC, 0.05, rng_stream(51, 0),
                         jobs=jobs)
         assert started == [workers]
         assert par == task_env["calib"]
+
+    def test_gbt_workers_capped_at_group_count(self, task_env, monkeypatch):
+        """K = 20 GBT runs make 5 groups of 4, so jobs=8 starts 5 workers;
+        the groups' runs train together and keep their bytes."""
+        data = task_env["data"]
+        learner = small_gbt_config(num_rounds=3, max_depth=3)
+        f = fit(learner, *data.train_pair(), *data.val_pair(),
+                rng_stream(52, 0))
+        sequential = calibrate(data, learner, f, N, 20, SPEC, 0.05,
+                               rng_stream(52, 1))
+        started = record_workers(monkeypatch)
+        par = calibrate(data, learner, f, N, 20, SPEC, 0.05,
+                        rng_stream(52, 1), jobs=8)
+        assert started == [5]
+        assert par == sequential
 
     def test_insufficient_holdout_errors(self, task_env):
         data, f = task_env["data"], task_env["f"]

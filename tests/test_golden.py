@@ -41,6 +41,13 @@ GBT_DEEP_SPEC = CdcTrainSpec(max_opt_steps=5)
 GBT_DEEP_CALIBRATION_SHA256 = (
     "54dace99395252f10575287fc11309bda3b318c3e64cf3cff050f253bba6f11d")
 
+# the deep golden's data and base model at K = 21: GBT runs are built in
+# groups of 4, the last of them a single run, whose members train
+# together whatever their survivor counts; the digest was computed with
+# every run built alone
+GBT_DEEP_K21_CALIBRATION_SHA256 = (
+    "cad0f8081c80fea89ac300d6b793e34c3209f5739e98e43dea273c2e6b40423e")
+
 # colsample 0.6 on 5 features keeps 3: every tree of every class draws
 # its own column subset, which no golden above does
 GBT_COLS = small_gbt_config(num_rounds=3, max_depth=3, colsample=0.6)
@@ -158,6 +165,14 @@ def test_deep_binary_gbt_parallel_jobs_match_sequential(deep_binary_env):
     par = calibrate(env["data"], GBT_DEEP, env["f"], GBT_N, GBT_K,
                     GBT_DEEP_SPEC, 0.05, env["rng"].split(3), jobs=2)
     assert calibration_sha256(par) == GBT_DEEP_CALIBRATION_SHA256
+
+
+def test_deep_binary_gbt_k21_calibration_digest(deep_binary_env):
+    env = deep_binary_env
+    calib = calibrate(env["data"], GBT_DEEP, env["f"], GBT_N, 21,
+                      GBT_DEEP_SPEC, 0.05, env["rng"].split(4))
+    assert len(set(calib.phi_p)) > 1     # survivor counts differ
+    assert calibration_sha256(calib) == GBT_DEEP_K21_CALIBRATION_SHA256
 
 
 def test_colsample_gbt_calibration_digest():

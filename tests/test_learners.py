@@ -33,6 +33,7 @@ from shiftguard.learners.gbt import (
     GbtModel,
     _build_trees,
     _column_ranks,
+    _set_walk,
     _Tree,
     _walk_trees,
     gbt_from_doc,
@@ -253,16 +254,23 @@ class TestMlpInternals:
         assert not np.shares_memory(before._opt_state.m, model._opt_state.m)
 
 
+def boost(model, X, y, w, cfg, rng, n_rounds):
+    """Run ``n_rounds`` of ``_boost_round`` on ``model`` alone, fit on all
+    of X from the model's margins on it."""
+    run = gbt._Run(model, X, _column_ranks(X), y, w, model.margins(X), rng)
+    for _ in range(n_rounds):
+        gbt._boost_round([run], cfg)
+
+
 class TestWeightedFitting:
-    """Replica weights reach the trees through ``_boost_rounds``, the
-    boosting loop both ``fit`` and disagreement training run."""
+    """Replica weights reach the trees through ``_boost_round``, the
+    boosting round both ``fit`` and disagreement training run."""
 
     @staticmethod
     def boost(X, y, w, config, seed, prior=(0.0, 0.0)):
         model = GbtModel(np.array(prior), [], 2, X.shape[1], (seed, 0))
-        gbt._boost_rounds(model, X, _column_ranks(X), y, w, model.margins(X),
-                          config.gbt, rng_stream(seed, 0),
-                          config.gbt.num_rounds)
+        boost(model, X, y, w, config.gbt, rng_stream(seed, 0),
+              config.gbt.num_rounds)
         return model
 
     def test_gbt_weight_k_equals_k_duplicates(self):
@@ -317,10 +325,37 @@ def random_tree_case(seed):
 TREE_FIELDS = ("feature", "threshold", "left", "right", "value")
 
 
+def build_runs(cases, cfg) -> list:
+    """The trees of several runs' rounds grown in one ``_build_trees``
+    call: each case is one run's (X, grad, hess, rows, feats), its rows
+    stacked after the earlier runs', ranked on its own, and the gradients
+    laid out as (classes, stacked rows)."""
+    offsets = np.cumsum([0] + [case[0].shape[0] for case in cases])
+    total, n_classes = offsets[-1], cases[0][1].shape[1]
+    flat = [np.tile(rows + start, n_classes)
+            for (_, _, _, rows, _), start in zip(cases, offsets)]
+    return _build_trees(
+        np.concatenate([case[0] for case in cases]),
+        np.concatenate([_column_ranks(case[0]) for case in cases], axis=1),
+        max(case[0].shape[0] for case in cases),
+        np.concatenate([case[1] for case in cases]).T.ravel(),
+        np.concatenate([case[2] for case in cases]).T.ravel(),
+        np.tile(np.arange(0, n_classes * total, total), len(cases)),
+        np.concatenate(flat),
+        [case[3].size for case in cases for _ in range(n_classes)],
+        np.concatenate([case[4] for case in cases]), cfg)
+
+
+def build_round(X, grad, hess, rows, feats, cfg) -> list:
+    """The trees of one run's round: tree c on ``rows``, from column c of
+    the (n, classes) ``grad`` and ``hess``, on the features ``feats[c]``."""
+    return build_runs([(X, grad, hess, rows, feats)], cfg)
+
+
 def build_tree(X, g, h, rows, features, cfg) -> _Tree:
     """The lockstep builder growing a single class's tree."""
-    return _build_trees(X, _column_ranks(X), g[:, None], h[:, None], rows,
-                        features[None], cfg)[0]
+    return build_round(X, g[:, None], h[:, None], rows, features[None],
+                       cfg)[0]
 
 
 def assert_same_tree(tree, ref, *context):
@@ -351,7 +386,7 @@ def lockstep_case(seed, n_classes, X=None):
 
 def assert_lockstep_matches_reference(X, grad, hess, rows, feats, cfg,
                                       *context):
-    trees = _build_trees(X, _column_ranks(X), grad, hess, rows, feats, cfg)
+    trees = build_round(X, grad, hess, rows, feats, cfg)
     assert len(trees) == grad.shape[1]
     for c, tree in enumerate(trees):
         ref = reference_build_tree(X, grad[:, c], hess[:, c], rows,
@@ -438,13 +473,67 @@ class TestSplitSearchKeys:
         key_ends = []
         search = gbt._best_splits
 
-        def recorded(X, ranks, flat, sizes, node_feats, *rest):
-            key_ends.append(node_feats.size * ranks.shape[1])
-            return search(X, ranks, flat, sizes, node_feats, *rest)
+        def recorded(X, ranks, n_rank, flat, sizes, node_feats, *rest):
+            key_ends.append(node_feats.size * n_rank)
+            return search(X, ranks, n_rank, flat, sizes, node_feats, *rest)
 
         monkeypatch.setattr(gbt, "_best_splits", recorded)
         case = (X, g, h, rows, np.arange(d), cfg)
         assert_same_tree(build_tree(*case), reference_build_tree(*case))
+        assert min(key_ends) <= 2 ** 16 < max(key_ends)
+
+
+class TestMultiRunTrees:
+    """Runs of unequal row counts, each with its own ranks, rows, gradient
+    columns and feature subsets, grow their trees in one call; each tree
+    must have the bytes of one call per run."""
+
+    @staticmethod
+    def run_case(seed, n, d, n_classes, n_col):
+        rng = rng_stream(seed, 44)
+        X = rng.normal((n, d))
+        X[:, 0] = np.round(2.0 * X[:, 0])       # heavily tied values
+        grad = rng.normal((n, n_classes))
+        hess = 0.5 * rng.uniform((n, n_classes)) + 1e-3
+        rows = rng.sample_without_replacement(n, n // 2 + rng.integers(n // 2))
+        feats = np.array([np.sort(rng.sample_without_replacement(d, n_col))
+                          for _ in range(n_classes)])
+        return X, grad, hess, rows, feats
+
+    def assert_runs_match_one_call_each(self, cases, cfg):
+        trees = build_runs(cases, cfg)
+        n_classes = cases[0][1].shape[1]
+        assert len(trees) == len(cases) * n_classes
+        for r, case in enumerate(cases):
+            alone = build_round(*case, cfg)
+            for c, tree in enumerate(alone):
+                assert_same_tree(trees[r * n_classes + c], tree, r, c)
+                assert trees[r * n_classes + c].walk[4] == tree.walk[4]
+
+    @pytest.mark.parametrize("n_classes", [1, 3])
+    def test_runs_match_one_call_each(self, n_classes):
+        for seed in range(10):
+            rng = rng_stream(seed, 45)
+            cfg = GbtConfig(max_depth=1 + rng.integers(6),
+                            min_child_weight=(0.0, 1.0)[rng.integers(2)])
+            cases = [self.run_case(100 * seed + r, 20 + rng.integers(150), 3,
+                                   n_classes, 2)
+                     for r in range(1 + rng.integers(5))]
+            self.assert_runs_match_one_call_each(cases, cfg)
+
+    def test_wide_keys(self, monkeypatch):
+        # four runs of 1,500 to 1,800 rows at depth 6: the keys group *
+        # n_rank + rank pass 2**16 once a depth holds a dozen nodes
+        key_ends, search = [], gbt._best_splits
+
+        def recorded(X, ranks, n_rank, flat, sizes, node_feats, *rest):
+            key_ends.append(node_feats.size * n_rank)
+            return search(X, ranks, n_rank, flat, sizes, node_feats, *rest)
+
+        monkeypatch.setattr(gbt, "_best_splits", recorded)
+        cases = [self.run_case(7 + r, 1500 + 100 * r, 3, 1, 3)
+                 for r in range(4)]
+        self.assert_runs_match_one_call_each(cases, GbtConfig(max_depth=6))
         assert min(key_ends) <= 2 ** 16 < max(key_ends)
 
 
@@ -467,6 +556,7 @@ class TestTreePredict:
     def test_single_leaf_tree(self):
         tree = _Tree()
         tree.value[add_node(tree)] = -0.25
+        _set_walk(tree, 0)
         X = rng_stream(7, 43).normal((9, 2))
         self.assert_walks_agree(tree, X)
         assert _walk_trees([tree], np.empty((0, 2))).shape == (1, 0)
@@ -479,6 +569,14 @@ class TestTreePredict:
         probe = rng_stream(8, 43).normal((80, 2)) * 5.0
         for tree in (t for rnd in loaded.rounds for t in rnd):
             self.assert_walks_agree(tree, probe)
+        # a loaded tree's walk arrays, mirrors' included, are those it
+        # was built with
+        for built, tree in zip(
+                (t for rnd in model.rounds for t in rnd),
+                (t for rnd in loaded.rounds for t in rnd)):
+            assert built.walk[4] == tree.walk[4]
+            for a, b in zip(built.walk[:4], tree.walk[:4]):
+                assert a.tobytes() == b.tobytes()
 
     def test_trees_walked_together(self, monkeypatch):
         # trees of unequal heights, a single leaf among them, walked in
@@ -490,6 +588,7 @@ class TestTreePredict:
                     rng.split(1))
         leaf = _Tree()
         leaf.value[add_node(leaf)] = 0.5
+        _set_walk(leaf, 0)
         trees = [t for rnd in model.rounds for t in rnd] + [leaf]
         assert len({len(t.feature) for t in trees}) > 2
         probe = rng_stream(9, 43).normal((30, 2)) * 5.0
@@ -533,7 +632,7 @@ class TestFitDisagreeing:
         with pytest.raises(ValueError, match="Q must be nonempty"):
             fit_disagreeing(config, [base], (Xt, yt), (Xv, yv),
                             [(np.empty((0, 2)), np.empty(0, np.int64))],
-                            lam=0.1, rngs=[rng_stream(13, 2)])
+                            lams=[0.1], rngs=[rng_stream(13, 2)])
 
     @pytest.mark.parametrize("config", ALL_CONFIGS, ids=["mlp", "gbt"])
     def test_empty_p_train_refused(self, config, blob):
@@ -544,7 +643,7 @@ class TestFitDisagreeing:
             fit_disagreeing(config, [base],
                             (np.empty((0, 2)), np.empty(0, np.int64)),
                             (Xv, yv), [(Xv[:4], base.predict_labels(Xv[:4]))],
-                            lam=0.1, rngs=[rng_stream(13, 2)])
+                            lams=[0.1], rngs=[rng_stream(13, 2)])
 
     @pytest.mark.parametrize("config", ALL_CONFIGS, ids=["mlp", "gbt"])
     def test_zero_max_steps_refused(self, config, blob):
@@ -554,7 +653,7 @@ class TestFitDisagreeing:
         with pytest.raises(ValueError, match="max_steps must be >= 1"):
             fit_disagreeing(config, [base], (Xt, yt), (Xv, yv),
                             [(Xv[:4], base.predict_labels(Xv[:4]))],
-                            lam=0.1, rngs=[rng_stream(13, 2)], max_steps=0)
+                            lams=[0.1], rngs=[rng_stream(13, 2)], max_steps=0)
 
     @pytest.mark.parametrize("config", ALL_CONFIGS, ids=["mlp", "gbt"])
     def test_far_shifted_q_learns_disagreement(self, config, blob):
@@ -572,7 +671,7 @@ class TestFitDisagreeing:
         cdc = base
         for _ in range(10):
             cdc = fit_disagreeing(config, [cdc], (Xt, yt), (Xv, yv),
-                                  [(Xq, pseudo)], lam=lam, rngs=[rng])[0]
+                                  [(Xq, pseudo)], lams=[lam], rngs=[rng])[0]
         disagreement = np.mean(cdc.predict_labels(Xq) != pseudo)
         val_acc = np.mean(cdc.predict_labels(Xv) == yv)
         assert disagreement >= 0.9
@@ -592,16 +691,14 @@ class TestFitDisagreeing:
         cdc = base
         for _ in range(4):
             cdc = fit_disagreeing(config, [cdc], (Xt, yt), (Xv, yv),
-                                  [(Xq, pseudo)], lam=lam, rngs=[rng])[0]
+                                  [(Xq, pseudo)], lams=[lam], rngs=[rng])[0]
 
-        from shiftguard.learners.gbt import _boost_rounds
         manual = base.clone_shallow()
         w_q = lam * len(yt) * config.gbt.disagree_scale
         X_all = np.vstack([Xt, Xq])
         y_all = np.concatenate([yt, 1 - pseudo])
         w_all = np.concatenate([np.ones(len(yt)), np.full(8, w_q)])
-        _boost_rounds(manual, X_all, _column_ranks(X_all), y_all, w_all,
-                      manual.margins(X_all), config.gbt, rng_stream(2, 2), 4)
+        boost(manual, X_all, y_all, w_all, config.gbt, rng_stream(2, 2), 4)
         probe = rng_stream(2, 3).normal((40, 2)) * 3
         np.testing.assert_array_equal(cdc.predict_proba_matrix(probe),
                                       manual.predict_proba_matrix(probe))
@@ -624,13 +721,13 @@ class TestFitDisagreeing:
         cdc = base
         for _ in range(3):
             cdc = fit_disagreeing(config, [cdc], (Xt, yt), (Xv, yv),
-                                  [(Xq, base.predict_labels(Xq))], lam=0.1,
+                                  [(Xq, base.predict_labels(Xq))], lams=[0.1],
                                   rngs=[rng_stream(4, 1)])[0]
         assert len(ranked) == 1
         assert np.array_equal(cdc._ranks[0], np.vstack([Xt, Xq]))
         assert np.array_equal(cdc._ranks[1], _column_ranks(cdc._ranks[0]))
         fit_disagreeing(config, [cdc], (Xt, yt), (Xv, yv),
-                        [(Xq[:3], base.predict_labels(Xq[:3]))], lam=0.1,
+                        [(Xq[:3], base.predict_labels(Xq[:3]))], lams=[0.1],
                         rngs=[rng_stream(4, 1)])
         assert len(ranked) == 2
 
@@ -649,14 +746,14 @@ class TestFitDisagreeing:
         Xq = Xv[:6] + 1.0
         q = (Xq, base.predict_labels(Xq))
         rng = rng_stream(14, 1)
-        cdc = fit_disagreeing(config, [base], (Xt, yt), (Xv, yv), [q], lam=0.1,
-                              rngs=[rng])[0]
+        cdc = fit_disagreeing(config, [base], (Xt, yt), (Xv, yv), [q],
+                              lams=[0.1], rngs=[rng])[0]
         calls, walk = [], gbt._walk_trees
         monkeypatch.setattr(gbt, "_walk_trees",
                             lambda trees, X: calls.append(trees)
                             or walk(trees, X))
-        cdc = fit_disagreeing(config, [cdc], (Xt, yt), (Xv, yv), [q], lam=0.1,
-                              rngs=[rng])[0]
+        cdc = fit_disagreeing(config, [cdc], (Xt, yt), (Xv, yv), [q],
+                              lams=[0.1], rngs=[rng])[0]
         grown = cdc.rounds[-1][1:] if n_classes == 2 else cdc.rounds[-1]
         assert calls == [grown]
         monkeypatch.undo()
@@ -665,27 +762,37 @@ class TestFitDisagreeing:
                     == reference_margins(cdc, rows).tobytes())
 
     def test_lockstep_runs_refused_unless_aligned(self, blob):
-        """MLP runs step together only with one Q and one stream per base,
-        Qs of one row count and bases at one Adam step count."""
+        """MLP runs step together only with one Q, one lambda and one
+        stream per base, bases of one class count, Qs of one row count,
+        one lambda and bases at one Adam step count."""
         X, y = blob
         Xt, yt, Xv, yv = split_blob(X, y)
         config = small_mlp_config()
         base = fit(config, Xt, yt, Xv, yv, rng_stream(13, 0))
+        three = fit(config, Xt, np.arange(yt.size) % 3, Xv,
+                    np.arange(yv.size) % 3, rng_stream(13, 1))
 
         def q(n):
             return Xv[:n], base.predict_labels(Xv[:n])
 
-        def call(bases, qs, n_rngs):
+        def call(bases, qs, n_rngs, lams=None):
             return fit_disagreeing(config, bases, (Xt, yt), (Xv, yv), qs,
-                                   lam=0.1, rngs=[rng_stream(13, i)
-                                                  for i in range(n_rngs)])
+                                   lams=lams or [0.1] * len(bases),
+                                   rngs=[rng_stream(13, i)
+                                         for i in range(n_rngs)])
 
         with pytest.raises(ValueError, match="one Q and one stream"):
             call([base], [q(4), q(4)], 1)
         with pytest.raises(ValueError, match="one Q and one stream"):
             call([base, base], [q(4), q(4)], 1)
+        with pytest.raises(ValueError, match="one Q and one stream"):
+            call([base, base], [q(4), q(4)], 2, lams=[0.1])
+        with pytest.raises(ValueError, match="must share num_classes"):
+            call([base, three], [q(4), q(4)], 2)
         with pytest.raises(ValueError, match=r"must share \|Q\|"):
             call([base, base], [q(4), q(5)], 2)
+        with pytest.raises(ValueError, match="must share .* lambda"):
+            call([base, base], [q(4), q(4)], 2, lams=[0.1, 0.2])
         (trained,) = call([base], [q(4)], 1)
         with pytest.raises(ValueError, match="share their Adam step count"):
             call([base, trained], [q(4), q(4)], 2)
@@ -697,7 +804,7 @@ class TestFitDisagreeing:
         with pytest.raises(ValueError):
             fit_disagreeing(config, [base], (X, y), (X, y),
                             [(X[:4], base.predict_labels(X[:4]))],
-                            lam=0.0, rngs=[rng_stream(3, 1)])
+                            lams=[0.0], rngs=[rng_stream(3, 1)])
 
     @pytest.mark.parametrize("config", ALL_CONFIGS, ids=["mlp", "gbt"])
     @pytest.mark.parametrize("where", ["P_train", "P_val", "Q"])
@@ -711,7 +818,7 @@ class TestFitDisagreeing:
             fit_disagreeing(config, [base], (parts["P_train"], yt),
                             (parts["P_val"], yv),
                             [(parts["Q"], base.predict_labels(Xv[:4]))],
-                            lam=0.1, rngs=[rng_stream(3, 1)])
+                            lams=[0.1], rngs=[rng_stream(3, 1)])
 
     @pytest.mark.parametrize("config", ALL_CONFIGS, ids=["mlp", "gbt"])
     @pytest.mark.parametrize("where,label", [
@@ -727,7 +834,7 @@ class TestFitDisagreeing:
                            match=rf"{where} labels outside \[0, 2\)"):
             fit_disagreeing(config, [base], (Xt, labels["P_train"]), (Xv, yv),
                             [(Xv[:4], labels["Q pseudo"])],
-                            lam=0.1, rngs=[rng_stream(3, 1)])
+                            lams=[0.1], rngs=[rng_stream(3, 1)])
 
 def assert_mirrored(model):
     """Every round of a binary model holds class 1's tree and, for class
@@ -769,7 +876,7 @@ class TestBinaryMirror:
         cdc, rng = base, rng_stream(15, 1)
         for _ in range(3):
             cdc = fit_disagreeing(config, [cdc], (Xt, yt), (Xv, yv),
-                                  [(Xq, base.predict_labels(Xq))], lam=0.1,
+                                  [(Xq, base.predict_labels(Xq))], lams=[0.1],
                                   rngs=[rng])[0]
         assert len(cdc.rounds) == config.gbt.num_rounds + 3
         assert_mirrored(cdc)
@@ -791,8 +898,7 @@ class TestBinaryMirror:
                                colsample=colsample).gbt
         model = GbtModel(np.zeros(2), [], 2, d, (16, 1))
         stream = rng_stream(16, 1)
-        gbt._boost_rounds(model, X, _column_ranks(X), y, np.ones(n),
-                          model.margins(X), cfg, stream, 6)
+        boost(model, X, y, np.ones(n), cfg, stream, 6)
         ref = rng_stream(16, 1)
         n_sub, n_col = round(subsample * n), round(colsample * d)
         outside_class_0 = 0
@@ -844,8 +950,8 @@ class TestBinaryMirror:
         for _ in range(4):
             p = model.predict_proba_matrix(X)
             hess = np.maximum(2.0 * p * (1.0 - p), 1e-16)
-            model.rounds.append(_build_trees(
-                X, _column_ranks(X), p - onehot, hess,
+            model.rounds.append(build_round(
+                X, p - onehot, hess,
                 rng.sample_without_replacement(n, n - 20),
                 np.array([np.arange(d)] * 2), cfg))
         assert not any(gbt._is_mirror(*rnd) for rnd in model.rounds)
