@@ -16,8 +16,6 @@ from .detectron import (
     TestVerdict,
     calibrate,
     evaluate_power,
-    test_disagreement,
-    test_entropy,
 )
 from .learners import GbtConfig, LearnerConfig, MlpConfig, fit, predict_proba
 from .numerics import RngStream, rng_stream
@@ -28,8 +26,7 @@ __all__ = [
     "CdcEnsemble", "CdcTrainSpec", "build_ensemble", "cdc_entropy",
     "Dataset", "ShiftTaskSpec", "load_csv", "partition", "synth_generate",
     "BenchmarkTask", "CalibrationRecord", "PartitionedData", "TestVerdict",
-    "CalibratedTest", "calibrate", "evaluate_power", "test_disagreement",
-    "test_entropy",
+    "CalibratedTest", "calibrate", "evaluate_power",
     "GbtConfig", "LearnerConfig", "MlpConfig", "fit", "predict_proba",
     "RngStream", "rng_stream", "__version__",
 ]

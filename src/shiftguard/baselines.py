@@ -2,15 +2,14 @@
 
 Deep-ensemble disagreement and entropy tests, per-dimension softmax KS
 with Bonferroni combination, and the classifier two-sample test.  Every
-baseline emits the same verdict type as the primary detector and gets its
-significance threshold from K null draws through the identical code path
-used at test time, so power numbers are comparable by construction.
+baseline emits the same verdict type as the primary detector, through the
+same ``stats.NullReference`` rule over K null draws computed by the code
+path used at test time, so power numbers are comparable by construction.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -19,34 +18,26 @@ from .cdc import CdcEnsemble, cdc_entropy
 from .detectron import PartitionedData, TestVerdict
 from .learners import LearnerConfig, Model, fit
 from .numerics import RngStream
-from .stats import binomial_pvalue, empirical_quantile, ks_two_sample
+from .stats import NullReference, binomial_pvalue, ks_two_sample
 
 __all__ = [
-    "EnsembleSpec",
     "train_ensemble",
     "make_baseline_detector",
 ]
 
 DEFAULT_REF_SIZE = 1000  # reference pool cap for iid-assuming baselines
-
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """Deep-ensemble configuration: members vary only by seed, 0..size-1."""
-    size: int = 10
-
-    def __post_init__(self):
-        if self.size < 2:
-            raise ValueError("ensemble size must be >= 2")
+ENSEMBLE_SIZE = 10  # deep-ensemble members of the ensemble baselines
 
 
 def train_ensemble(config: LearnerConfig, data: PartitionedData,
-                   spec: EnsembleSpec, rng: RngStream) -> list[Model]:
-    """Fit `size` models differing only in their random stream."""
+                   size: int, rng: RngStream) -> list[Model]:
+    """Fit `size` (>= 2) models differing only in their random stream."""
+    if size < 2:
+        raise ValueError(f"ensemble size must be >= 2, got {size}")
     X, y = data.train_pair()
     Xv, yv = data.val_pair()
     return [fit(config, X, y, Xv, yv, rng.split(seed))
-            for seed in range(spec.size)]
+            for seed in range(size)]
 
 
 # ---------------------------------------------------------------------------
@@ -132,20 +123,6 @@ def ctst_stat(config: LearnerConfig, source_X, Q_X,
 # permutation-calibrated harness
 # ---------------------------------------------------------------------------
 
-def _verdict(detector_id, p_value, tau, n, rng, flags,
-             elapsed_ms) -> TestVerdict:
-    return TestVerdict(
-        test=detector_id,
-        statistic=float(p_value),
-        threshold=tau,
-        shift_detected=bool(p_value < tau),
-        sample_size=n,
-        seeds={"base_seed": rng.base_seed, "stream_id": rng.stream_id},
-        wall_time_ms=elapsed_ms,
-        flags=tuple(flags),
-    )
-
-
 def make_baseline_detector(detector_id: str, config: LearnerConfig,
                            data: PartitionedData, f: Model, N: int,
                            K: int, alpha: float, rng: RngStream):
@@ -168,7 +145,7 @@ def make_baseline_detector(detector_id: str, config: LearnerConfig,
             f"null pool has {null_pool.shape[0]} rows, need {N}")
 
     if detector_id in ("ensemble_disagreement", "ensemble_entropy"):
-        models = train_ensemble(config, data, EnsembleSpec(), rng.split(1))
+        models = train_ensemble(config, data, ENSEMBLE_SIZE, rng.split(1))
         if detector_id == "ensemble_disagreement":
             stat_fn = lambda Q_X, r: ensemble_disagreement_stat(
                 models, ref_X, Q_X)
@@ -186,7 +163,7 @@ def make_baseline_detector(detector_id: str, config: LearnerConfig,
         run_rng = rng.split(100 + i)
         idx = run_rng.sample_without_replacement(null_pool.shape[0], N)
         null_ps.append(stat_fn(null_pool[idx], run_rng)[0])
-    tau = empirical_quantile(null_ps, alpha)
+    null = NullReference(null_ps, alpha, upper=False)
 
     def verdict_fn(Q_X, verdict_rng: RngStream) -> TestVerdict:
         Q_X = np.asarray(Q_X, dtype=np.float64)
@@ -195,7 +172,7 @@ def make_baseline_detector(detector_id: str, config: LearnerConfig,
         start = time.perf_counter()
         p_value, flags = stat_fn(Q_X, verdict_rng)
         elapsed = (time.perf_counter() - start) * 1000.0
-        return _verdict(detector_id, p_value, tau, N, verdict_rng,
-                        flags, elapsed)
+        return TestVerdict.against(null, detector_id, p_value, verdict_rng,
+                                   elapsed, N, flags=flags)
 
     return verdict_fn

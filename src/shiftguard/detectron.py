@@ -6,11 +6,11 @@ entropies.  A candidate sample is then attacked with the exact same
 configuration: the disagreement test flags shift when its rate exceeds
 the (1 - alpha) calibration quantile, the entropy test when the KS
 p-value of its entropies against pooled calibration entropies falls
-below the alpha quantile of leave-one-out calibration p-values.
-Calibration records persist as versioned JSON.  A ``CalibratedTest``
-pairs one with its test context once, refusing a mismatched
-configuration, and then tests any number of candidate samples;
-``test_both`` and the single-test aliases build one per call.
+below the alpha quantile of leave-one-out calibration p-values, each
+through a ``stats.NullReference``.  Calibration records persist as
+versioned JSON.  A ``CalibratedTest`` pairs one with its test context
+once, refusing a mismatched configuration, and then tests any number of
+candidate samples; ``test_both`` builds one per call.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .learners import (
 from .losses import lambda_weight
 from .numerics import RngStream
 from .schemas import load_schema, validate_against_schema
-from .stats import empirical_quantile, ks_two_sample
+from .stats import NullReference, ks_two_sample
 
 __all__ = [
     "CALIBRATION_FORMAT_VERSION",
@@ -54,8 +54,6 @@ __all__ = [
     "config_hash",
     "calibrate",
     "CalibratedTest",
-    "test_disagreement",
-    "test_entropy",
     "test_both",
     "evaluate_power",
     "disagreement_curve",
@@ -106,6 +104,21 @@ class TestVerdict:
     config_hash: str = ""
     flags: tuple = ()
 
+    @classmethod
+    def against(cls, null: NullReference, test: str, statistic: float,
+                rng: RngStream, wall_time_ms: float, sample_size: int,
+                config_hash: str = "", flags: tuple = (),
+                **seeds) -> TestVerdict:
+        """Shift iff ``null`` rejects ``statistic``; ``seeds`` join rng's."""
+        statistic = float(statistic)
+        return cls(test=test, statistic=statistic, threshold=null.threshold,
+                   shift_detected=null.rejects(statistic),
+                   sample_size=sample_size,
+                   seeds={"base_seed": rng.base_seed,
+                          "stream_id": rng.stream_id, **seeds},
+                   wall_time_ms=wall_time_ms, config_hash=config_hash,
+                   flags=tuple(flags))
+
     def to_json_dict(self) -> dict:
         return {**asdict(self), "flags": list(self.flags)}
 
@@ -119,24 +132,26 @@ class CalibrationRecord:
     phi_p: tuple
     entropy_runs: tuple       # K tuples of sample_size entropies
     calib_p_values: tuple
-    tau_disagreement: float
-    tau_entropy: float
     config_snapshot: dict
     base_seed: int
     stream_id: int = 0
+    # the thresholds of the disagreement_null and entropy_null attributes
+    tau_disagreement: float = field(init=False)
+    tau_entropy: float = field(init=False)
 
     def __post_init__(self):
-        if len(self.phi_p) != self.K or len(self.entropy_runs) != self.K:
+        if any(len(v) != self.K for v in (self.phi_p, self.entropy_runs,
+                                          self.calib_p_values)):
             raise ValueError("calibration arrays must have K entries")
         if any(len(e) != self.sample_size for e in self.entropy_runs):
             raise ValueError(
                 "each entropy run must have sample_size entries")
-        if not np.isclose(self.tau_disagreement,
-                          empirical_quantile(self.phi_p, 1.0 - self.alpha)):
-            raise ValueError("tau_disagreement does not match its quantile")
-        if not np.isclose(self.tau_entropy,
-                          empirical_quantile(self.calib_p_values, self.alpha)):
-            raise ValueError("tau_entropy does not match its quantile")
+        dis = NullReference(self.phi_p, self.alpha, upper=True)
+        ent = NullReference(self.calib_p_values, self.alpha, upper=False)
+        object.__setattr__(self, "disagreement_null", dis)
+        object.__setattr__(self, "entropy_null", ent)
+        object.__setattr__(self, "tau_disagreement", dis.threshold)
+        object.__setattr__(self, "tau_entropy", ent.threshold)
 
 
 def config_hash(data: PartitionedData, config: LearnerConfig, f: Model,
@@ -251,8 +266,6 @@ def calibrate(data: PartitionedData, config: LearnerConfig, f: Model,
         phi_p=phi_p,
         entropy_runs=entropy_runs,
         calib_p_values=calib_p_values,
-        tau_disagreement=empirical_quantile(phi_p, 1.0 - alpha),
-        tau_entropy=empirical_quantile(calib_p_values, alpha),
         config_snapshot=snapshot,
         base_seed=rng.base_seed,
         stream_id=rng.stream_id,
@@ -309,44 +322,22 @@ class CalibratedTest:
         if which != "disagreement":
             q_entropies = cdc_entropy(ens, Q_X)
         ms = (time.perf_counter() - start) * 1000.0
+        context = dict(rng=rng, wall_time_ms=ms,
+                       sample_size=self.calib.sample_size,
+                       config_hash=self.calib.config_hash)
         verdicts = []
         if which != "entropy":
-            verdicts.append(self._disagreement_verdict(ens.phi_final, rng, ms))
+            verdicts.append(TestVerdict.against(
+                self.calib.disagreement_null, "detectron_disagreement",
+                ens.phi_final, **context))
         if which != "disagreement":
-            verdicts.append(self._entropy_verdict(q_entropies, rng, ms))
+            drop = int(rng.integers(self.calib.K))
+            pooled = np.delete(self._entropy_runs, drop, axis=0).ravel()
+            verdicts.append(TestVerdict.against(
+                self.calib.entropy_null, "detectron_entropy",
+                ks_two_sample(q_entropies, pooled).p_value,
+                dropped_run=drop, **context))
         return tuple(verdicts)
-
-    def _disagreement_verdict(self, phi_q, rng, elapsed_ms) -> TestVerdict:
-        calib = self.calib
-        return TestVerdict(
-            test="detectron_disagreement", statistic=float(phi_q),
-            shift_detected=bool(phi_q > calib.tau_disagreement),
-            threshold=calib.tau_disagreement, sample_size=calib.sample_size,
-            seeds={"base_seed": rng.base_seed, "stream_id": rng.stream_id},
-            wall_time_ms=elapsed_ms, config_hash=calib.config_hash)
-
-    def _entropy_verdict(self, q_entropies, rng, elapsed_ms) -> TestVerdict:
-        calib = self.calib
-        drop = rng.integers(calib.K)
-        pooled = np.delete(self._entropy_runs, drop, axis=0).ravel()
-        p_value = ks_two_sample(q_entropies, pooled).p_value
-        return TestVerdict(
-            test="detectron_entropy", statistic=float(p_value),
-            shift_detected=bool(p_value < calib.tau_entropy),
-            threshold=calib.tau_entropy, sample_size=calib.sample_size,
-            seeds={"base_seed": rng.base_seed, "stream_id": rng.stream_id,
-                   "dropped_run": int(drop)},
-            wall_time_ms=elapsed_ms, config_hash=calib.config_hash)
-
-
-def test_disagreement(Q_X, calib, data, config, f, spec, rng) -> TestVerdict:
-    return CalibratedTest(calib, data, config, f, spec).run(
-        Q_X, rng, "disagreement")[0]
-
-
-def test_entropy(Q_X, calib, data, config, f, spec, rng) -> TestVerdict:
-    return CalibratedTest(calib, data, config, f, spec).run(
-        Q_X, rng, "entropy")[0]
 
 
 def test_both(Q_X, calib, data, config, f, spec, rng) -> tuple:
@@ -408,8 +399,14 @@ def calibration_from_doc(doc: dict, num_classes: int) -> CalibrationRecord:
                for e in entropies):
         raise ValueError(
             f"calibration entropies leave [0, log {num_classes}]")
-    return CalibrationRecord(**{f.name: _tuples(doc[f.name])
-                                for f in fields(CalibrationRecord)})
+    record = CalibrationRecord(**{f.name: _tuples(doc[f.name])
+                                  for f in fields(CalibrationRecord)
+                                  if f.init})
+    for name in ("tau_disagreement", "tau_entropy"):
+        if doc[name] != getattr(record, name):
+            raise ValueError(f"calibration {name} = {doc[name]!r} is not "
+                             f"its null's quantile {getattr(record, name)!r}")
+    return record
 
 
 def save_calibration(calib: CalibrationRecord, path) -> None:
@@ -476,14 +473,14 @@ def prepare_task(task: BenchmarkTask, rng: RngStream):
 
 def evaluate_power(task: BenchmarkTask, detector_id: str, N: int,
                    trials: int, alpha: float, rng: RngStream,
-                   jobs: int = 1, prepared=None) -> tuple[float, float]:
+                   prepared: tuple, jobs: int = 1) -> tuple[float, float]:
     """TPR at the calibrated significance level over repeated Q draws.
 
     Draws `trials` independent size-N samples from the task's shifted
     target source, runs the detector on each, and reports the detection
     fraction with its binomial standard error.  ``prepared`` is the
-    task's (data, target features, base model) from ``prepare_task`` on
-    ``rng.split(0)``; when None it is prepared here.
+    task's (data, target features, base model) from ``prepare_task``,
+    which callers run on ``rng.split(0)``: this function leaves it unused.
     """
     if trials < 30:
         raise ValueError("trials must be >= 30 for a meaningful rate")
@@ -495,8 +492,6 @@ def evaluate_power(task: BenchmarkTask, detector_id: str, N: int,
     if detector_id == "never_reject":
         return 0.0, 0.0
 
-    if prepared is None:
-        prepared = prepare_task(task, rng.split(0))
     data, target_X, f = prepared
     verdict_fn = make_detector(task, detector_id, data, f, N, alpha,
                                rng.split(3), jobs=jobs)

@@ -5,22 +5,23 @@ lattice paths counted in integers, then one correctly rounded division),
 the one-sided binomial tail P(X >= x) and the Bayesian posterior P[q > p]
 for two observed disagreement counts (each an integer sum over one
 integer denominator, so also correctly rounded), the empirical-quantile
-convention used for permutation calibration, and the p*(n) disagreement
-bound.  Each closed form is paired in the test suite with an enumeration
-or Monte-Carlo oracle.
+convention and ``NullReference``, the verdict rule of every detector, and
+the p*(n) disagreement bound.  Each closed form is paired in the test
+suite with an enumeration or Monte-Carlo oracle.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
 
 __all__ = [
     "KsResult",
+    "NullReference",
     "PosteriorInputs",
     "ks_two_sample",
     "binomial_pvalue",
@@ -229,6 +230,29 @@ def empirical_quantile(values, q: float) -> float:
         raise ValueError(f"q must be in [0, 1], got {q}")
     k = max(1, math.ceil(q * arr.size - 1e-9))
     return float(arr[k - 1])
+
+
+@dataclass(frozen=True)
+class NullReference:
+    """K null draws of a test statistic, sorted once.  With ``upper`` a
+    statistic (a disagreement rate) flags above their (1 - alpha)
+    quantile, otherwise (a p-value) below their alpha quantile; either
+    comparison is strict."""
+    values: tuple
+    alpha: float
+    upper: bool
+    threshold: float = field(init=False)
+
+    def __post_init__(self):
+        values = np.sort(np.asarray(self.values, dtype=np.float64).ravel())
+        object.__setattr__(self, "values", tuple(values.tolist()))
+        q = 1.0 - self.alpha if self.upper else self.alpha
+        object.__setattr__(self, "threshold", empirical_quantile(values, q))
+
+    def rejects(self, statistic: float) -> bool:
+        if self.upper:
+            return statistic > self.threshold
+        return statistic < self.threshold
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from shiftguard.cdc import CdcTrainSpec, build_ensemble
 from shiftguard.data import ShiftTaskSpec, partition, synth_generate, uci_prepare
 from shiftguard.detectron import (
     BenchmarkTask,
+    CalibratedTest,
     PartitionedData,
     calibrate,
     calibration_to_doc,
@@ -268,8 +269,10 @@ def test_criterion_6_synthetic_power():
     task = GAUSS_TASK
     root = rng_stream(60, 1)
 
-    # harmfulness certificate for the shipped configuration
-    data, _, f = prepare_task(task, root.split(0))
+    # harmfulness certificate for the shipped configuration, on the
+    # preparation every power score below shares
+    prepared = prepare_task(task, root.split(0))
+    data, _, f = prepared
     source_acc = float(np.mean(
         f.predict_labels(data.holdout.features) == data.holdout.labels))
     _, labeled_target, _ = synth_generate(task.data_spec, reveal_labels=True)
@@ -279,13 +282,13 @@ def test_criterion_6_synthetic_power():
     assert drop >= 0.2, f"shipped task not harmful enough: drop {drop:.3f}"
 
     tpr_50, _ = evaluate_power(task, "detectron_entropy", 50, 100, 0.05,
-                               rng_stream(60, 1))
+                               root, prepared)
     assert tpr_50 >= 0.8, f"entropy TPR at N=50 is {tpr_50:.2f}"
 
     tpr_ent_10, _ = evaluate_power(task, "detectron_entropy", 10, 100, 0.05,
-                                   rng_stream(60, 1))
+                                   root, prepared)
     tpr_ctst_10, _ = evaluate_power(task, "ctst", 10, 100, 0.05,
-                                    rng_stream(60, 1))
+                                    root, prepared)
     assert tpr_ent_10 >= tpr_ctst_10, (tpr_ent_10, tpr_ctst_10)
     elapsed = time.time() - start
     note(f"ACCEPTANCE 6 PASS: base-accuracy drop {drop:.2f}; entropy "
@@ -332,13 +335,12 @@ def test_criterion_7_uci_tabular_reproduction():
     for n_q, floor in ((50, 0.85), (10, 0.30)):
         calib = calibrate(data, UCI_GBT, f, n_q, 100, spec, 0.05,
                           rng_stream(71, n_q))
+        tester = CalibratedTest(calib, data, UCI_GBT, f, spec)
         hits = 0
         for t in range(100):
             rng = rng_stream(72, 1000 * n_q + t)
             idx = rng.sample_without_replacement(len(target), n_q)
-            from shiftguard.detectron import test_entropy as entropy_op
-            v = entropy_op(target.features[idx], calib, data, UCI_GBT, f,
-                           spec, rng)
+            (v,) = tester.run(target.features[idx], rng, "entropy")
             hits += v.shift_detected
         tpr = hits / 100.0
         results[n_q] = tpr

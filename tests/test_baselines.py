@@ -3,7 +3,6 @@ import pytest
 
 from conftest import small_gbt_config, small_mlp_config
 from shiftguard.baselines import (
-    EnsembleSpec,
     bbsd_stat,
     ctst_stat,
     ensemble_disagreement_stat,
@@ -60,15 +59,6 @@ def rows_at(x0_values):
     return X
 
 
-class TestEnsembleSpec:
-    def test_defaults(self):
-        assert EnsembleSpec().size == 10
-
-    def test_minimum_size(self):
-        with pytest.raises(ValueError):
-            EnsembleSpec(size=1)
-
-
 class TestEnsembleDisagreement:
     def test_unanimous_everywhere_no_shift(self):
         models = [ThresholdModel(0.0), ThresholdModel(0.0)]
@@ -92,10 +82,10 @@ class TestEnsembleDisagreement:
     def test_ensemble_members_vary_only_by_seed(self, null_task_data):
         data = PartitionedData(null_task_data["train"], null_task_data["val"],
                                null_task_data["holdout"])
-        models = train_ensemble(small_gbt_config(), data,
-                                EnsembleSpec(size=3), rng_stream(1, 0))
-        again = train_ensemble(small_gbt_config(), data,
-                               EnsembleSpec(size=3), rng_stream(1, 0))
+        models = train_ensemble(small_gbt_config(), data, 3,
+                                rng_stream(1, 0))
+        again = train_ensemble(small_gbt_config(), data, 3,
+                               rng_stream(1, 0))
         probe = rng_stream(2, 0).normal((40, 2))
         for a, b in zip(models, again):
             np.testing.assert_array_equal(a.predict_proba_matrix(probe),
@@ -107,6 +97,12 @@ class TestEnsembleDisagreement:
             model_fingerprint(fit(small_gbt_config(), *data.train_pair(),
                                   *data.val_pair(), rng_stream(1, 0).split(i)))
             for i in range(3)]
+
+    def test_ensemble_size_below_two_refused(self, null_task_data):
+        data = PartitionedData(null_task_data["train"], null_task_data["val"],
+                               null_task_data["holdout"])
+        with pytest.raises(ValueError, match="ensemble size must be >= 2"):
+            train_ensemble(small_gbt_config(), data, 1, rng_stream(1, 0))
 
 
 class TestEnsembleEntropy:
@@ -261,11 +257,12 @@ class TestBaselineStatisticalBehavior:
         detectron entropy at least as powerful as each."""
         env = baseline_env
         trials = 40
-        task = env["task"]
+        task, rng = env["task"], rng_stream(78, 0)
+        prepared = prepare_task(task, rng.split(0))
         tpr_det, _ = evaluate_power(task, "detectron_entropy", 50, trials,
-                                    0.05, rng_stream(78, 0))
+                                    0.05, rng, prepared)
         for detector_id in BASELINE_IDS:
             tpr, _ = evaluate_power(task, detector_id, 50, trials, 0.05,
-                                    rng_stream(78, 0))
+                                    rng, prepared)
             assert tpr > 0.0, detector_id
             assert tpr_det >= tpr, (detector_id, tpr, tpr_det)

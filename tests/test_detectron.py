@@ -28,8 +28,6 @@ from shiftguard.detectron import (
     save_calibration,
 )
 from shiftguard.detectron import test_both as run_both_tests
-from shiftguard.detectron import test_disagreement as run_disagreement_test
-from shiftguard.detectron import test_entropy as run_entropy_test
 from shiftguard.learners import fit, load_model, save_model
 from shiftguard.numerics import rng_stream
 from shiftguard.schemas import load_schema
@@ -50,7 +48,7 @@ def task_env():
     data, target_X, f = prepare_task(task, rng_stream(50, 0))
     calib = calibrate(data, LEARNER, f, N, K, SPEC, 0.05, rng_stream(51, 0))
     return {"task": task, "data": data, "target_X": target_X, "f": f,
-            "calib": calib,
+            "prepared": (data, target_X, f), "calib": calib,
             "tester": CalibratedTest(calib, data, LEARNER, f, SPEC)}
 
 
@@ -155,26 +153,13 @@ class TestCalibrate:
         with pytest.raises(ValueError, match="K"):
             calibrate(data, LEARNER, f, N, 5, SPEC, 0.05, rng_stream(0, 0))
 
-    def test_record_invariants_enforced(self, task_env):
-        calib = task_env["calib"]
-        with pytest.raises(ValueError, match="tau_disagreement"):
-            CalibrationRecord(
-                config_hash=calib.config_hash, sample_size=N, K=K,
-                alpha=0.05, phi_p=calib.phi_p,
-                entropy_runs=calib.entropy_runs,
-                calib_p_values=calib.calib_p_values,
-                tau_disagreement=-1.0, tau_entropy=calib.tau_entropy,
-                config_snapshot=calib.config_snapshot, base_seed=0)
-
 
 class TestVerdicts:
     def test_far_shift_detected_disagreement(self, task_env):
         target = task_env["target_X"]
         rng = rng_stream(52, 0)
         idx = rng.sample_without_replacement(target.shape[0], N)
-        verdict = run_disagreement_test(target[idx], task_env["calib"],
-                                    task_env["data"], LEARNER, task_env["f"],
-                                    SPEC, rng)
+        (verdict,) = task_env["tester"].run(target[idx], rng, "disagreement")
         assert verdict.shift_detected
         assert verdict.statistic > verdict.threshold
         assert verdict.test == "detectron_disagreement"
@@ -184,32 +169,27 @@ class TestVerdicts:
         target = task_env["target_X"]
         rng = rng_stream(52, 1)
         idx = rng.sample_without_replacement(target.shape[0], N)
-        verdict = run_entropy_test(target[idx], task_env["calib"],
-                               task_env["data"], LEARNER, task_env["f"],
-                               SPEC, rng)
+        (verdict,) = task_env["tester"].run(target[idx], rng, "entropy")
         assert verdict.shift_detected
         assert verdict.statistic < verdict.threshold
 
-    def test_verdict_rule_is_strict_exceedance(self, task_env):
-        calib, tester = task_env["calib"], task_env["tester"]
-        # phi exactly at tau must NOT flag; only phi > tau does
-        at_tau = tester._disagreement_verdict(calib.tau_disagreement,
-                                              rng_stream(0, 0), 0.0)
-        assert not at_tau.shift_detected
-        above = tester._disagreement_verdict(calib.tau_disagreement + 1e-9,
-                                             rng_stream(0, 0), 0.0)
-        assert above.shift_detected
-
-    def test_entropy_identical_to_pool_is_null(self, task_env):
+    def test_entropy_identical_to_pool_is_null(self, task_env, monkeypatch):
         """The reference is every calibration run but the dropped one,
-        concatenated in run order."""
+        concatenated in run order.  With the ensemble build stubbed out,
+        the drop is the stream's first draw, and the candidate's entropies
+        are that reference itself."""
+        import shiftguard.detectron as detectron
         calib = task_env["calib"]
-        rng = rng_stream(53, 0)
         drop_preview = rng_stream(53, 0).integers(calib.K)
         pooled = np.concatenate([run for i, run in
                                  enumerate(calib.entropy_runs)
                                  if i != drop_preview])
-        verdict = task_env["tester"]._entropy_verdict(pooled, rng, 0.0)
+        monkeypatch.setattr(detectron, "build_ensemble",
+                            lambda *args: None)
+        monkeypatch.setattr(detectron, "cdc_entropy",
+                            lambda ens, Q_X: pooled)
+        (verdict,) = task_env["tester"].run(
+            task_env["target_X"][:N], rng_stream(53, 0), "entropy")
         assert verdict.seeds["dropped_run"] == drop_preview
         assert verdict.statistic == 1.0
         assert not verdict.shift_detected
@@ -225,13 +205,12 @@ class TestVerdicts:
                            task_env["f"], other_spec)
 
     def test_config_refusal_precedes_size_refusal(self, task_env):
-        """An alias pairs before it looks at the sample, so a wrong-size
+        """test_both pairs before it looks at the sample, so a wrong-size
         sample under a changed spec is refused for the spec."""
         with pytest.raises(ValueError, match="calibration/config mismatch"):
-            run_disagreement_test(task_env["target_X"][:5], task_env["calib"],
-                                  task_env["data"], LEARNER, task_env["f"],
-                                  CdcTrainSpec(max_opt_steps=4),
-                                  rng_stream(0, 0))
+            run_both_tests(task_env["target_X"][:5], task_env["calib"],
+                           task_env["data"], LEARNER, task_env["f"],
+                           CdcTrainSpec(max_opt_steps=4), rng_stream(0, 0))
 
     @pytest.mark.parametrize("model, spec, named", [
         ("changed", SPEC, "model_fingerprint"),
@@ -257,9 +236,9 @@ class TestVerdicts:
         v_dis, v_ent = run_both_tests(target[idx], task_env["calib"],
                                  task_env["data"], LEARNER, task_env["f"], SPEC,
                                  rng_stream(55, 3))
-        solo_dis = run_disagreement_test(target[idx], task_env["calib"],
-                                     task_env["data"], LEARNER, task_env["f"],
-                                     SPEC, rng_stream(55, 3))
+        (solo_dis,) = CalibratedTest(
+            task_env["calib"], task_env["data"], LEARNER, task_env["f"],
+            SPEC).run(target[idx], rng_stream(55, 3), "disagreement")
         assert v_dis.statistic == solo_dis.statistic
         assert v_dis.shift_detected == solo_dis.shift_detected
         assert v_ent.test == "detectron_entropy"
@@ -369,6 +348,20 @@ def _entropy(value):
     return tamper
 
 
+def _ulp(field, direction):
+    """Move a stored tau one float toward ``direction``."""
+    def tamper(doc):
+        doc[field] = math.nextafter(doc[field], direction)
+    return tamper
+
+
+def _drop_calib_p_value(doc):
+    """K - 1 calibration p-values, with tau_entropy their own quantile."""
+    del doc["calib_p_values"][-1]
+    doc["tau_entropy"] = empirical_quantile(doc["calib_p_values"],
+                                            doc["alpha"])
+
+
 class TestPersistence:
     def test_round_trip(self, task_env, tmp_path):
         path = tmp_path / "calib.json"
@@ -427,6 +420,11 @@ class TestPersistence:
                      "got str", id="tamper-must hold numbers"),
         (_entropy(math.log(2.0) + 1e-6), r"leave \[0, log 2\]"),
         (_entropy(-1e-6), r"leave \[0, log 2\]"),
+        *(pytest.param(_ulp(tau, way), f"{tau} = ", id=f"{tau}-one-ulp-{name}")
+          for tau in ("tau_disagreement", "tau_entropy")
+          for way, name in ((math.inf, "up"), (-math.inf, "down"))),
+        pytest.param(_drop_calib_p_value, "arrays must have K entries",
+                     id="K-1-calib-p-values"),
     ])
     def test_tampered_record_refused(self, task_env, tmp_path, tamper,
                                      message):
@@ -522,27 +520,28 @@ class TestLoadedBaseModel:
 
 class TestEvaluatePower:
     def test_stub_detectors(self, task_env):
-        task = task_env["task"]
+        task, prepared = task_env["task"], task_env["prepared"]
         tpr, se = evaluate_power(task, "always_reject", N, 50, 0.05,
-                                 rng_stream(0, 0))
+                                 rng_stream(0, 0), prepared)
         assert (tpr, se) == (1.0, 0.0)
         tpr, _ = evaluate_power(task, "never_reject", N, 50, 0.05,
-                                rng_stream(0, 0))
+                                rng_stream(0, 0), prepared)
         assert tpr == 0.0
 
     def test_unknown_detector(self, task_env):
         with pytest.raises(ValueError, match="unknown detector"):
             evaluate_power(task_env["task"], "psychic", N, 50, 0.05,
-                           rng_stream(0, 0))
+                           rng_stream(0, 0), task_env["prepared"])
 
     def test_trials_floor(self, task_env):
         with pytest.raises(ValueError, match="trials"):
             evaluate_power(task_env["task"], "always_reject", N, 5, 0.05,
-                           rng_stream(0, 0))
+                           rng_stream(0, 0), task_env["prepared"])
 
     def test_far_shift_power_smoke(self, task_env):
-        tpr, se = evaluate_power(task_env["task"], "detectron_entropy", N,
-                                 30, 0.05, rng_stream(60, 0))
+        task, rng = task_env["task"], rng_stream(60, 0)
+        tpr, se = evaluate_power(task, "detectron_entropy", N, 30, 0.05,
+                                 rng, prepare_task(task, rng.split(0)))
         assert tpr >= 0.8
         assert se == pytest.approx(math.sqrt(tpr * (1 - tpr) / 30))
 
@@ -589,9 +588,10 @@ class TestMonotonePower:
         task = task_env["task"]
         results = []
         for n in (10, 20, 50):
-            tpr, se = evaluate_power(task, "detectron_entropy", n, 50, 0.05,
-                                     rng_stream(62, n))
-            results.append((tpr, se))
+            rng = rng_stream(62, n)
+            results.append(evaluate_power(task, "detectron_entropy", n, 50,
+                                          0.05, rng,
+                                          prepare_task(task, rng.split(0))))
         for (lo_tpr, lo_se), (hi_tpr, hi_se) in zip(results, results[1:]):
             slack = max(lo_se, hi_se)
             assert hi_tpr >= lo_tpr - slack, results
@@ -609,8 +609,9 @@ class TestDatasetTask:
                              learner=LEARNER, cdc=SPEC, K=20)
         data, target_X, f = prepare_task(task, rng_stream(95, 0))
         assert target_X.shape == target.features.shape
+        rng = rng_stream(95, 1)
         tpr, _ = evaluate_power(task, "detectron_entropy", 20, 30, 0.05,
-                                rng_stream(95, 1))
+                                rng, prepare_task(task, rng.split(0)))
         assert tpr >= 0.5
 
 
@@ -624,9 +625,10 @@ class TestCalibrationQuantileProperty:
 class TestEntropyVsDisagreementPower:
     def test_entropy_within_point_one_of_disagreement(self, task_env):
         """Paired desk-scale power comparison at N=20 on the far shift."""
-        task = task_env["task"]
+        task, rng = task_env["task"], rng_stream(63, 0)
+        prepared = prepare_task(task, rng.split(0))
         tpr_ent, _ = evaluate_power(task, "detectron_entropy", 20, 40, 0.05,
-                                    rng_stream(63, 0))
+                                    rng, prepared)
         tpr_dis, _ = evaluate_power(task, "detectron_disagreement", 20, 40,
-                                    0.05, rng_stream(63, 0))
+                                    0.05, rng, prepared)
         assert tpr_ent >= tpr_dis - 0.1, (tpr_ent, tpr_dis)

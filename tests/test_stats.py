@@ -23,6 +23,7 @@ from oracles import (
 from shiftguard import stats
 from shiftguard.numerics import rng_stream
 from shiftguard.stats import (
+    NullReference,
     PosteriorInputs,
     binomial_pvalue,
     disagreement_bound_pstar,
@@ -308,6 +309,24 @@ class TestEmpiricalQuantile:
     def test_empty_errors(self):
         with pytest.raises(ValueError):
             empirical_quantile([], 0.5)
+
+
+class TestNullReference:
+    @pytest.mark.parametrize("upper, q, shift_side", [
+        (True, 0.95, math.inf),
+        (False, 0.05, -math.inf),
+    ], ids=["upper-disagreement", "lower-p-value"])
+    def test_rule_at_the_threshold(self, upper, q, shift_side):
+        """A statistic equal to the threshold never flags, the next float
+        past it on the shift side does, and the next float back does not.
+        The null rates of a disagreement test tie, so the draws do too."""
+        values = np.random.default_rng(7).integers(0, 6, size=40) / 20
+        null = NullReference(tuple(values), 0.05, upper)
+        assert null.values == tuple(np.sort(values))
+        assert null.threshold == empirical_quantile(values, q)
+        assert not null.rejects(null.threshold)
+        assert null.rejects(math.nextafter(null.threshold, shift_side))
+        assert not null.rejects(math.nextafter(null.threshold, -shift_side))
 
 
 class TestDisagreementBound:
